@@ -8,9 +8,9 @@ here (or in the library) calls ``ray.init()`` / ``ray.shutdown()``.
   groupby(term) merge → compressed segments + manifest), then answer a
   fixture query set through the ``QueryScorer`` actor pool; returns the
   ranked hits as a ``ray.data.Dataset``.
-* ``queries()`` / ``oracle_sql()`` — one entry per operator from
-  SURVEY.md §2 plus the training-data operators (dedup, ANN, text
-  analysis); see ``gazetteer_search_ray/driver_queries.py``.
+* ``queries()`` / ``oracle_sql()`` — one entry per search query and
+  SURVEY.md §2 relational/maintenance operator, each paired with a
+  DuckDB oracle; see ``gazetteer_search_ray/driver_queries.py``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Driver contract: one Ray pipeline + one DuckDB oracle per operator.
 
-Backs ``__ray_entry__.py``.  Every entry reads the testdata tables
-(documents / embeddings / orders / lineitem) and returns a result whose
-row set, schema and values match the paired ANSI-SQL oracle exactly
-(scores rounded to 6 decimals, cosines to 4 — see the precision notes
-inline).  The BM25 queries run against a REAL index built by the
-flagship pipeline (cached per sf_dir under /tmp) and queried through the
-block-max engine — not a shortcut reimplementation.
+Backs ``__ray_entry__.py``.  The registry holds the search engine's
+queries plus the SURVEY.md §2 relational/maintenance operators.  Every
+entry reads the testdata tables (documents / orders / lineitem) and
+returns a result whose row set, schema and values match the paired
+ANSI-SQL oracle exactly (scores rounded to 6 decimals).  The BM25
+queries run against a REAL index built by the flagship pipeline (cached
+per sf_dir under /tmp) and queried through the block-max engine — not a
+shortcut reimplementation.
 
 Naming: every computed column is aliased identically in the Ray code
 and the SQL (driver hashes values after sorting columns by name).
@@ -20,11 +21,19 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .functions.analyzer import AnalyzerConfig
 from .pipelines.build_index import BuildOptions, build_index
-from .pipelines.query import Bool, ColumnFilter, DisMax, FunctionScore, Prefix, Term
+from .pipelines.query import (
+    Bool,
+    ColumnFilter,
+    DisMax,
+    FunctionScore,
+    Fuzzy,
+    Prefix,
+    RangeFilter,
+    Term,
+)
 from .pipelines.search import Searcher
 from .sources.corpus import documents_as_corpus
 from .state import manifest as mf
@@ -118,7 +127,11 @@ def get_merged_searcher(sf_dir: str) -> Searcher:
     per bulk generation).  Query results over the merged index must be
     bit-identical to a fresh full-corpus build, so the entry shares the
     plain BM25 SQL oracle — a hash match proves
-    build → update → update → merge ≡ one-shot build."""
+    build → update → update → merge ≡ one-shot build.
+
+    The lifecycle runs in a temp dir that is renamed into place only
+    once ``force_merge`` returns, so a crash partway never leaves a
+    committed half-corpus index behind for later runs to serve."""
     key = "fm:" + sf_dir
     s = _searchers.get(key)
     if s is not None:
@@ -126,6 +139,9 @@ def get_merged_searcher(sf_dir: str) -> Searcher:
     idx = index_dir_for(sf_dir) + "-fm"
     if not mf.is_committed(idx):
         from .pipelines.maintenance import force_merge, update_index
+
+        tmp = idx + ".tmp"
+        mf.drop_index(tmp)
 
         ds = documents_as_corpus(sf_dir)
 
@@ -138,15 +154,17 @@ def get_merged_searcher(sf_dir: str) -> Searcher:
 
         build_index(
             ds.map_batches(_mod_keep((0, 1)), batch_format="pyarrow"),
-            idx,
+            tmp,
             BuildOptions(analyzer_config=AnalyzerConfig.simple()),
         )
         update_index(
-            idx, ds.map_batches(_mod_keep((2,)), batch_format="pyarrow"))
+            tmp, ds.map_batches(_mod_keep((2,)), batch_format="pyarrow"))
         update_index(
-            idx, ds.map_batches(_mod_keep((3,)), batch_format="pyarrow"))
-        man = force_merge(idx)
+            tmp, ds.map_batches(_mod_keep((3,)), batch_format="pyarrow"))
+        man = force_merge(tmp)
         assert len(man["segments"]) == 1, man["segments"]
+        mf.drop_index(idx)
+        os.rename(tmp, idx)
     s = Searcher(idx)
     _searchers[key] = s
     return s
@@ -188,7 +206,7 @@ def _sql_terms(terms: list[str]) -> str:
     return ", ".join(f"'{t}'" for t in terms)
 
 
-def _bm25_score_sql(terms: list[str], having: str = "", extra_score: str = "score") -> str:
+def _bm25_score_sql(terms: list[str], having: str = "") -> str:
     """Scored-docs CTE `sc(doc_id, score, n_matched)` for a term set."""
     return f"""
 df AS (SELECT term, count(*)::DOUBLE AS df FROM tf
@@ -392,7 +410,219 @@ def q_topk_paged(sf_dir):
     return _topk_frame(docs[10:20], scores[10:20])
 
 
-SEARCH_SQL = {
+# ---------------------------------------------------------------------------
+# fuzzy / range / box / mass-eval queries
+# ---------------------------------------------------------------------------
+
+FUZZY_Q = "scann"  # ED-1 from 'scan'; DuckDB levenshtein() is the oracle
+RANGE_LO, RANGE_HI = 100, 160  # n_chars window
+
+
+def q_bm25_fuzzy(sf_dir):
+    """Q2 fuzziness=1: union of postings of every dictionary term within
+    edit distance ≤ 1, each scored by its own BM25."""
+    s = get_searcher(sf_dir)
+    docs, scores = s.engine._topk(
+        *s.engine.evaluate(Fuzzy(FUZZY_Q, max_expansions=1000)), 20
+    )
+    return _topk_frame(docs, scores)
+
+
+def q_bm25_range(sf_dir):
+    """Q7 numeric-range branch analog: OR query filtered to docs whose
+    n_chars ∈ [RANGE_LO, RANGE_HI]."""
+    return _topk(
+        sf_dir,
+        Bool(
+            should=(Term("sort"), Term("merge")),
+            minimum_should_match=1,
+            filter=(RangeFilter("n_chars", RANGE_LO, RANGE_HI),),
+        ),
+    )
+
+
+BOX_X = (80, 200)   # n_chars
+BOX_Y = (100, 400)  # doc_id
+
+
+def q_bm25_box(sf_dir):
+    """Q13 geo_bounding_box analog (``ESDefaultSearch.java:213``): a 2-D
+    numeric box filter — two ANDed range predicates — under a scored
+    disjunction (runs through the filtered MaxScore fast path)."""
+    return _topk(
+        sf_dir,
+        Bool(
+            should=(Term("sort"), Term("merge"), Term(HOT)),
+            minimum_should_match=1,
+            filter=(
+                RangeFilter("n_chars", *BOX_X),
+                RangeFilter("doc_id", *BOX_Y),
+            ),
+        ),
+    )
+
+
+EVAL_QUERIES = ["dup", "scan sort", "merge window query", "zzzznope"]
+
+
+def q_mass_eval(sf_dir):
+    """G5 mass-geocode evaluation (``csv/CSVGeocode.java:62-179``):
+    fixed query set through the eval pipeline, per-query comparison
+    rows.  Expected answers are the engine's own cascade top-1
+    (self-consistency), but the SQL oracle recomputes BOTH the expected
+    and the result column via the full coalesce cascade in SQL — a hash
+    match therefore proves the engine's cascade top-1 doc and score
+    equal the SQL cascade on every query (including the no-hit row)."""
+    import ray.data as rd
+
+    from .pipelines.geocode import mass_eval
+
+    s = get_searcher(sf_dir)
+    rows = []
+    for i, q in enumerate(EVAL_QUERIES):
+        hits = s.search(q, k=5, use_prior=False)
+        rows.append(
+            {"qid": i, "q": q,
+             "expected_doc_id": hits[0]["doc_id"] if hits else -1}
+        )
+    pdf = mass_eval(rd.from_items(rows), index_dir_for(sf_dir), k=5,
+                    return_rows=True)
+    out = pd.DataFrame(
+        {
+            "qid": pdf["qid"].astype(np.int64),
+            "q": pdf["q"].astype(str),
+            "expected_doc_id": pdf["expected"].fillna(-1).astype(np.int64),
+            "top_doc": pdf["top_doc"].fillna(-1).astype(np.int64),
+            "top_score": np.round(pdf["top_score"].fillna(0.0).astype(np.float64), 6),
+            "top1_match": pdf["match_top"].astype(bool),
+            "page_match": pdf["match_page"].astype(bool),
+        }
+    )
+    return out.sort_values("qid").reset_index(drop=True)
+
+
+def _cascade_sql_blocks() -> str:
+    """Per-eval-query coalesce-cascade CTEs: one scored CTE per query's
+    term set, then a 3-level (all-terms AND → msm≥2 → msm≥1) pick of
+    the first non-empty top-1 — the exact ``build_cascade`` +
+    first-non-empty semantics of ``Searcher.search``."""
+    blocks, rows = [], []
+    for i, q in enumerate(EVAL_QUERIES):
+        terms = [t for t in q.lower().split() if t]
+        n = len(terms)
+        blocks.append(
+            f"""d{i} AS (SELECT term, count(*)::DOUBLE AS df FROM tf
+       WHERE term IN ({_sql_terms(terms)}) GROUP BY term),
+s{i} AS (
+  SELECT tf.doc_id,
+         sum( ln(1 + (s.n - d{i}.df + 0.5)/(d{i}.df + 0.5))
+              * tf.tf * {K1 + 1.0} / (tf.tf + {K1} * (1 - {B} + {B} * dl.dl / s.avgdl)) ) AS score,
+         count(*) AS nm
+  FROM tf JOIN d{i} ON tf.term = d{i}.term
+  JOIN dl ON dl.doc_id = tf.doc_id CROSS JOIN stats s
+  GROUP BY tf.doc_id
+),
+top{i} AS (
+  SELECT doc_id, score FROM (
+    SELECT 1 AS lvl, doc_id, score FROM s{i} WHERE nm >= {n}
+    UNION ALL SELECT 2, doc_id, score FROM s{i} WHERE nm >= 2
+    UNION ALL SELECT 3, doc_id, score FROM s{i} WHERE nm >= 1
+  ) ORDER BY lvl, score DESC, doc_id LIMIT 1
+)"""
+        )
+        rows.append(
+            f"SELECT {i} AS qid, '{q}' AS q, "
+            f"coalesce((SELECT doc_id FROM top{i}), -1) AS expected_doc_id, "
+            f"coalesce((SELECT doc_id FROM top{i}), -1) AS top_doc, "
+            f"coalesce((SELECT round(score, 6) FROM top{i}), 0.0) AS top_score, "
+            f"(SELECT count(*) FROM top{i}) > 0 AS top1_match, "
+            f"(SELECT count(*) FROM top{i}) > 0 AS page_match"
+        )
+    return ",\n".join(blocks) + " " + " UNION ALL ".join(rows) + " ORDER BY qid"
+
+
+# ---------------------------------------------------------------------------
+# relational / maintenance queries (SURVEY.md §2.5)
+# ---------------------------------------------------------------------------
+
+
+def _docs(sf_dir: str):
+    import ray.data as rd
+
+    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
+
+
+def q_distinct_first(sf_dir):
+    """M15/Q11 distinct-by-key: first doc per (source, lang)."""
+    from .pipelines.relational import distinct_first_by_key
+
+    out = distinct_first_by_key(
+        _docs(sf_dir).select_columns(["doc_id", "source", "lang"]),
+        ["source", "lang"],
+    ).to_pandas()
+    out["doc_id"] = out["doc_id"].astype(np.int64)
+    out["group_count"] = out["group_count"].astype(np.int64)
+    return out[["source", "lang", "doc_id", "group_count"]]
+
+
+def q_join_agg(sf_dir):
+    """G2 street-usage analog: lineitem count per order, joined back."""
+    import ray.data as rd
+
+    from .pipelines.relational import join_aggregate_counts
+
+    fact = rd.read_parquet(
+        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey"]
+    )
+    dim = rd.read_parquet(
+        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey"]
+    )
+    out = join_aggregate_counts(fact, "l_orderkey", dim, "o_orderkey").to_pandas()
+    out["ref_count"] = out["ref_count"].astype(np.int64)
+    return out[["o_orderkey", "ref_count"]]
+
+
+def q_group_stats(sf_dir):
+    """G3 tag-value statistics analog."""
+    from .pipelines.relational import group_stats
+
+    out = group_stats(_docs(sf_dir).select_columns(["lang"]), "lang").to_pandas()
+    out["cnt"] = out["cnt"].astype(np.int64)
+    return out[["lang", "cnt"]]
+
+
+def q_delete_by_query(sf_dir):
+    """S4 delete-by-query: survivors after dropping lang='de'."""
+    from .pipelines.relational import delete_by_query
+
+    out = delete_by_query(
+        _docs(sf_dir).select_columns(["doc_id", "lang"]), "lang", ("de",)
+    ).to_pandas()
+    out["doc_id"] = out["doc_id"].astype(np.int64)
+    return out[["doc_id", "lang"]]
+
+
+def q_paged_scroll(sf_dir):
+    """S8 search_after page: lang='en', doc_id > 50, page of 100."""
+    from .pipelines.relational import paged_scroll
+
+    out = paged_scroll(
+        _docs(sf_dir).select_columns(["doc_id", "lang"]),
+        order_col="doc_id",
+        after=50,
+        page_size=100,
+        filter_col="lang",
+        filter_val="en",
+    ).to_pandas()
+    out["doc_id"] = out["doc_id"].astype(np.int64)
+    return out[["doc_id"]]
+
+
+# ---------------------------------------------------------------------------
+# DuckDB oracles, one per registry entry
+# ---------------------------------------------------------------------------
+
+ORACLE_SQL = {
     "term_stats": (
         f"WITH {TOK_CTE} SELECT term, count(DISTINCT doc_id)::BIGINT AS doc_freq, "
         f"count(*)::BIGINT AS total_tf FROM tok2 "
@@ -510,1537 +740,9 @@ SELECT doc_id, round(score, 6) AS score FROM sc ORDER BY sc.score DESC, doc_id L
         f"SELECT doc_id, round(score, 6) AS score, round(dist_km, 4) AS dist_km "
         f"FROM dd ORDER BY dd.score DESC, dd.dist_km, doc_id LIMIT 20"
     ),
-}
-
-
-# ---------------------------------------------------------------------------
-# relational / maintenance queries (SURVEY.md §2.5)
-# ---------------------------------------------------------------------------
-
-
-def _docs(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-
-
-def q_distinct_first(sf_dir):
-    """M15/Q11 distinct-by-key: first doc per (source, lang)."""
-    from .pipelines.relational import distinct_first_by_key
-
-    out = distinct_first_by_key(
-        _docs(sf_dir).select_columns(["doc_id", "source", "lang"]),
-        ["source", "lang"],
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["group_count"] = out["group_count"].astype(np.int64)
-    return out[["source", "lang", "doc_id", "group_count"]]
-
-
-def q_join_agg(sf_dir):
-    """G2 street-usage analog: lineitem count per order, joined back."""
-    import ray.data as rd
-
-    from .pipelines.relational import join_aggregate_counts
-
-    fact = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey"]
-    )
-    dim = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey"]
-    )
-    out = join_aggregate_counts(fact, "l_orderkey", dim, "o_orderkey").to_pandas()
-    out["ref_count"] = out["ref_count"].astype(np.int64)
-    return out[["o_orderkey", "ref_count"]]
-
-
-def q_group_stats(sf_dir):
-    """G3 tag-value statistics analog."""
-    from .pipelines.relational import group_stats
-
-    out = group_stats(_docs(sf_dir).select_columns(["lang"]), "lang").to_pandas()
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out[["lang", "cnt"]]
-
-
-def q_delete_by_query(sf_dir):
-    """S4 delete-by-query: survivors after dropping lang='de'."""
-    from .pipelines.relational import delete_by_query
-
-    out = delete_by_query(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]), "lang", ("de",)
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id", "lang"]]
-
-
-def q_paged_scroll(sf_dir):
-    """S8 search_after page: lang='en', doc_id > 50, page of 100."""
-    from .pipelines.relational import paged_scroll
-
-    out = paged_scroll(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]),
-        order_col="doc_id",
-        after=50,
-        page_size=100,
-        filter_col="lang",
-        filter_val="en",
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id"]]
-
-
-# ---------------------------------------------------------------------------
-# training-data operators
-# ---------------------------------------------------------------------------
-
-
-SAMPLE_FRAC = 0.2
-TOPK_PER_GROUP = 3
-
-
-def q_sample_hash(sf_dir):
-    """Deterministic hash sampling (Knuth multiplicative hash on doc_id
-    — identical arithmetic in the SQL oracle)."""
-    from .pipelines.relational import sample_hash
-
-    out = sample_hash(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]), SAMPLE_FRAC
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[["doc_id", "lang"]]
-
-
-SAMPLE_N = 64
-
-
-def q_sample_fixed(sf_dir):
-    """Exactly-n deterministic sample: smallest-n Knuth hash ranks
-    (ties by id); prefixes nest as n grows."""
-    from .pipelines.relational import sample_fixed
-
-    out = sample_fixed(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]), SAMPLE_N)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id", "lang"]]
-
-
-def q_grouped_topk(sf_dir):
-    """Window-function analog: top-3 docs per lang by (n_chars desc,
-    doc_id asc)."""
-    from .pipelines.relational import grouped_topk
-
-    out = grouped_topk(_docs(sf_dir), "lang", "n_chars", TOPK_PER_GROUP)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_chars"] = out["n_chars"].astype(np.int64)
-    return out[["lang", "doc_id", "n_chars"]]
-
-
-STRATA_CAP = 25
-HIST_BINS, HIST_LO, HIST_HI = 32, 0.0, 2048.0
-
-
-def q_stratified(sf_dir):
-    """Deterministic stratified sampling: ≤25 docs per lang by smallest
-    Knuth hash (row_number window oracle)."""
-    from .pipelines.relational import stratified_sample
-
-    out = stratified_sample(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]), "lang", STRATA_CAP
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["lang", "doc_id"]]
-
-
-def q_histogram(sf_dir):
-    """Equi-width n_chars histogram (mergeable bincount partials)."""
-    from .pipelines.relational import column_histogram
-
-    out = column_histogram(
-        _docs(sf_dir).select_columns(["n_chars"]),
-        "n_chars", HIST_BINS, HIST_LO, HIST_HI,
-    )
-    out["bucket"] = out["bucket"].astype(np.int64)
-    out["cnt"] = out["cnt"].astype(np.int64)
-    out["edge_lo"] = np.round(out["edge_lo"].astype(np.float64), 6)
-    return out
-
-
-def q_dedup_exact(sf_dir):
-    from .pipelines.dedup import dedup_exact
-
-    out = dedup_exact(_docs(sf_dir)).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["dup_count"] = out["dup_count"].astype(np.int64)
-    return out[["doc_id", "dup_count"]].sort_values("doc_id").reset_index(drop=True)
-
-
-def q_dedup_drop(sf_dir):
-    """Corpus after exact dedup: keeper rows only (training-data
-    pipeline consumer of dedup_exact)."""
-    from .pipelines.dedup import drop_exact_duplicates
-
-    out = (
-        drop_exact_duplicates(_docs(sf_dir).select_columns(["doc_id", "text", "lang"]))
-        .select_columns(["doc_id", "lang"])
-        .to_pandas()
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[["doc_id", "lang"]]
-
-
-def q_dedup_minhash(sf_dir):
-    from .pipelines.dedup import minhash_lsh_pairs
-
-    out = minhash_lsh_pairs(_docs(sf_dir), threshold=0.5)
-    out["est_jaccard"] = np.round(out["est_jaccard"].astype(np.float64), 6)
-    out["doc_a"] = out["doc_a"].astype(np.int64)
-    out["doc_b"] = out["doc_b"].astype(np.int64)
-    return out
-
-
-def q_dedup_clusters(sf_dir):
-    """Near-dup clustering: LSH pairs → connected components →
-    (doc_id, cluster_id=min of component)."""
-    from .pipelines.dedup import neardup_clusters
-
-    out = neardup_clusters(_docs(sf_dir), threshold=0.5)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_dedup_cluster_drop(sf_dir):
-    """Corpus after near-dup clustering: component representatives
-    (min doc_id) plus all unclustered docs survive."""
-    from .pipelines.dedup import drop_near_duplicates
-
-    out = (
-        drop_near_duplicates(
-            _docs(sf_dir).select_columns(["doc_id", "text", "lang"]),
-            threshold=0.5,
-        )
-        .select_columns(["doc_id", "lang"])
-        .to_pandas()
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_dedup_simhash(sf_dir):
-    from .pipelines.dedup import simhash_pairs
-
-    out = simhash_pairs(_docs(sf_dir), max_hamming=3)
-    for c in ("doc_a", "doc_b", "hamming"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def q_dedup_ngram(sf_dir):
-    from .pipelines.dedup import ngram_jaccard_pairs
-
-    out = ngram_jaccard_pairs(_docs(sf_dir), n=3, threshold=0.8)
-    out["jaccard"] = np.round(out["jaccard"].astype(np.float64), 6)
-    return out
-
-
-DECONTAM_MOD = 23  # docs with doc_id % 23 == 0 play the eval set
-
-
-def _mod_split(ds, is_eval: bool):
-    """filter(expr=...) can't express arithmetic; one pc kernel can."""
-    def f(t: pa.Table) -> pa.Table:
-        m = pc.equal(
-            pc.subtract(t["doc_id"],
-                        pc.multiply(pc.divide(t["doc_id"], DECONTAM_MOD),
-                                    DECONTAM_MOD)),
-            0,
-        )
-        return t.filter(m if is_eval else pc.invert(m))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def q_decontam(sf_dir):
-    """Train/eval decontamination report: distinct 3-gram overlap count
-    per contaminated train doc (broadcast eval hash set, one streaming
-    membership pass — `pipelines/contamination.py`)."""
-    from .pipelines.contamination import (contamination_report,
-                                          eval_shingle_hashes)
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "text"])
-    ev = _mod_split(docs, True)
-    tr = _mod_split(docs, False)
-    out = contamination_report(
-        tr, eval_shingle_hashes(ev, n=3), n=3
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_overlap"] = out["n_overlap"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "n_overlap"]
-    ]
-
-
-def q_decontam_drop(sf_dir):
-    """Surviving train corpus after dropping contaminated docs."""
-    from .pipelines.contamination import decontaminate
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "text", "lang"])
-    ev = _mod_split(docs, True)
-    tr = _mod_split(docs, False)
-    out = (
-        decontaminate(tr, ev, n=3)
-        .select_columns(["doc_id", "lang"])
-        .to_pandas()
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[["doc_id", "lang"]]
-
-
-def q_decontam_bloom(sf_dir):
-    """Same drop via the Bloom scale path (fixed-size bitmap broadcast
-    + candidate pre-filter + exact semi-join verify) — shares the
-    decontam_drop oracle, so the hash match proves the Bloom pruning
-    loses nothing."""
-    from .pipelines.contamination import decontaminate
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "text", "lang"])
-    ev = _mod_split(docs, True)
-    tr = _mod_split(docs, False)
-    out = (
-        decontaminate(tr, ev, n=3, strategy="bloom")
-        .select_columns(["doc_id", "lang"])
-        .to_pandas()
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[["doc_id", "lang"]]
-
-
-def _emb(sf_dir):
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-
-
-def q_ann_topk(sf_dir):
-    """Exact cosine top-10 for query vectors vec_id ∈ {0,1,2}."""
-    from .pipelines.similarity import ann_topk_bruteforce
-
-    qv, qids = _query_vecs(sf_dir)
-    out = ann_topk_bruteforce(_emb(sf_dir), qv, k=10)
-    out["qid"] = qids[out["qid"].to_numpy()]
-    out["cosine"] = np.round(out["cosine"].astype(np.float64), 4)
-    out["qid"] = out["qid"].astype(np.int64)
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    return out[["qid", "vec_id", "cosine"]]
-
-
-def _query_vecs(sf_dir):
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    mask = np.isin(t["vec_id"].to_numpy(), [0, 1, 2])
-    qt = t.filter(pa.array(mask)).sort_by("vec_id")
-    qv = np.array(qt["embedding"].to_pylist(), dtype=np.float64)
-    return qv, qt["vec_id"].to_numpy()
-
-
-def q_ann_lsh(sf_dir):
-    """LSH-bucketed ANN, full-probe configuration: probing every bucket
-    makes the bucketed path exhaustive, so the result must be
-    rank-identical to brute force — the SQL oracle therefore proves the
-    bucket partition + prune + distributed-scoring machinery loses and
-    duplicates nothing.  Approximation quality of the 1-probe config is
-    pytest-covered (``test_features.py`` recall bound)."""
-    from .pipelines.similarity import ann_topk_lsh
-
-    qv, qids = _query_vecs(sf_dir)
-    out = ann_topk_lsh(_emb(sf_dir), qv, k=10, multiprobe="all")
-    out["qid"] = qids[out["qid"].to_numpy()].astype(np.int64)
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["cosine"] = np.round(out["cosine"].astype(np.float64), 4)
-    return out[["qid", "vec_id", "cosine"]]
-
-
-def q_ann_ivf(sf_dir):
-    """IVF ANN, nprobe = n_clusters: probing every centroid makes the
-    clustered path exhaustive — rank-identical to brute force, so the
-    SQL oracle proves assignment/probe/scoring drop nothing.  The
-    approximate (nprobe < n_clusters) recall is pytest-covered."""
-    from .pipelines.similarity import ann_topk_ivf
-
-    qv, qids = _query_vecs(sf_dir)
-    out = ann_topk_ivf(_emb(sf_dir), qv, k=10, n_clusters=8, nprobe=8)
-    out["qid"] = qids[out["qid"].to_numpy()].astype(np.int64)
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["cosine"] = np.round(out["cosine"].astype(np.float64), 4)
-    return out[["qid", "vec_id", "cosine"]]
-
-
-def q_emb_neardup(sf_dir):
-    """All pairs with cosine ≥ 0.4 (threshold chosen inside a value gap
-    ≫ duckdb's float32 error; cosine rounded to 4)."""
-    from .pipelines.similarity import embedding_neardup_pairs
-
-    out = embedding_neardup_pairs(_emb(sf_dir), threshold=0.4)
-    out["cosine"] = np.round(out["cosine"].astype(np.float64), 4)
-    out["vec_a"] = out["vec_a"].astype(np.int64)
-    out["vec_b"] = out["vec_b"].astype(np.int64)
-    return out
-
-
-def q_emb_clusters(sf_dir):
-    """Embedding near-dup clustering: cosine≥0.4 pairs → connected
-    components (union-find) → (vec_id, cluster_id=min of component)."""
-    from .pipelines.dedup import union_find_labels
-    from .pipelines.similarity import embedding_neardup_pairs
-
-    pairs = embedding_neardup_pairs(_emb(sf_dir), threshold=0.4)
-    nodes, labels = union_find_labels(
-        pairs[["vec_a", "vec_b"]].to_numpy(dtype=np.int64))
-    out = pd.DataFrame({"vec_id": nodes, "cluster_id": labels})
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["cluster_id"] = out["cluster_id"].astype(np.int64)
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-def q_token_stats(sf_dir):
-    from .pipelines.textstats import token_stats
-
-    out = token_stats(_docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    out["avg_token_len"] = np.round(out["avg_token_len"].astype(np.float64), 6)
-    for c in ("doc_id", "token_count", "distinct_tokens"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def q_quality(sf_dir):
-    from .pipelines.textstats import quality_score
-
-    out = quality_score(_docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    for c in ("punct_ratio", "digit_ratio", "quality"):
-        out[c] = np.round(out[c].astype(np.float64), 6)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_chars"] = out["n_chars"].astype(np.int64)
-    return out
-
-
-def q_repetition(sf_dir):
-    """Gopher-style repetition signals: top-2-gram occupancy and
-    duplicate-3-gram fraction per doc."""
-    from .pipelines.textstats import repetition_stats
-
-    out = repetition_stats(
-        _docs(sf_dir).select_columns(["doc_id", "text"])
-    ).to_pandas()
-    for c in ("top2_frac", "dup3_frac"):
-        out[c] = np.round(out[c].astype(np.float64), 6)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "top2_frac", "dup3_frac"]
-    ]
-
-
-def q_top_tokens(sf_dir):
-    """Corpus top-30 tokens via the mergeable Misra-Gries summary
-    (exact at this capacity — the oracle configuration)."""
-    from .pipelines.textstats import top_tokens
-
-    out = top_tokens(_docs(sf_dir).select_columns(["text"]), k=30)
-    out["rank"] = out["rank"].astype(np.int64)
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out
-
-
-def q_vocab_stats(sf_dir):
-    """Corpus vocabulary health: tokens / types / hapax / TTR in one
-    term exchange (O(#blocks) rows to the driver)."""
-    from .pipelines.textstats import vocab_stats
-
-    return vocab_stats(_docs(sf_dir).select_columns(["text"]))
-
-
-def q_top_tokens_lang(sf_dir):
-    """Per-language top-10 tokens (data-mixing vocabulary audit):
-    per-group Misra-Gries partials → one fused-key groupby exchange →
-    grouped_topk distributed k-selection.  Exact at this capacity."""
-    from .pipelines.textstats import top_tokens_by_group
-
-    out = top_tokens_by_group(
-        _docs(sf_dir).select_columns(["lang", "text"]),
-        k=10, group_col="lang")
-    out["rank"] = out["rank"].astype(np.int64)
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out.sort_values(["lang", "rank"]).reset_index(drop=True)
-
-
-def q_token_count_bpe(sf_dir):
-    from .pipelines.textstats import token_count_bpe
-
-    out = token_count_bpe(_docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    for c in ("doc_id", "ws_tokens", "bpe_tokens"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def q_lang_id(sf_dir):
-    from .pipelines.textstats import lang_id
-
-    out = lang_id(_docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    out["confidence"] = np.round(out["confidence"].astype(np.float64), 6)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out
-
-
-def q_approx_distinct(sf_dir):
-    """HyperLogLog approximate distinct texts per lang (sketch op;
-    ±1.6% @ p=12 — rows-only driver check, accuracy bound in pytest)."""
-    from .pipelines.textstats import approx_distinct
-
-    out = approx_distinct(
-        _docs(sf_dir).select_columns(["text", "lang"]), "text", group_col="lang"
-    )
-    out["approx_distinct"] = out["approx_distinct"].astype(np.int64)
-    return out[["lang", "approx_distinct"]]
-
-
-def q_fingerprint(sf_dir):
-    from .pipelines.textstats import fingerprint
-
-    out = fingerprint(_docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["fingerprint"] = out["fingerprint"].astype(np.int64)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dedup-family oracles: the signature math is reproduced bit-for-bit in
-# SQL — ``_stable_hash64`` is md5 digest bytes [8:16] little-endian,
-# which IS DuckDB's ``md5_number_lower``; the (a*h+b) mod 2^64 mod p
-# permutation arithmetic runs in HUGEINT with the permutation parameters
-# (np.random.default_rng(7), same as MinHasher.__init__) embedded as a
-# literal VALUES table.  Banding (16 bands × 4 rows) becomes an exact
-# "all 4 signature rows of some band equal" pair predicate — the FNV
-# band-key fold in ``dedup.py`` is collision-free at oracle scale, so
-# the candidate sets coincide.
-# ---------------------------------------------------------------------------
-
-_P64 = "18446744073709551616"  # 2^64 (numpy uint64 wrap modulus)
-_MERS_SQL = "2305843009213693951"  # 2^61 - 1
-
-
-def _minhash_perm_values(num_perm: int = 64, seed: int = 7) -> str:
-    mers = np.uint64((1 << 61) - 1)
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, mers, size=num_perm, dtype=np.uint64)
-    b = rng.integers(0, mers, size=num_perm, dtype=np.uint64)
-    return ", ".join(
-        f"({i}, {int(a[i])}::HUGEINT, {int(b[i])}::HUGEINT)"
-        for i in range(num_perm)
-    )
-
-
-def _minhash_sig_ctes() -> str:
-    """CTE chain documents → whitespace shingles (n=3, distinct) →
-    md5-64 hash → 64-permutation MinHash signatures ``sigs(doc_id, pid,
-    sv)`` → full-band candidate pairs ``cand`` → ``est(doc_a, doc_b,
-    ej)``.  Shared by the dedup_minhash and dedup_ngram oracles."""
-    return f"""
-dt AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '') AS toks
-  FROM documents
-),
-sh AS (
-  SELECT DISTINCT doc_id, array_to_string(toks[i:i+2], ' ') AS shingle
-  FROM dt, LATERAL (SELECT unnest(range(1, greatest(len(toks)-2, 1)+1)) AS i) g
-  WHERE len(toks) >= 1
-),
-shh AS (SELECT doc_id, md5_number_lower(shingle)::HUGEINT AS h FROM sh),
-perm(pid, a, b) AS (VALUES {_minhash_perm_values()}),
-sigs AS (
-  SELECT s.doc_id, p.pid,
-         min(((s.h * p.a + p.b) % {_P64}) % {_MERS_SQL}) AS sv
-  FROM shh s CROSS JOIN perm p GROUP BY s.doc_id, p.pid
-),
-bm AS (
-  SELECT x.doc_id AS doc_a, y.doc_id AS doc_b, x.pid // 4 AS band
-  FROM sigs x JOIN sigs y ON x.pid = y.pid AND x.sv = y.sv AND x.doc_id < y.doc_id
-  GROUP BY 1, 2, 3 HAVING count(*) = 4
-),
-cand AS (SELECT DISTINCT doc_a, doc_b FROM bm),
-est AS (
-  SELECT c.doc_a, c.doc_b, sum(CASE WHEN sa.sv = sb.sv THEN 1 ELSE 0 END) / 64.0 AS ej
-  FROM cand c JOIN sigs sa ON sa.doc_id = c.doc_a
-  JOIN sigs sb ON sb.doc_id = c.doc_b AND sb.pid = sa.pid
-  GROUP BY 1, 2
-)"""
-
-
-_SIMHASH_POW2 = ", ".join(f"({b}, {1 << b}::HUGEINT)" for b in range(64))
-
-DEDUP_SQL = {
-    "dedup_minhash": (
-        f"WITH {_minhash_sig_ctes()} "
-        "SELECT doc_a, doc_b, round(ej, 6) AS est_jaccard FROM est "
-        "WHERE ej >= 0.5 ORDER BY doc_a, doc_b"
-    ),
-    # hamming ≤ 3 over 4×16-bit bands: pigeonhole guarantees every such
-    # pair shares a full band, so the LSH candidate step is lossless and
-    # the oracle is simply "all pairs with hamming ≤ 3".
-    "dedup_simhash": (
-        f"""WITH tk AS (
-  SELECT doc_id, unnest(regexp_split_to_array(lower(text), '\\s+')) AS w FROM documents
-),
-tk2 AS (SELECT doc_id, md5_number_lower(w)::HUGEINT AS h FROM tk WHERE w <> ''),
-pw(b, p2) AS (VALUES {_SIMHASH_POW2}),
-bits AS (
-  SELECT doc_id, b,
-         CASE WHEN sum(CASE WHEN (h // p2) % 2 = 1 THEN 1 ELSE -1 END) > 0 THEN 1 ELSE 0 END AS bit
-  FROM tk2 CROSS JOIN pw GROUP BY doc_id, b
-),
-ham AS (
-  SELECT x.doc_id AS doc_a, y.doc_id AS doc_b,
-         sum(CASE WHEN x.bit <> y.bit THEN 1 ELSE 0 END) AS hamming
-  FROM bits x JOIN bits y ON x.b = y.b AND x.doc_id < y.doc_id
-  GROUP BY 1, 2
-)
-SELECT doc_a, doc_b, hamming::BIGINT AS hamming FROM ham WHERE hamming <= 3
-ORDER BY doc_a, doc_b"""
-    ),
-    # exact n-gram Jaccard over the MinHash candidates (est ≥ 0.3):
-    # intersection/union of the DISTINCT shingle-string sets — identical
-    # to the pipeline's hashed-shingle Jaccard modulo md5-64 collisions.
-    "dedup_ngram": (
-        f"WITH {_minhash_sig_ctes()}, "
-        """cand3 AS (SELECT doc_a, doc_b FROM est WHERE ej >= 0.3),
-szs AS (SELECT doc_id, count(*) AS sz FROM sh GROUP BY doc_id),
-ints AS (
-  SELECT c.doc_a, c.doc_b, count(*) AS i
-  FROM cand3 c JOIN sh a ON a.doc_id = c.doc_a
-  JOIN sh b ON b.doc_id = c.doc_b AND b.shingle = a.shingle
-  GROUP BY 1, 2
-),
-jac AS (
-  SELECT c.doc_a, c.doc_b,
-         coalesce(i.i, 0)::DOUBLE / (sa.sz + sb.sz - coalesce(i.i, 0)) AS j
-  FROM cand3 c
-  LEFT JOIN ints i ON i.doc_a = c.doc_a AND i.doc_b = c.doc_b
-  JOIN szs sa ON sa.doc_id = c.doc_a JOIN szs sb ON sb.doc_id = c.doc_b
-)
-SELECT doc_a, doc_b, round(j, 6) AS jaccard FROM jac WHERE j >= 0.8
-ORDER BY doc_a, doc_b"""
-    ),
-}
-
-# near-dup clustering: the minhash candidate pairs (est ≥ 0.5, the
-# dedup_minhash set) as an undirected graph; components via a recursive
-# transitive-closure CTE (components are tiny, closure stays small);
-# cluster id = min reachable node (self-loops make min cover self).
-_CLUSTER_CTES = (
-    "p AS (SELECT doc_a, doc_b FROM est WHERE ej >= 0.5), "
-    "e AS (SELECT doc_a AS a, doc_b AS b FROM p "
-    "UNION SELECT doc_b, doc_a FROM p "
-    "UNION SELECT doc_a, doc_a FROM p "
-    "UNION SELECT doc_b, doc_b FROM p), "
-    "reach(a, b) AS (SELECT a, b FROM e "
-    "UNION SELECT r.a, e2.b FROM reach r JOIN e e2 ON r.b = e2.a)"
-)
-
-DEDUP_SQL["dedup_clusters"] = (
-    f"WITH RECURSIVE {_minhash_sig_ctes()}, {_CLUSTER_CTES} "
-    "SELECT a AS doc_id, min(b)::BIGINT AS cluster_id FROM reach "
-    "GROUP BY a ORDER BY a"
-)
-DEDUP_SQL["dedup_cluster_drop"] = (
-    f"WITH RECURSIVE {_minhash_sig_ctes()}, {_CLUSTER_CTES} "
-    "SELECT d.doc_id, d.lang FROM documents d WHERE d.doc_id NOT IN ("
-    "SELECT a FROM reach GROUP BY a HAVING a <> min(b)) ORDER BY d.doc_id"
-)
-
-# decontamination: same shingle CTE (n=3, distinct per doc); the
-# pipeline probes md5-64 hashes, the oracle joins the shingle strings —
-# identical modulo md5-64 collisions, the established dedup assumption.
-_DECONTAM_CTES = """
-dt AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '') AS toks
-  FROM documents
-),
-sh AS (
-  SELECT DISTINCT doc_id, array_to_string(toks[i:i+2], ' ') AS shingle
-  FROM dt, LATERAL (SELECT unnest(range(1, greatest(len(toks)-2, 1)+1)) AS i) g
-  WHERE len(toks) >= 1
-),
-evs AS (SELECT DISTINCT shingle FROM sh WHERE doc_id % 23 = 0),
-hits AS (
-  SELECT s.doc_id, count(*) AS n_overlap
-  FROM sh s JOIN evs USING (shingle)
-  WHERE s.doc_id % 23 <> 0
-  GROUP BY s.doc_id
-)"""
-
-DEDUP_SQL["decontam"] = (
-    f"WITH {_DECONTAM_CTES} "
-    "SELECT doc_id, n_overlap FROM hits ORDER BY doc_id"
-)
-DEDUP_SQL["decontam_drop"] = (
-    f"WITH {_DECONTAM_CTES} "
-    "SELECT d.doc_id, d.lang FROM documents d "
-    "WHERE d.doc_id % 23 <> 0 "
-    "AND d.doc_id NOT IN (SELECT doc_id FROM hits) "
-    "ORDER BY d.doc_id"
-)
-
-
-# ---------------------------------------------------------------------------
-# textstats oracles: lang_id (stopword membership as a VALUES join),
-# fingerprint (the Rabin-Karp window hash with B^k mod 2^64 constants
-# embedded; corpus text is ASCII so ord() == byte), approx_distinct
-# (the full HLL: md5-64 registers, rank via binary format length,
-# harmonic estimate + linear-counting correction).
-# ---------------------------------------------------------------------------
-
-from .pipelines.textstats import STOPWORDS as _STOPWORDS
-
-_LANGID_SW = ", ".join(
-    f"('{lang}', {li}, '{w}')"
-    for li, lang in enumerate(_STOPWORDS)
-    for w in sorted(_STOPWORDS[lang])
-)
-
-_FP_WINDOW = 8
-_FP_POWS = [pow(1000003, k, 2**64) for k in range(_FP_WINDOW - 1, -1, -1)]
-_FP_TERMS = " + ".join(
-    f"ord(substr(text, i+{j}, 1))::HUGEINT * {_FP_POWS[j]}::HUGEINT"
-    for j in range(_FP_WINDOW)
-)
-
-_HLL_P = 12
-_HLL_M = 1 << _HLL_P
-_HLL_ALPHA = 0.7213 / (1 + 1.079 / _HLL_M)
-
-TEXTSTATS_SQL = {
-    "lang_id": (
-        f"""WITH tokl AS (
-  SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z]+')) AS w FROM documents
-),
-tok AS (SELECT doc_id, w FROM tokl WHERE w <> ''),
-sw(lang, ord, w) AS (VALUES {_LANGID_SW}),
-totals AS (SELECT doc_id, count(*) AS tot FROM tok GROUP BY doc_id),
-hits AS (
-  SELECT t.doc_id, s.lang, s.ord, count(*) AS c
-  FROM tok t JOIN sw s ON t.w = s.w GROUP BY 1, 2, 3
-),
-best AS (
-  SELECT doc_id, lang, c,
-         row_number() OVER (PARTITION BY doc_id ORDER BY c DESC, ord) AS rn
-  FROM hits
-)
-SELECT d.doc_id, coalesce(b.lang, 'unknown') AS pred_lang,
-       round(coalesce(b.c, 0)::DOUBLE / greatest(coalesce(tt.tot, 0), 1), 6) AS confidence
-FROM documents d
-LEFT JOIN (SELECT * FROM best WHERE rn = 1) b ON b.doc_id = d.doc_id
-LEFT JOIN totals tt ON tt.doc_id = d.doc_id
-ORDER BY d.doc_id"""
-    ),
-    "fingerprint": (
-        f"""WITH wins AS (
-  SELECT doc_id, (({_FP_TERMS}) % {_P64}) AS h
-  FROM documents, LATERAL (SELECT unnest(range(1, length(text) - {_FP_WINDOW} + 2)) AS i) g
-  WHERE length(text) >= {_FP_WINDOW}
-),
-m AS (SELECT doc_id, min(h) AS mh FROM wins GROUP BY doc_id)
-SELECT doc_id,
-       (CASE WHEN mh >= 9223372036854775808 THEN mh - {_P64} ELSE mh END)::BIGINT AS fingerprint
-FROM m ORDER BY doc_id"""
-    ),
-    "approx_distinct": (
-        f"""WITH h AS (
-  SELECT lang, md5_number_lower(text)::HUGEINT AS hv FROM documents
-),
-rr AS (SELECT lang, (hv // {1 << (64 - _HLL_P)}) AS idx, (hv % {1 << (64 - _HLL_P)}) AS rest FROM h),
-rk AS (
-  SELECT lang, idx,
-         max(CASE WHEN rest = 0 THEN {64 - _HLL_P + 1}
-             ELSE {64 - _HLL_P} - length(format('{{:b}}', rest::BIGINT)) + 1 END) AS rank
-  FROM rr GROUP BY lang, idx
-),
-grid AS (
-  SELECT l.lang, g.i FROM (SELECT DISTINCT lang FROM documents) l,
-       (SELECT unnest(range(0, {_HLL_M})) AS i) g
-),
-full_regs AS (
-  SELECT grid.lang, grid.i, coalesce(rk.rank, 0) AS rank
-  FROM grid LEFT JOIN rk ON rk.lang = grid.lang AND rk.idx = grid.i
-),
-est AS (
-  SELECT lang,
-         ({_HLL_ALPHA!r}::DOUBLE * {_HLL_M}.0 * {_HLL_M}.0) / sum(power(2.0, -rank)) AS e,
-         sum(CASE WHEN rank = 0 THEN 1 ELSE 0 END) AS zeros
-  FROM full_regs GROUP BY lang
-)
-SELECT lang,
-       CAST(round(CASE WHEN e <= {2.5 * _HLL_M} AND zeros > 0
-                  THEN {_HLL_M}.0 * ln({_HLL_M}.0 / zeros) ELSE e END) AS BIGINT) AS approx_distinct
-FROM est ORDER BY lang"""
-    ),
-}
-
-
-EXTRA_SQL = {
-    "distinct_first": (
-        "SELECT source, lang, min(doc_id)::BIGINT AS doc_id, "
-        "count(*)::BIGINT AS group_count FROM documents GROUP BY source, lang"
-    ),
-    "join_agg": (
-        "SELECT o.o_orderkey, count(l.l_orderkey)::BIGINT AS ref_count "
-        "FROM orders o LEFT JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-        "GROUP BY o.o_orderkey"
-    ),
-    "group_stats": "SELECT lang, count(*)::BIGINT AS cnt FROM documents GROUP BY lang",
-    "delete_by_query": "SELECT doc_id, lang FROM documents WHERE lang <> 'de'",
-    "paged_scroll": (
-        "SELECT doc_id FROM documents WHERE lang = 'en' AND doc_id > 50 "
-        "ORDER BY doc_id LIMIT 100"
-    ),
-    "dedup_exact": (
-        "SELECT min(doc_id)::BIGINT AS doc_id, count(*)::BIGINT AS dup_count "
-        "FROM documents GROUP BY text ORDER BY doc_id"
-    ),
-    "sample_hash": (
-        f"SELECT doc_id, lang FROM documents "
-        f"WHERE (doc_id * 2654435761) % 4294967296 < "
-        f"{int(SAMPLE_FRAC * 4294967296)} ORDER BY doc_id"
-    ),
-    "sample_fixed": (
-        "SELECT doc_id, lang FROM ("
-        "  SELECT doc_id, lang FROM documents "
-        "  ORDER BY (doc_id * 2654435761) % 4294967296, doc_id LIMIT 64"
-        ") ORDER BY doc_id"
-    ),
-    "stratified_sample": (
-        f"SELECT lang, doc_id FROM ("
-        f"SELECT lang, doc_id, row_number() OVER (PARTITION BY lang "
-        f"ORDER BY (doc_id * 2654435761) % 4294967296, doc_id) AS rn "
-        f"FROM documents) t WHERE rn <= {STRATA_CAP} ORDER BY lang, doc_id"
-    ),
-    "histogram": (
-        f"WITH b AS (SELECT least(greatest(CAST(floor(n_chars / "
-        f"{(HIST_HI - HIST_LO) / HIST_BINS}) AS BIGINT), 0), {HIST_BINS - 1}) "
-        f"AS bucket FROM documents) "
-        f"SELECT bucket, round(bucket * {(HIST_HI - HIST_LO) / HIST_BINS}, 6) "
-        f"AS edge_lo, count(*)::BIGINT AS cnt FROM b GROUP BY bucket "
-        f"ORDER BY bucket"
-    ),
-    "grouped_topk": (
-        f"SELECT lang, doc_id, n_chars FROM ("
-        f"SELECT lang, doc_id, n_chars, row_number() OVER "
-        f"(PARTITION BY lang ORDER BY n_chars DESC, doc_id) AS rn "
-        f"FROM documents) WHERE rn <= {TOPK_PER_GROUP} "
-        f"ORDER BY lang, n_chars DESC, doc_id"
-    ),
-    "dedup_drop": (
-        "SELECT doc_id, lang FROM documents WHERE doc_id IN "
-        "(SELECT min(doc_id) FROM documents GROUP BY text) ORDER BY doc_id"
-    ),
-    "ann_topk": (
-        "WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id IN (0,1,2)), "
-        "sims AS (SELECT q.qid, e.vec_id, list_cosine_similarity(q.qe, e.embedding) AS cosine "
-        "         FROM q CROSS JOIN embeddings e), "
-        "ranked AS (SELECT qid, vec_id, cosine, "
-        "           row_number() OVER (PARTITION BY qid ORDER BY cosine DESC, vec_id) AS rn FROM sims) "
-        "SELECT qid, vec_id, round(cosine, 4) AS cosine FROM ranked WHERE rn <= 10"
-    ),
-    "emb_neardup": (
-        "SELECT a.vec_id AS vec_a, b.vec_id AS vec_b, "
-        "round(list_cosine_similarity(a.embedding, b.embedding), 4) AS cosine "
-        "FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id "
-        "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.4"
-    ),
-    # components over the cosine-pair graph via recursive transitive
-    # closure (the dedup_clusters shape, embeddings side)
-    "emb_clusters": (
-        "WITH RECURSIVE p AS ("
-        "SELECT a.vec_id AS va, b.vec_id AS vb FROM embeddings a "
-        "JOIN embeddings b ON a.vec_id < b.vec_id "
-        "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.4), "
-        "e AS (SELECT va AS a, vb AS b FROM p UNION SELECT vb, va FROM p "
-        "UNION SELECT va, va FROM p UNION SELECT vb, vb FROM p), "
-        "reach(a, b) AS (SELECT a, b FROM e "
-        "UNION SELECT r.a, e2.b FROM reach r JOIN e e2 ON r.b = e2.a) "
-        "SELECT a AS vec_id, min(b)::BIGINT AS cluster_id FROM reach "
-        "GROUP BY a ORDER BY a"
-    ),
-    "token_stats": (
-        f"WITH {TOK_CTE} "
-        "SELECT d.doc_id, count(t.term)::BIGINT AS token_count, "
-        "count(DISTINCT t.term)::BIGINT AS distinct_tokens, "
-        "round(coalesce(avg(length(t.term)), 0), 6) AS avg_token_len "
-        "FROM documents d LEFT JOIN tok2 t ON t.doc_id = d.doc_id GROUP BY d.doc_id"
-    ),
-    "quality": (
-        "SELECT doc_id, length(text)::BIGINT AS n_chars, "
-        "round(length(regexp_replace(text, '[a-zA-Z0-9 ]', '', 'g')) / greatest(length(text), 1)::DOUBLE, 6) AS punct_ratio, "
-        "round(length(regexp_replace(text, '[^0-9]', '', 'g')) / greatest(length(text), 1)::DOUBLE, 6) AS digit_ratio, "
-        "round(1.0 / (1.0 + exp(-(length(text) / 100.0 "
-        "  - (length(regexp_replace(text, '[a-zA-Z0-9 ]', '', 'g')) / greatest(length(text), 1)::DOUBLE) * 5 "
-        "  - (length(regexp_replace(text, '[^0-9]', '', 'g')) / greatest(length(text), 1)::DOUBLE) * 5))), 6) AS quality "
-        "FROM documents"
-    ),
-    "top_tokens": (
-        f"WITH {TOK_CTE}, "
-        "tc AS (SELECT term, count(*)::BIGINT AS cnt FROM tok2 GROUP BY term) "
-        "SELECT row_number() OVER (ORDER BY cnt DESC, term)::BIGINT AS rank, "
-        "term, cnt FROM tc ORDER BY cnt DESC, term LIMIT 30"
-    ),
-    "vocab_stats": (
-        f"WITH {TOK_CTE}, "
-        "tc AS (SELECT term, count(*)::BIGINT AS cnt FROM tok2 GROUP BY term) "
-        "SELECT sum(cnt)::BIGINT AS n_tokens, count(*)::BIGINT AS n_types, "
-        "sum(CASE WHEN cnt = 1 THEN 1 ELSE 0 END)::BIGINT AS n_hapax, "
-        "round(count(*)::DOUBLE / greatest(sum(cnt), 1), 6) AS type_token_ratio "
-        "FROM tc"
-    ),
-    "top_tokens_lang": (
-        "WITH gtok AS ("
-        "  SELECT lang, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS term"
-        "  FROM documents"
-        "), gtok2 AS (SELECT lang, term FROM gtok WHERE term <> ''), "
-        "gc AS (SELECT lang, term, count(*)::BIGINT AS cnt FROM gtok2 GROUP BY lang, term), "
-        "rk AS (SELECT lang, term, cnt, "
-        "       row_number() OVER (PARTITION BY lang ORDER BY cnt DESC, term)::BIGINT AS rank "
-        "       FROM gc) "
-        "SELECT lang, rank, term, cnt FROM rk WHERE rank <= 10 "
-        "ORDER BY lang, rank"
-    ),
-    # repetition: whitespace n-gram counts per doc; <n-token docs fall
-    # back to the single whole-text shingle (dedup._shingles rule)
-    "repetition": (
-        """WITH dt AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '') AS toks
-  FROM documents
-),
-g2 AS (
-  SELECT doc_id, array_to_string(toks[i:i+1], ' ') AS g, count(*) AS c
-  FROM dt, LATERAL (SELECT unnest(range(1, greatest(len(toks)-1, 1)+1)) AS i) gg
-  WHERE len(toks) >= 1 GROUP BY 1, 2
-),
-g3 AS (
-  SELECT doc_id, array_to_string(toks[i:i+2], ' ') AS g, count(*) AS c
-  FROM dt, LATERAL (SELECT unnest(range(1, greatest(len(toks)-2, 1)+1)) AS i) gg
-  WHERE len(toks) >= 1 GROUP BY 1, 2
-),
-s2 AS (SELECT doc_id, max(c)::DOUBLE / sum(c) AS f2 FROM g2 GROUP BY doc_id),
-s3 AS (SELECT doc_id, (sum(c) - count(*))::DOUBLE / sum(c) AS f3 FROM g3 GROUP BY doc_id)
-SELECT s2.doc_id, round(f2, 6) AS top2_frac, round(f3, 6) AS dup3_frac
-FROM s2 JOIN s3 ON s2.doc_id = s3.doc_id ORDER BY s2.doc_id"""
-    ),
-    "token_count_bpe": (
-        "SELECT doc_id, "
-        "len(regexp_extract_all(text, '\\S+'))::BIGINT AS ws_tokens, "
-        "len(regexp_extract_all(text, '[a-zA-Z]+|[0-9]+|[^a-zA-Z0-9\\s]+'))::BIGINT AS bpe_tokens "
-        "FROM documents"
-    ),
-}
-
-
-# ---------------------------------------------------------------------------
-# cleaning: PII scan/redact + boilerplate line removal
-# ---------------------------------------------------------------------------
-# The synthetic documents carry no natural PII and no newlines, so both
-# sides derive the SAME augmented view deterministically: PII snippets
-# appended by doc_id residue, a multi-line view via literal
-# replace('table' -> '\n' || 'table') (overlap-free, so pyarrow
-# replace_substring and DuckDB replace() agree byte-for-byte).
-
-_BP_MIN_DOCS = 3
-
-
-def _aug_pii(t):
-    """Append deterministic synthetic PII by doc_id residue (mirrors
-    the CLEANING_SQL ``aug`` CTE exactly)."""
-    df = t.to_pandas()
-    ids = df["doc_id"].astype("int64")
-    txt = df["text"].astype(str)
-    txt = txt + np.where(
-        ids % 5 == 0, " u" + (ids % 97).astype(str) + "@example.com", "")
-    txt = txt + np.where(ids % 7 == 0, " call 415-555-1234", "")
-    txt = txt + np.where(
-        ids % 11 == 0, " from 10.0." + (ids % 256).astype(str) + ".7", "")
-    txt = txt + np.where(ids % 13 == 0, " ssn 123-45-6789", "")
-    return pa.table({"doc_id": pa.array(ids.to_numpy(), pa.int64()),
-                     "text": pa.array(txt.tolist(), pa.string())})
-
-
-def _aug_lines(t):
-    """Multi-line view: newline before every literal 'table'."""
-    return pa.table({
-        "doc_id": t["doc_id"],
-        "text": pc.replace_substring(t["text"], "table", "\ntable"),
-    })
-
-
-def _docs_pii(sf_dir):
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        _aug_pii, batch_format="pyarrow")
-
-
-def _docs_lines(sf_dir):
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        _aug_lines, batch_format="pyarrow")
-
-
-def q_normalize(sf_dir):
-    """C4-style normalization: control strip → NFC → lower →
-    whitespace collapse → trim; codepoint-exact vs the SQL chain."""
-    from .pipelines.cleaning import normalize_text
-
-    out = normalize_text(
-        _docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_chars_norm"] = out["n_chars_norm"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_pii_scan(sf_dir):
-    """Per-doc PII hit counts (email/ssn/ipv4/phone, RE2 kernels)."""
-    from .pipelines.cleaning import pii_scan
-
-    out = pii_scan(_docs_pii(sf_dir)).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_pii_redact(sf_dir):
-    """PII redaction: every match replaced by its tag, in pattern
-    order (sequential RE2 global replaces)."""
-    from .pipelines.cleaning import pii_redact
-
-    out = pii_redact(_docs_pii(sf_dir)).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_boilerplate(sf_dir):
-    """Corpus boilerplate report: lines in ≥3 distinct docs."""
-    from .pipelines.cleaning import boilerplate_lines
-
-    out = boilerplate_lines(_docs_lines(sf_dir), min_docs=_BP_MIN_DOCS)
-    out["n_docs"] = out["n_docs"].astype(np.int64)
-    return out
-
-
-def q_boilerplate_drop(sf_dir):
-    """Docs with every ≥3-doc line removed (order preserved)."""
-    from .pipelines.cleaning import remove_boilerplate
-
-    out = remove_boilerplate(
-        _docs_lines(sf_dir), min_docs=_BP_MIN_DOCS).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-_URL_BLOCKLIST = ("blocked.evil.net", "spam.example.org")
-
-
-def _aug_urls(t):
-    """Append deterministic synthetic URLs by doc_id residue (mirrors
-    the CLEANING_SQL ``aug_u`` CTE exactly)."""
-    df = t.to_pandas()
-    ids = df["doc_id"].astype("int64")
-    txt = df["text"].astype(str)
-    txt = txt + np.where(
-        ids % 3 == 0,
-        " see https://example.com/p" + (ids % 50).astype(str), "")
-    txt = txt + np.where(ids % 9 == 0, " https://blocked.evil.net/x", "")
-    txt = txt + np.where(
-        ids % 15 == 0, " link https://Spam.Example.ORG/q", "")
-    return pa.table({"doc_id": pa.array(ids.to_numpy(), pa.int64()),
-                     "text": pa.array(txt.tolist(), pa.string())})
-
-
-def _docs_urls(sf_dir):
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        _aug_urls, batch_format="pyarrow")
-
-
-def q_url_extract(sf_dir):
-    """URL explode: every http(s) URL with its lowercased domain."""
-    from .pipelines.cleaning import extract_urls
-
-    out = extract_urls(_docs_urls(sf_dir)).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values(["doc_id", "url"]).reset_index(drop=True)
-
-
-def q_url_filter(sf_dir):
-    """Domain-blocklist filter: docs with any blocked-domain URL drop
-    (case-insensitive, broadcast blocklist)."""
-    from .pipelines.cleaning import filter_blocked_domains
-
-    out = filter_blocked_domains(
-        _docs_urls(sf_dir), _URL_BLOCKLIST).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def _pii_sql_exprs():
-    from .pipelines.cleaning import DEFAULT_PII
-
-    counts = ", ".join(
-        f"len(regexp_extract_all(text, '{pat}'))::BIGINT AS n_{name}"
-        for name, pat, _ in DEFAULT_PII)
-    total = " + ".join(
-        f"len(regexp_extract_all(text, '{pat}'))"
-        for _, pat, _ in DEFAULT_PII)
-    redact = "text"
-    for _, pat, tag in DEFAULT_PII:
-        redact = f"regexp_replace({redact}, '{pat}', '{tag}', 'g')"
-    return counts, total, redact
-
-
-_PII_COUNTS, _PII_TOTAL, _PII_REDACT = _pii_sql_exprs()
-
-_PII_AUG_CTE = """aug AS (
-  SELECT doc_id, text
-    || CASE WHEN doc_id % 5 = 0
-            THEN ' u' || (doc_id % 97)::VARCHAR || '@example.com'
-            ELSE '' END
-    || CASE WHEN doc_id % 7 = 0 THEN ' call 415-555-1234' ELSE '' END
-    || CASE WHEN doc_id % 11 = 0
-            THEN ' from 10.0.' || (doc_id % 256)::VARCHAR || '.7'
-            ELSE '' END
-    || CASE WHEN doc_id % 13 = 0 THEN ' ssn 123-45-6789' ELSE '' END
-    AS text
-  FROM documents
-)"""
-
-_BP_LINES_CTE = f"""docs AS (
-  SELECT doc_id, replace(text, 'table', chr(10) || 'table') AS text
-  FROM documents
-),
-lines AS (
-  SELECT doc_id,
-         unnest(string_split(text, chr(10))) AS line,
-         unnest(range(1, len(string_split(text, chr(10))) + 1)) AS idx
-  FROM docs
-),
-freq AS (
-  SELECT line FROM lines WHERE line <> ''
-  GROUP BY line HAVING count(DISTINCT doc_id) >= {_BP_MIN_DOCS}
-)"""
-
-_URL_AUG_CTE = """aug_u AS (
-  SELECT doc_id, text
-    || CASE WHEN doc_id % 3 = 0
-            THEN ' see https://example.com/p' || (doc_id % 50)::VARCHAR
-            ELSE '' END
-    || CASE WHEN doc_id % 9 = 0
-            THEN ' https://blocked.evil.net/x' ELSE '' END
-    || CASE WHEN doc_id % 15 = 0
-            THEN ' link https://Spam.Example.ORG/q' ELSE '' END
-    AS text
-  FROM documents
-)"""
-
-_URL_PAT = r"https?://[A-Za-z0-9.\-]+(?:/[^\s]*)?"
-_DOM_PAT = r"https?://([A-Za-z0-9.\-]+)"
-
-CLEANING_SQL = {
-    "normalize": (
-        "WITH n AS ("
-        "  SELECT doc_id, trim(regexp_replace(lower(nfc_normalize("
-        "    regexp_replace(text, '[\\x00-\\x1f\\x7f]', ' ', 'g'))), "
-        "    '\\s+', ' ', 'g')) AS text_norm"
-        "  FROM documents) "
-        "SELECT doc_id, text_norm, length(text_norm)::BIGINT AS n_chars_norm "
-        "FROM n ORDER BY doc_id"
-    ),
-    "url_extract": (
-        f"""WITH {_URL_AUG_CTE},
-u AS (SELECT doc_id, unnest(regexp_extract_all(text, '{_URL_PAT}')) AS url
-      FROM aug_u)
-SELECT doc_id, url,
-       lower(regexp_extract(url, '{_DOM_PAT}', 1)) AS domain
-FROM u ORDER BY doc_id, url"""
-    ),
-    "url_filter": (
-        f"""WITH {_URL_AUG_CTE},
-u AS (SELECT doc_id, unnest(regexp_extract_all(text, '{_URL_PAT}')) AS url
-      FROM aug_u),
-bad AS (
-  SELECT DISTINCT doc_id FROM u
-  WHERE lower(regexp_extract(url, '{_DOM_PAT}', 1))
-        IN ('blocked.evil.net', 'spam.example.org')
-)
-SELECT doc_id, text FROM aug_u
-WHERE doc_id NOT IN (SELECT doc_id FROM bad) ORDER BY doc_id"""
-    ),
-    "pii_scan": (
-        f"WITH {_PII_AUG_CTE} "
-        f"SELECT doc_id, {_PII_COUNTS}, ({_PII_TOTAL})::BIGINT AS n_pii "
-        "FROM aug ORDER BY doc_id"
-    ),
-    "pii_redact": (
-        f"WITH {_PII_AUG_CTE} "
-        f"SELECT doc_id, {_PII_REDACT} AS text FROM aug ORDER BY doc_id"
-    ),
-    "boilerplate": (
-        f"""WITH {_BP_LINES_CTE}
-SELECT line, count(DISTINCT doc_id)::BIGINT AS n_docs
-FROM lines WHERE line <> ''
-GROUP BY line HAVING count(DISTINCT doc_id) >= {_BP_MIN_DOCS}
-ORDER BY n_docs DESC, line"""
-    ),
-    "boilerplate_drop": (
-        f"""WITH {_BP_LINES_CTE}
-SELECT d.doc_id, coalesce(k.text, '') AS text
-FROM docs d
-LEFT JOIN (
-  SELECT doc_id, string_agg(line, chr(10) ORDER BY idx) AS text
-  FROM lines WHERE line NOT IN (SELECT line FROM freq)
-  GROUP BY doc_id
-) k USING (doc_id)
-ORDER BY d.doc_id"""
-    ),
-}
-
-
-def all_queries() -> dict:
-    # Ordering matters: the driver's CORRECTNESS file records exactly the
-    # first 50 entries, so entries that never had a driver-recorded row
-    # lead: the 7 rotated in round 5 (events_sessions/asof/attrib,
-    # decontam(_drop), dedup_clusters/(_drop)) plus the 6 new round-5
-    # cleaning ops (pii_scan/redact, boilerplate(_drop),
-    # url_extract/filter).  Rotated past position 50: 7 long-stable
-    # trivial entries (term_stats, doc_freq_top, corpus_stats,
-    # topk_paged, paged_scroll, quality, histogram — green every round
-    # since r1), 4 textstats entries green in the r3+r4 driver files
-    # (lang_id, fingerprint, approx_distinct, token_count_bpe), and
-    # events_window/events_hopping (green r3+r4).  The 5 entries added
-    # late in round 5 (dup_spans, ngram_counts + the global-order
-    # primitives row_number / pack_spans / quantiles) lead for the same
-    # reason; they push stratified_sample / bm25_fuzzy / bm25_range /
-    # bm25_box / mass_eval (green r3+r4) past position 50, and
-    # events_scan (newest) pushes one more (sample_hash, green r3+r4),
-    # and the final round-5 additions (join_enrich/join_left,
-    # sample_mix/upsample_mix, group_quantiles, quantiles_fast,
-    # lm_score) push ann_topk/ann_lsh/ann_ivf/emb_neardup/emb_clusters/
-    # token_stats past position 50 — every entry past 50 is green in
-    # the r3 AND r4 driver CORRECTNESS files.  The 9 analytics /
-    # ordering entries (rollup/cube/pivot, ntile, corr_group, zscore,
-    # weighted_sample, shuffle_det, keep_latest) are the newest
-    # never-recorded ops, so they lead too; they push group_stats /
-    # delete_by_query / sample_hash / grouped_topk and the five exact/
-    # near-dup dedup entries past position 50 — all nine green in the
-    # r3 AND r4 driver files.
-    # The 4 final round-5 additions (funnel, retention, group_concat,
-    # tfidf_top) are the newest never-recorded ops and lead; they push
-    # prefix_docs / bm25_coalesce / bm25_sort2 / bm25_geo_sort past
-    # position 50 — all four green in the r3 AND r4 driver files.
-    # The closing trio (pagerank, active_users, rrf_fusion) leads for
-    # the same never-recorded reason; it pushes bm25_dismax /
-    # bm25_fields / bm25_filter_lang past position 50 (green r3+r4).
-    # snapshot_diff / json_extract (newest) lead too, pushing
-    # bm25_msm2 / bm25_prior past position 50 (green r3+r4), and the
-    # final five (components, degree_stats, ppr, curate + the trio's
-    # displacement) push bm25_or / bm25_and / prefix_docs /
-    # bm25_coalesce / bm25_rare past position 50 — every displaced
-    # entry is green in BOTH the r3 and r4 driver files.
-    return {
-        "components": q_components,
-        "degree_stats": q_degree_stats,
-        "ppr": q_ppr,
-        "curate": q_curate,
-        "snapshot_diff": q_snapshot_diff,
-        "json_extract": q_json_extract,
-        "pagerank": q_pagerank,
-        "active_users": q_active_users,
-        "rrf_fusion": q_rrf_fusion,
-        "funnel": q_funnel,
-        "retention": q_retention,
-        "group_concat": q_group_concat,
-        "tfidf_top": q_tfidf_top,
-        "split_assign": q_split_assign,
-        "pmi": q_pmi,
-        "rollup": q_rollup,
-        "cube": q_cube,
-        "pivot": q_pivot,
-        "ntile": q_ntile,
-        "corr_group": q_corr_group,
-        "zscore": q_zscore,
-        "weighted_sample": q_weighted_sample,
-        "shuffle_det": q_shuffle_det,
-        "keep_latest": q_keep_latest,
-        "join_enrich": q_join_enrich,
-        "join_left": q_join_left,
-        "sample_mix": q_sample_mix,
-        "group_quantiles": q_group_quantiles,
-        "upsample_mix": q_upsample_mix,
-        "events_scan": q_events_scan,
-        "lm_score": q_lm_score,
-        "dup_spans": q_dup_spans,
-        "ngram_counts": q_ngram_counts,
-        "row_number": q_row_number,
-        "pack_spans": q_pack_spans,
-        "quantiles": q_quantiles,
-        "quantiles_fast": q_quantiles_fast,
-        "events_sessions": q_events_sessions,
-        "events_asof": q_events_asof,
-        "events_attrib": q_events_attrib,
-        "decontam": q_decontam,
-        "decontam_drop": q_decontam_drop,
-        "dedup_clusters": q_dedup_clusters,
-        "dedup_cluster_drop": q_dedup_cluster_drop,
-        "pii_scan": q_pii_scan,
-        "pii_redact": q_pii_redact,
-        "boilerplate": q_boilerplate,
-        "boilerplate_drop": q_boilerplate_drop,
-        "url_extract": q_url_extract,
-        "url_filter": q_url_filter,
-        "bm25_rare": q_bm25_rare,
-        "bm25_hot": q_bm25_hot,
-        "bm25_or": q_bm25_or,
-        "bm25_and": q_bm25_and,
-        "bm25_msm2": q_bm25_msm2,
-        "bm25_dismax": q_bm25_dismax,
-        "bm25_fields": q_bm25_fields,
-        "bm25_filter_lang": q_bm25_filter_lang,
-        "bm25_prior": q_bm25_prior,
-        "prefix_docs": q_prefix_docs,
-        "bm25_coalesce": q_bm25_coalesce,
-        "bm25_sort2": q_bm25_sort2,
-        "bm25_geo_sort": q_bm25_geo_sort,
-        "distinct_first": q_distinct_first,
-        "join_agg": q_join_agg,
-        "group_stats": q_group_stats,
-        "delete_by_query": q_delete_by_query,
-        "sample_hash": q_sample_hash,
-        "grouped_topk": q_grouped_topk,
-        "dedup_exact": q_dedup_exact,
-        "dedup_drop": q_dedup_drop,
-        "dedup_minhash": q_dedup_minhash,
-        "dedup_simhash": q_dedup_simhash,
-        "dedup_ngram": q_dedup_ngram,
-        "ann_topk": q_ann_topk,
-        "ann_lsh": q_ann_lsh,
-        "ann_ivf": q_ann_ivf,
-        "emb_neardup": q_emb_neardup,
-        "emb_clusters": q_emb_clusters,
-        "token_stats": q_token_stats,
-        "repetition": q_repetition,
-        "top_tokens": q_top_tokens,
-        "stratified_sample": q_stratified,
-        "bm25_fuzzy": q_bm25_fuzzy,
-        "bm25_range": q_bm25_range,
-        "bm25_box": q_bm25_box,
-        "mass_eval": q_mass_eval,
-        "events_window": q_events_window,
-        "events_hopping": q_events_hopping,
-        "term_stats": q_term_stats,
-        "doc_freq_top": q_doc_freq_top,
-        "corpus_stats": q_corpus_stats,
-        "topk_paged": q_topk_paged,
-        "paged_scroll": q_paged_scroll,
-        "quality": q_quality,
-        "histogram": q_histogram,
-        "token_count_bpe": q_token_count_bpe,
-        "lang_id": q_lang_id,
-        "fingerprint": q_fingerprint,
-        "approx_distinct": q_approx_distinct,
-        # round-5 closers, registered past position 50 deliberately:
-        # the 50 driver-recorded slots stay reserved for entries that
-        # have never had a driver row; these are verified by
-        # tools/check_driver_contract.py at HEAD instead
-        "chunk_text": q_chunk_text,
-        "chunk_tokens": q_chunk_tokens,
-        "sink_roundtrip": q_sink_roundtrip,
-        "char_entropy": q_char_entropy,
-        "force_merge": q_force_merge,
-        "top_tokens_lang": q_top_tokens_lang,
-        "vocab_stats": q_vocab_stats,
-        "sample_fixed": q_sample_fixed,
-        "normalize": q_normalize,
-        "decontam_bloom": q_decontam_bloom,
-    }
-
-
-def all_oracle_sql() -> dict:
-    # every queries() entry has a DuckDB oracle: the dedup family
-    # reproduces the md5-64 signature math in SQL (DEDUP_SQL), the ANN
-    # variants run in their exhaustive-probe configurations (equal to
-    # brute force iff the partition machinery is lossless), lang_id /
-    # fingerprint / approx_distinct replicate the exact hash arithmetic,
-    # and mass_eval recomputes the search cascade per eval query.
-    sql = {**SEARCH_SQL, **EXTRA_SQL, **DEDUP_SQL, **TEXTSTATS_SQL,
-           **MASS_EVAL_SQL, **FUZZY_RANGE_SQL, **WINDOW_SQL,
-           **CLEANING_SQL, **PACKING_SQL, **NGRAM_SQL, **DUP_SPANS_SQL,
-           **SCAN_SQL, **LM_SQL, **JOIN_SQL}
-    sql["ann_lsh"] = EXTRA_SQL["ann_topk"]  # full probe ≡ brute force
-    sql["quantiles_fast"] = PACKING_SQL["quantiles"]  # same rank arithmetic
-    sql.update(MIXING_SQL)
-    sql.update(GQ_SQL)
-    sql["ann_ivf"] = EXTRA_SQL["ann_topk"]  # nprobe=n_clusters ≡ brute force
-    sql.update(ANALYTICS_SQL)
-    sql.update(SPLIT_PMI_SQL)
-    sql.update(FUNNEL_SQL)
-    sql.update(TFIDF_SQL)
-    sql.update(GRAPH_SQL)
-    sql.update(DIFF_SQL)
-    sql.update(CURATE_SQL)
-    sql.update(CHUNK_SQL)
-    # segment-lifecycle entry: merged index must equal a fresh build,
-    # so it shares the plain OR3 BM25 oracle
-    sql["force_merge"] = _bm25_topk_sql(OR3)
-    # Bloom decontamination prunes candidates then exact-verifies, so
-    # it must equal the exact drop at any false-positive rate
-    sql["decontam_bloom"] = DEDUP_SQL["decontam_drop"]
-    return sql
-
-
-# ---------------------------------------------------------------------------
-# fuzzy / range / eval additions
-# ---------------------------------------------------------------------------
-
-FUZZY_Q = "scann"  # ED-1 from 'scan'; DuckDB levenshtein() is the oracle
-RANGE_LO, RANGE_HI = 100, 160  # n_chars window
-
-
-def q_bm25_fuzzy(sf_dir):
-    """Q2 fuzziness=1: union of postings of every dictionary term within
-    edit distance ≤ 1, each scored by its own BM25."""
-    from .pipelines.query import Fuzzy
-
-    s = get_searcher(sf_dir)
-    docs, scores = s.engine._topk(
-        *s.engine.evaluate(Fuzzy(FUZZY_Q, max_expansions=1000)), 20
-    )
-    return _topk_frame(docs, scores)
-
-
-def q_bm25_range(sf_dir):
-    """Q7 numeric-range branch analog: OR query filtered to docs whose
-    n_chars ∈ [RANGE_LO, RANGE_HI]."""
-    from .pipelines.query import RangeFilter
-
-    return _topk(
-        sf_dir,
-        Bool(
-            should=(Term("sort"), Term("merge")),
-            minimum_should_match=1,
-            filter=(RangeFilter("n_chars", RANGE_LO, RANGE_HI),),
-        ),
-    )
-
-
-BOX_X = (80, 200)   # n_chars
-BOX_Y = (100, 400)  # doc_id
-
-
-def q_bm25_box(sf_dir):
-    """Q13 geo_bounding_box analog (``ESDefaultSearch.java:213``): a 2-D
-    numeric box filter — two ANDed range predicates — under a scored
-    disjunction (runs through the filtered MaxScore fast path)."""
-    from .pipelines.query import RangeFilter
-
-    return _topk(
-        sf_dir,
-        Bool(
-            should=(Term("sort"), Term("merge"), Term(HOT)),
-            minimum_should_match=1,
-            filter=(
-                RangeFilter("n_chars", *BOX_X),
-                RangeFilter("doc_id", *BOX_Y),
-            ),
-        ),
-    )
-
-
-EVAL_QUERIES = ["dup", "scan sort", "merge window query", "zzzznope"]
-
-
-def q_mass_eval(sf_dir):
-    """G5 mass-geocode evaluation (``csv/CSVGeocode.java:62-179``):
-    fixed query set through the eval pipeline, per-query comparison
-    rows.  Expected answers are the engine's own cascade top-1
-    (self-consistency), but the SQL oracle recomputes BOTH the expected
-    and the result column via the full coalesce cascade in SQL — a hash
-    match therefore proves the engine's cascade top-1 doc and score
-    equal the SQL cascade on every query (including the no-hit row)."""
-    import ray.data as rd
-
-    from .pipelines.geocode import mass_eval
-
-    s = get_searcher(sf_dir)
-    rows = []
-    for i, q in enumerate(EVAL_QUERIES):
-        hits = s.search(q, k=5, use_prior=False)
-        rows.append(
-            {"qid": i, "q": q,
-             "expected_doc_id": hits[0]["doc_id"] if hits else -1}
-        )
-    pdf = mass_eval(rd.from_items(rows), index_dir_for(sf_dir), k=5,
-                    return_rows=True)
-    out = pd.DataFrame(
-        {
-            "qid": pdf["qid"].astype(np.int64),
-            "q": pdf["q"].astype(str),
-            "expected_doc_id": pdf["expected"].fillna(-1).astype(np.int64),
-            "top_doc": pdf["top_doc"].fillna(-1).astype(np.int64),
-            "top_score": np.round(pdf["top_score"].fillna(0.0).astype(np.float64), 6),
-            "top1_match": pdf["match_top"].astype(bool),
-            "page_match": pdf["match_page"].astype(bool),
-        }
-    )
-    return out.sort_values("qid").reset_index(drop=True)
-
-
-def _cascade_sql_blocks() -> str:
-    """Per-eval-query coalesce-cascade CTEs: one scored CTE per query's
-    term set, then a 3-level (all-terms AND → msm≥2 → msm≥1) pick of
-    the first non-empty top-1 — the exact ``build_cascade`` +
-    first-non-empty semantics of ``Searcher.search``."""
-    blocks, rows = [], []
-    for i, q in enumerate(EVAL_QUERIES):
-        terms = [t for t in q.lower().split() if t]
-        n = len(terms)
-        blocks.append(
-            f"""d{i} AS (SELECT term, count(*)::DOUBLE AS df FROM tf
-       WHERE term IN ({_sql_terms(terms)}) GROUP BY term),
-s{i} AS (
-  SELECT tf.doc_id,
-         sum( ln(1 + (s.n - d{i}.df + 0.5)/(d{i}.df + 0.5))
-              * tf.tf * {K1 + 1.0} / (tf.tf + {K1} * (1 - {B} + {B} * dl.dl / s.avgdl)) ) AS score,
-         count(*) AS nm
-  FROM tf JOIN d{i} ON tf.term = d{i}.term
-  JOIN dl ON dl.doc_id = tf.doc_id CROSS JOIN stats s
-  GROUP BY tf.doc_id
-),
-top{i} AS (
-  SELECT doc_id, score FROM (
-    SELECT 1 AS lvl, doc_id, score FROM s{i} WHERE nm >= {n}
-    UNION ALL SELECT 2, doc_id, score FROM s{i} WHERE nm >= 2
-    UNION ALL SELECT 3, doc_id, score FROM s{i} WHERE nm >= 1
-  ) ORDER BY lvl, score DESC, doc_id LIMIT 1
-)"""
-        )
-        rows.append(
-            f"SELECT {i} AS qid, '{q}' AS q, "
-            f"coalesce((SELECT doc_id FROM top{i}), -1) AS expected_doc_id, "
-            f"coalesce((SELECT doc_id FROM top{i}), -1) AS top_doc, "
-            f"coalesce((SELECT round(score, 6) FROM top{i}), 0.0) AS top_score, "
-            f"(SELECT count(*) FROM top{i}) > 0 AS top1_match, "
-            f"(SELECT count(*) FROM top{i}) > 0 AS page_match"
-        )
-    return ",\n".join(blocks) + " " + " UNION ALL ".join(rows) + " ORDER BY qid"
-
-
-MASS_EVAL_SQL = {"mass_eval": f"WITH {BM25_CTE}, {_cascade_sql_blocks()}"}
-
-
-FUZZY_RANGE_SQL = {
+    # the merged lifecycle index must equal a fresh build, so it shares
+    # the plain OR3 BM25 oracle
+    "force_merge": _bm25_topk_sql(OR3),
     "bm25_fuzzy": (
         f"WITH {BM25_CTE}, "
         f"df AS (SELECT term, count(*)::DOUBLE AS df FROM tf "
@@ -2068,1653 +770,56 @@ FUZZY_RANGE_SQL = {
         f"AND d.doc_id BETWEEN {BOX_Y[0]} AND {BOX_Y[1]} "
         f"ORDER BY sc.score DESC, sc.doc_id LIMIT 20"
     ),
-}
-
-
-# ---------------------------------------------------------------------------
-# windowed aggregates over the events log
-# ---------------------------------------------------------------------------
-
-WINDOW_SEC = 3600
-SESSION_GAP = 1800
-
-
-def q_events_window(sf_dir):
-    """Tumbling-window aggregate (partial-agg combiner + small groupby)."""
-    import ray.data as rd
-
-    from .pipelines.windows import tumbling_window_agg
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "event_type", "value"],
-    )
-    out = tumbling_window_agg(ds, WINDOW_SEC).to_pandas()
-    out["n_events"] = out["n_events"].astype(np.int64)
-    for c in ("sum_value", "min_value", "max_value"):
-        out[c] = np.round(out[c].astype(np.float64), 6)
-    out["window_start"] = out["window_start"].astype(np.int64)
-    return out[["event_type", "window_start", "n_events", "sum_value",
-                "min_value", "max_value"]]
-
-
-HOP_SEC = 1800  # hop < window → overlapping windows
-
-
-def q_events_hopping(sf_dir):
-    """Hopping-window aggregate (window 3600s, hop 1800s — each event
-    covers 2 windows)."""
-    import ray.data as rd
-
-    from .pipelines.windows import hopping_window_agg
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "event_type", "value"],
-    )
-    out = hopping_window_agg(ds, WINDOW_SEC, HOP_SEC).to_pandas()
-    out["n_events"] = out["n_events"].astype(np.int64)
-    for c in ("sum_value", "min_value", "max_value"):
-        out[c] = np.round(out[c].astype(np.float64), 6)
-    out["window_start"] = out["window_start"].astype(np.int64)
-    return out[["event_type", "window_start", "n_events", "sum_value",
-                "min_value", "max_value"]]
-
-
-def q_events_sessions(sf_dir):
-    """Session windows per user (gap > SESSION_GAP starts a session)."""
-    import ray.data as rd
-
-    from .pipelines.windows import session_windows
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["ts", "user_id"]
-    )
-    out = session_windows(ds, SESSION_GAP).to_pandas()
-    for c in ("user_id", "session_start", "session_end", "n_events"):
-        out[c] = out[c].astype(np.int64)
-    return out[["user_id", "session_start", "session_end", "n_events"]]
-
-
-def q_events_asof(sf_dir):
-    """As-of join: attach to every click the user's latest purchase value
-    at-or-before the click (sort-exchange asof, `pipelines/asof.py`)."""
-    import ray.data as rd
-
-    from .pipelines.asof import asof_join
-
-    def _tss(t):
-        # event timestamps are positive, so int64 truncating divide
-        # equals the oracle's floor(epoch(ts))
-        tss = pc.divide(pc.cast(t["ts"], pa.int64()), 1_000_000)
-        return t.set_column(t.schema.get_field_index("ts"), "tss", tss)
-
-    ev = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    ).map_batches(_tss, batch_format="pyarrow")
-    left = ev.filter(expr="event_type == 'click'").select_columns(
-        ["event_id", "user_id", "tss"]
-    )
-    # duplicate (user_id, tss) right rows resolve to max(value) INSIDE
-    # the join's one sort exchange (right_tiebreak) — same answer as
-    # the oracle's pre-reduce, one whole groupby shuffle cheaper
-    # (round(·) is monotone, so max-of-rounded == round-of-max here)
-    right = (
-        ev.filter(expr="event_type == 'purchase'")
-        .select_columns(["user_id", "tss", "value"])
-        .map_batches(
-            lambda t: pa.table({
-                "user_id": t["user_id"],
-                "tss": pc.cast(t["tss"], pa.int64()),
-                "purch_tss": pc.cast(t["tss"], pa.int64()),
-                "purch_value": pc.round(t["value"], 6),
-            }),
-            batch_format="pyarrow",
-        )
-    )
-    out = asof_join(left, right, key_col="user_id", on_col="tss",
-                    right_tiebreak="purch_value").to_pandas()
-    for c in ("event_id", "user_id", "tss"):
-        out[c] = out[c].astype(np.int64)
-    out["purch_value"] = np.round(out["purch_value"].astype(np.float64), 6)
-    return out.sort_values("event_id").reset_index(drop=True)[
-        ["event_id", "user_id", "tss", "purch_tss", "purch_value"]
-    ]
-
-
-ATTRIB_WINDOW_S = 1800
-
-
-def q_events_attrib(sf_dir):
-    """Attribution-window range join: every click within 1800 s
-    at-or-after a purchase by the same user (bin-and-replicate interval
-    join, `pipelines/interval.py`)."""
-    import ray.data as rd
-
-    from .pipelines.interval import interval_join
-
-    def _tss(t):
-        tss = pc.divide(pc.cast(t["ts"], pa.int64()), 1_000_000)
-        return t.set_column(t.schema.get_field_index("ts"), "tss", tss)
-
-    ev = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    ).map_batches(_tss, batch_format="pyarrow")
-    clicks = (
-        ev.filter(expr="event_type == 'click'")
-        .select_columns(["event_id", "user_id", "tss"])
-        .map_batches(lambda t: t.rename_columns(["click_id", "user_id", "tss"]),
-                     batch_format="pyarrow")
-    )
-    purch = (
-        ev.filter(expr="event_type == 'purchase'")
-        .select_columns(["event_id", "user_id", "tss"])
-        .map_batches(
-            lambda t: pa.table({
-                "purch_id": t["event_id"],
-                "user_id": t["user_id"],
-                "s": t["tss"],
-                "e": pc.add(t["tss"], ATTRIB_WINDOW_S),
-            }),
-            batch_format="pyarrow",
-        )
-    )
-    out = interval_join(
-        clicks, purch, on_col="tss", start_col="s", end_col="e",
-        bucket_width=4 * ATTRIB_WINDOW_S, key_col="user_id",
-        point_cols=["click_id"], interval_cols=["purch_id"],
-    ).to_pandas()
-    out["click_id"] = out["click_id"].astype(np.int64)
-    out["purch_id"] = out["purch_id"].astype(np.int64)
-    return out.sort_values(["click_id", "purch_id"]).reset_index(drop=True)
-
-
-WINDOW_SQL = {
-    "events_attrib": (
-        "WITH l AS (SELECT event_id AS click_id, user_id, "
-        "CAST(floor(epoch(ts)) AS BIGINT) AS tss FROM events "
-        "WHERE event_type = 'click'), "
-        "r AS (SELECT event_id AS purch_id, user_id, "
-        "CAST(floor(epoch(ts)) AS BIGINT) AS tss FROM events "
-        "WHERE event_type = 'purchase') "
-        "SELECT l.click_id, r.purch_id FROM l JOIN r "
-        "ON l.user_id = r.user_id "
-        f"AND l.tss BETWEEN r.tss AND r.tss + {ATTRIB_WINDOW_S} "
-        "ORDER BY 1, 2"
+    "mass_eval": f"WITH {BM25_CTE}, {_cascade_sql_blocks()}",
+    "distinct_first": (
+        "SELECT source, lang, min(doc_id)::BIGINT AS doc_id, "
+        "count(*)::BIGINT AS group_count FROM documents GROUP BY source, lang"
     ),
-    "events_asof": (
-        "WITH l AS (SELECT event_id, user_id, "
-        "CAST(floor(epoch(ts)) AS BIGINT) AS tss FROM events "
-        "WHERE event_type = 'click'), "
-        "r AS (SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS tss, "
-        "round(max(value), 6) AS v FROM events "
-        "WHERE event_type = 'purchase' GROUP BY 1, 2) "
-        "SELECT l.event_id, l.user_id, l.tss, r.tss AS purch_tss, "
-        "r.v AS purch_value "
-        "FROM l ASOF LEFT JOIN r "
-        "ON l.user_id = r.user_id AND l.tss >= r.tss "
-        "ORDER BY l.event_id"
+    "join_agg": (
+        "SELECT o.o_orderkey, count(l.l_orderkey)::BIGINT AS ref_count "
+        "FROM orders o LEFT JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
+        "GROUP BY o.o_orderkey"
     ),
-    "events_hopping": (
-        f"WITH e AS (SELECT event_type, value, "
-        f"CAST(floor(epoch(ts)) AS BIGINT) AS tss FROM events), "
-        f"x AS (SELECT event_type, value, "
-        f"unnest(generate_series(CAST(floor((tss - {WINDOW_SEC}) / {HOP_SEC}) AS BIGINT) + 1, "
-        f"CAST(floor(tss / {HOP_SEC}) AS BIGINT))) AS h FROM e) "
-        f"SELECT event_type, (h * {HOP_SEC}) AS window_start, "
-        f"count(*)::BIGINT AS n_events, round(sum(value), 6) AS sum_value, "
-        f"round(min(value), 6) AS min_value, round(max(value), 6) AS max_value "
-        f"FROM x GROUP BY event_type, window_start"
-    ),
-    "events_window": (
-        f"SELECT event_type, "
-        f"(CAST(floor(epoch(ts) / {WINDOW_SEC}) AS BIGINT) * {WINDOW_SEC}) AS window_start, "
-        f"count(*)::BIGINT AS n_events, round(sum(value), 6) AS sum_value, "
-        f"round(min(value), 6) AS min_value, round(max(value), 6) AS max_value "
-        f"FROM events GROUP BY event_type, window_start"
-    ),
-    "events_sessions": (
-        f"WITH e AS (SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS tss FROM events), "
-        f"l AS (SELECT user_id, tss, CASE WHEN lag(tss) OVER w IS NULL "
-        f"      OR tss - lag(tss) OVER w > {SESSION_GAP} THEN 1 ELSE 0 END AS is_new "
-        f"      FROM e WINDOW w AS (PARTITION BY user_id ORDER BY tss)), "
-        f"s AS (SELECT user_id, tss, sum(is_new) OVER "
-        f"      (PARTITION BY user_id ORDER BY tss ROWS UNBOUNDED PRECEDING) AS sid FROM l) "
-        f"SELECT user_id, min(tss) AS session_start, max(tss) AS session_end, "
-        f"count(*)::BIGINT AS n_events FROM s GROUP BY user_id, sid"
+    "group_stats": "SELECT lang, count(*)::BIGINT AS cnt FROM documents GROUP BY lang",
+    "delete_by_query": "SELECT doc_id, lang FROM documents WHERE lang <> 'de'",
+    "paged_scroll": (
+        "SELECT doc_id FROM documents WHERE lang = 'en' AND doc_id > 50 "
+        "ORDER BY doc_id LIMIT 100"
     ),
 }
 
 
-# ---------------------------------------------------------------------------
-# global-order primitives (pipelines/packing.py): distributed prefix sums
-# — row numbering (zipWithIndex), LLM sequence packing, exact quantiles
-# ---------------------------------------------------------------------------
-
-PACK_LEN = 256
-QUANTILE_QS = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
-
-
-def q_row_number(sf_dir):
-    """Distributed zipWithIndex: dense global row ids in doc_id order
-    (one sort exchange + O(#blocks) driver prefix + rebase pass)."""
-    from .pipelines.packing import global_row_number
-
-    out = global_row_number(
-        _docs(sf_dir).select_columns(["doc_id"]), ["doc_id"]
-    ).to_pandas()
-    out = out.sort_values("doc_id").reset_index(drop=True)
-    for c in ("doc_id", "row_id"):
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def q_pack_spans(sf_dir):
-    """LLM sequence packing: per-doc token counts (same kernel the
-    token_stats oracle proves exact) concat-and-chunked into fixed
-    256-token training windows; one row per doc-x-window span."""
-    from .pipelines.packing import pack_spans
-    from .pipelines.textstats import token_stats
-
-    lens = token_stats(
-        _docs(sf_dir).select_columns(["doc_id", "text"])
-    ).select_columns(["doc_id", "token_count"])
-    out = pack_spans(lens, PACK_LEN, len_col="token_count").to_pandas()
-    out = out.sort_values(["doc_id", "seq_id"]).reset_index(drop=True)
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
-
-
-def q_quantiles(sf_dir):
-    """Exact order statistics of n_chars at fixed ranks
-    floor(q*(n-1)) — global_row_number + an is_in(rank) filter; only
-    len(qs) rows reach the driver."""
-    from .pipelines.packing import exact_quantiles
-
-    out = exact_quantiles(
-        _docs(sf_dir).select_columns(["doc_id", "n_chars"]),
-        "n_chars", list(QUANTILE_QS),
-    )
-    out["q"] = out["q"].astype(np.float64)
-    out["value"] = out["value"].astype(np.int64)
-    return out.sort_values("q").reset_index(drop=True)
-
-
-def q_quantiles_fast(sf_dir):
-    """Same order statistics as q_quantiles but via
-    packing.quantiles_select — bin-refinement selection with NO
-    shuffle (streaming histogram rounds + a bounded gather); shares
-    the quantiles SQL oracle because both compute the value at rank
-    floor(q*(n-1))."""
-    from .pipelines.packing import quantiles_select
-
-    out = quantiles_select(
-        _docs(sf_dir).select_columns(["n_chars"]),
-        "n_chars", list(QUANTILE_QS),
-    )
-    out["q"] = out["q"].astype(np.float64)
-    out["value"] = out["value"].astype(np.int64)
-    return out.sort_values("q").reset_index(drop=True)
-
-
-PACKING_SQL = {
-    "row_number": (
-        "SELECT doc_id, (row_number() OVER (ORDER BY doc_id) - 1)::BIGINT"
-        " AS row_id FROM documents ORDER BY doc_id"
-    ),
-    # identical window arithmetic to pack_spans' vectorized kernel;
-    # token counts come from the same tok2 CTE the token_stats oracle
-    # uses, so the length convention is already proven exact
-    "pack_spans": f"""WITH {TOK_CTE},
-cnt AS (SELECT d.doc_id, count(t.term)::BIGINT AS len
-        FROM documents d LEFT JOIN tok2 t ON t.doc_id = d.doc_id
-        GROUP BY d.doc_id),
-nz AS (SELECT doc_id, len FROM cnt WHERE len > 0),
-c AS (SELECT doc_id, len,
-        coalesce(sum(len) OVER (ORDER BY doc_id
-          ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)::BIGINT
-        AS strt
-      FROM nz),
-s AS (SELECT doc_id, len, strt,
-        unnest(generate_series(strt//{PACK_LEN},
-                               (strt+len-1)//{PACK_LEN})) AS seq_id
-      FROM c)
-SELECT doc_id, seq_id::BIGINT AS seq_id,
-       (greatest(seq_id*{PACK_LEN}, strt) - seq_id*{PACK_LEN})::BIGINT
-         AS seq_offset,
-       (greatest(seq_id*{PACK_LEN}, strt) - strt)::BIGINT AS doc_offset,
-       (least((seq_id+1)*{PACK_LEN}, strt+len)
-        - greatest(seq_id*{PACK_LEN}, strt))::BIGINT AS n_tokens
-FROM s ORDER BY doc_id, seq_id""",
-    # q::DOUBLE everywhere so the rank arithmetic is the same IEEE
-    # float64 numpy uses on the Ray side
-    "quantiles": f"""WITH v AS (SELECT n_chars::BIGINT AS value FROM documents),
-n AS (SELECT count(*)::BIGINT AS cnt FROM v),
-r AS (SELECT value,
-             (row_number() OVER (ORDER BY value) - 1)::BIGINT AS rk FROM v),
-qs(q) AS (VALUES {", ".join(f"({q})" for q in QUANTILE_QS)})
-SELECT q::DOUBLE AS q, value FROM qs CROSS JOIN n
-JOIN r ON r.rk = CAST(floor(q::DOUBLE * (cnt - 1)) AS BIGINT)
-ORDER BY q""",
-}
-
-
-# ---------------------------------------------------------------------------
-# corpus n-gram statistics (textstats.ngram_counts)
-# ---------------------------------------------------------------------------
-
-NGRAM_N = 2
-NGRAM_MIN = 3
-
-
-def q_ngram_counts(sf_dir):
-    """Corpus bigram frequencies >= NGRAM_MIN (KenLM-style corpus
-    stats): per-batch combiner partials, ONE groupby(ngram) exchange."""
-    from .pipelines.textstats import ngram_counts
-
-    out = ngram_counts(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        n=NGRAM_N, min_count=NGRAM_MIN,
-    ).to_pandas()
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out.sort_values(["cnt", "ngram"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-NGRAM_SQL = {
-    # same [^a-z0-9]+ token convention as tok2; bigrams via 1-based
-    # list indexing (range is end-exclusive)
-    "ngram_counts": f"""WITH arr AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-                     x -> x <> '') AS a
-  FROM documents),
-bg AS (
-  SELECT unnest(list_transform(range(1, len(a)),
-                               i -> a[i] || ' ' || a[i+{NGRAM_N - 1}]))
-         AS ngram
-  FROM arr)
-SELECT ngram, count(*)::BIGINT AS cnt FROM bg
-GROUP BY ngram HAVING count(*) >= {NGRAM_MIN}
-ORDER BY cnt DESC, ngram""",
-}
-
-
-# ---------------------------------------------------------------------------
-# exact duplicated-span report (dedup.dup_spans)
-# ---------------------------------------------------------------------------
-
-SPAN_W = 8
-SPAN_MIN = 3
-
-
-def q_dup_spans(sf_dir):
-    """Span-level exact-substring dedup report: every 8-token window
-    occurring >= 3 times corpus-wide, with its (doc, token position)."""
-    from .pipelines.dedup import dup_spans
-
-    out = dup_spans(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        w=SPAN_W, min_count=SPAN_MIN,
-    ).to_pandas()
-    for c in ("doc_id", "pos"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values(["doc_id", "pos"]).reset_index(drop=True)
-
-
-DUP_SPANS_SQL = {
-    # dual unnest aligns positionally in DuckDB; list slice a[i:j] is
-    # 1-based inclusive, pos emitted 0-based to match the Ray kernel
-    "dup_spans": f"""WITH arr AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-                     x -> x <> '') AS a
-  FROM documents),
-g AS (
-  SELECT doc_id,
-         unnest(list_transform(range(1, len(a)-{SPAN_W}+2),
-                               i -> array_to_string(a[i:i+{SPAN_W}-1], ' ')))
-           AS ngram,
-         unnest(range(1, len(a)-{SPAN_W}+2)) AS pos
-  FROM arr),
-freq AS (SELECT ngram FROM g GROUP BY ngram
-         HAVING count(*) >= {SPAN_MIN})
-SELECT doc_id, (pos - 1)::BIGINT AS pos, ngram
-FROM g JOIN freq USING (ngram)
-ORDER BY doc_id, pos""",
-}
-
-
-# ---------------------------------------------------------------------------
-# passage chunking (chunking.chunk_text / chunk_tokens)
-# ---------------------------------------------------------------------------
-
-CHUNK_SIZE = 200      # chars per chunk_text window
-CHUNK_STRIDE = 150    # 50-char overlap
-TCHUNK_SIZE = 50      # tokens per chunk_tokens window
-TCHUNK_STRIDE = 40    # 10-token overlap
-
-
-def q_chunk_text(sf_dir):
-    """RAG-style passage chunking: fixed 200-codepoint windows with
-    50-char overlap, exploded in an embarrassingly-parallel
-    ``map_batches`` vectorized by chunk index."""
-    from .pipelines.chunking import chunk_text
-
-    out = chunk_text(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        size=CHUNK_SIZE, stride=CHUNK_STRIDE,
-    ).to_pandas()
-    for c in ("doc_id", "chunk_id"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-def q_chunk_tokens(sf_dir):
-    """Token-window chunking: 50 whitespace tokens per window, stride
-    40 (matches SQL ``string_split(text, ' ')`` exactly, empty fields
-    preserved)."""
-    from .pipelines.chunking import chunk_tokens
-
-    out = chunk_tokens(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        size=TCHUNK_SIZE, stride=TCHUNK_STRIDE,
-    ).to_pandas()
-    for c in ("doc_id", "chunk_id", "n_tokens"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-def q_char_entropy(sf_dir):
-    """Per-doc codepoint Shannon entropy (binary-junk / low-diversity
-    quality signal): one shuffle-free vectorized pass."""
-    from .pipelines.textstats import char_entropy
-
-    out = char_entropy(
-        _docs(sf_dir).select_columns(["doc_id", "text"])).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_chars"] = out["n_chars"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_sink_roundtrip(sf_dir):
-    """Resumable partitioned sink round-trip: documents →
-    ``write_partitioned`` (16 hash partitions, atomic per-partition
-    commit + manifest) → ``read_partitioned`` → per-source aggregate.
-    The oracle aggregates the source table directly, so a row lost or
-    duplicated by the sink's commit/resume machinery breaks the hash."""
-    import shutil
-    import tempfile
-
-    from ray.data.aggregate import Count, Sum
-
-    from .pipelines.sink import read_partitioned, write_partitioned
-
-    out = tempfile.mkdtemp(prefix="gsr_sink_")
-    try:
-        path = os.path.join(out, "docs")
-        write_partitioned(
-            _docs(sf_dir).select_columns(["doc_id", "source", "lang"]),
-            path, "doc_id", num_partitions=16)
-        got = read_partitioned(path) \
-            .groupby("source") \
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("doc_id", alias_name="sum_id")) \
-            .to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
-    got["n_docs"] = got["n_docs"].astype(np.int64)
-    got["sum_id"] = got["sum_id"].astype(np.int64)
-    return got.sort_values("source").reset_index(drop=True)
-
-
-CHUNK_SQL = {
-    # string_split(text,'') and length() are codepoint-level in DuckDB,
-    # matching the kernel's UTF-32 view and Python len()
-    "char_entropy": """WITH ch AS (
-  SELECT doc_id, length(text)::BIGINT AS n_chars,
-         unnest(string_split(text, '')) AS c
-  FROM documents WHERE length(text) > 0),
-f AS (SELECT doc_id, any_value(n_chars) AS n_chars, c,
-             count(*)::DOUBLE AS n
-      FROM ch GROUP BY doc_id, c)
-SELECT doc_id, any_value(n_chars) AS n_chars,
-       -sum((n / n_chars) * log2(n / n_chars)) AS entropy
-FROM f GROUP BY doc_id ORDER BY doc_id""",
-    "sink_roundtrip": """SELECT source,
-       count(*)::BIGINT AS n_docs, sum(doc_id)::BIGINT AS sum_id
-FROM documents GROUP BY source ORDER BY source""",
-    # generate_series is inclusive: k ranges over 0..floor((L-1)/stride),
-    # i.e. floor((L-1)/stride)+1 windows; substr is 1-based
-    "chunk_text": f"""SELECT d.doc_id,
-       g.k::BIGINT AS chunk_id,
-       substr(d.text, g.k*{CHUNK_STRIDE}+1, {CHUNK_SIZE}) AS chunk
-FROM documents d,
-     LATERAL (SELECT unnest(range(0,
-              ((length(d.text)-1)//{CHUNK_STRIDE})+1)) AS k) g
-WHERE length(d.text) > 0
-ORDER BY doc_id, chunk_id""",
-    # list slice a[i:j] is 1-based inclusive; string_split always
-    # yields >= 1 field so no empty-doc guard is needed
-    "chunk_tokens": f"""WITH arr AS (
-  SELECT doc_id, string_split(text, ' ') AS a FROM documents)
-SELECT doc_id, g.k::BIGINT AS chunk_id,
-       least(len(a) - g.k*{TCHUNK_STRIDE}, {TCHUNK_SIZE})::BIGINT
-         AS n_tokens,
-       array_to_string(
-         a[g.k*{TCHUNK_STRIDE}+1 : g.k*{TCHUNK_STRIDE}+{TCHUNK_SIZE}],
-         ' ') AS chunk
-FROM arr,
-     LATERAL (SELECT unnest(range(0,
-              ((len(a)-1)//{TCHUNK_STRIDE})+1)) AS k) g
-ORDER BY doc_id, chunk_id""",
-}
-
-
-# ---------------------------------------------------------------------------
-# per-key ordered window functions (packing.keyed_scan)
-# ---------------------------------------------------------------------------
-
-
-def q_events_scan(sf_dir):
-    """Per-user ordered window functions over the event log in ONE
-    sort exchange (`packing.keyed_scan` segmented scan): 1-based rank,
-    microsecond gap to the user's previous event, and running spend in
-    cents — `row_number()/lag()/sum() OVER (PARTITION BY user_id ORDER
-    BY ts, event_id)`.  All-integer outputs (cents via `rint(value *
-    100)`; the synthetic money column is 2-decimal so both legs are
-    exact)."""
-    import ray.data as rd
-
-    from .pipelines.packing import keyed_scan
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "value"],
-    )
-
-    def project(t: pa.Table) -> pa.Table:
-        cents = np.rint(t["value"].to_numpy() * 100).astype(np.int64)
-        return pa.table({
-            "user_id": t["user_id"],
-            "ts_us": pc.cast(t["ts"], pa.int64()),
-            "event_id": t["event_id"],
-            "cents": pa.array(cents),
-        })
-
-    out = keyed_scan(
-        ds.map_batches(project, batch_format="pyarrow"),
-        "user_id", "ts_us", "event_id", "cents",
-    ).to_pandas()
-    out = out.rename(columns={"delta": "delta_us", "cum": "cum_cents"})
-    for c in ("event_id", "user_id", "seq", "cum_cents"):
-        out[c] = out[c].astype(np.int64)
-    out["delta_us"] = out["delta_us"].astype(np.float64)
-    return out.sort_values("event_id").reset_index(drop=True)[
-        ["event_id", "user_id", "seq", "delta_us", "cum_cents"]]
-
-
-SCAN_SQL = {
-    "events_scan": """SELECT event_id, user_id,
-  row_number() OVER w AS seq,
-  epoch_us(ts) - lag(epoch_us(ts)) OVER w AS delta_us,
-  CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER (
-    PARTITION BY user_id ORDER BY ts, event_id
-    ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_cents
-FROM events
-WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-ORDER BY event_id""",
-}
-
-
-# ---------------------------------------------------------------------------
-# bigram-LM quality scoring (textstats.lm_score)
-# ---------------------------------------------------------------------------
-
-LM_MIN = 3
-
-
-def q_lm_score(sf_dir):
-    """Bigram-LM quality score per document (CCNet/KenLM filter
-    shape): mean ln-conditional-probability over corpus bigrams with
-    count >= LM_MIN, plus the scored-position count."""
-    from .pipelines.textstats import lm_score
-
-    out = lm_score(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        min_count=LM_MIN,
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_known"] = out["n_known"].astype(np.int64)
-    out["lp"] = np.round(out["lp"].astype(np.float64), 6)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "n_known", "lp"]]
-
-
-LM_SQL = {
-    "lm_score": f"""WITH arr AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-                     x -> x <> '') AS a
-  FROM documents),
-bg AS (
-  SELECT doc_id,
-         unnest(list_transform(range(1, len(a)), i -> a[i])) AS w1,
-         unnest(list_transform(range(1, len(a)),
-                               i -> a[i] || ' ' || a[i+1])) AS ngram
-  FROM arr),
-c2 AS (SELECT ngram, count(*) AS c FROM bg
-       GROUP BY ngram HAVING count(*) >= {LM_MIN}),
-tok AS (SELECT unnest(a) AS w FROM arr),
-c1 AS (SELECT w, count(*) AS c FROM tok
-       GROUP BY w HAVING count(*) >= {LM_MIN}),
-sc AS (
-  SELECT bg.doc_id, ln(c2.c) - ln(c1.c) AS lp
-  FROM bg JOIN c2 USING (ngram) JOIN c1 ON c1.w = bg.w1)
-SELECT d.doc_id, count(sc.lp)::BIGINT AS n_known,
-       round(avg(sc.lp), 6) AS lp
-FROM documents d LEFT JOIN sc ON sc.doc_id = d.doc_id
-GROUP BY d.doc_id
-ORDER BY d.doc_id""",
-}
-
-
-# ---------------------------------------------------------------------------
-# general equi-join (relational.equi_join)
-# ---------------------------------------------------------------------------
-
-JOIN_BAL = 5000.0  # acctbal cutoff so join_left produces real nulls
-
-
-def q_join_enrich(sf_dir):
-    """Large×large hash-shuffle equi-join: every order enriched with
-    its customer's name and market segment — `relational.equi_join`
-    forced onto the distributed `Dataset.join` path (ONE hash exchange
-    per side, no broadcast) to exercise the shape that holds when BOTH
-    sides exceed worker memory."""
-    import ray.data as rd
-
-    from .pipelines.relational import equi_join
-
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    )
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_mktsegment"],
-    )
-    # rows_hint from parquet metadata (a planner's table stats): the
-    # aggregator count tracks data volume, not a flat cpu count
-    out = equi_join(orders, cust, "o_custkey", right_on="c_custkey",
-                    how="inner", strategy="shuffle",
-                    rows_hint=orders.count() + cust.count()).to_pandas()
-    for c in ("o_orderkey", "o_custkey"):
-        out[c] = out[c].astype(np.int64)
-    out["o_totalprice"] = out["o_totalprice"].astype(np.float64)
-    return out.sort_values("o_orderkey").reset_index(drop=True)[
-        ["o_orderkey", "o_custkey", "o_totalprice", "c_name",
-         "c_mktsegment"]]
-
-
-def q_join_left(sf_dir):
-    """Broadcast left-outer equi-join with real unmatched rows: orders
-    joined to only the high-balance customers (acctbal > JOIN_BAL), so
-    low-balance customers' orders carry nulls.  The right side filters
-    FIRST, gathers once, ships via `ray.put`, and each order batch
-    joins against it with Arrow's C++ hash join — the fact side never
-    shuffles."""
-    import ray.data as rd
-
-    from .pipelines.relational import equi_join
-
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey"],
-    )
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_acctbal"],
-    ).filter(expr=f"c_acctbal > {JOIN_BAL}")
-    out = equi_join(orders, cust, "o_custkey", right_on="c_custkey",
-                    how="left_outer", strategy="broadcast").to_pandas()
-    for c in ("o_orderkey", "o_custkey"):
-        out[c] = out[c].astype(np.int64)
-    out["c_acctbal"] = out["c_acctbal"].astype(np.float64)
-    return out.sort_values("o_orderkey").reset_index(drop=True)[
-        ["o_orderkey", "o_custkey", "c_name", "c_acctbal"]]
-
-
-JOIN_SQL = {
-    "join_enrich": (
-        "SELECT o_orderkey, o_custkey, o_totalprice, c_name, "
-        "c_mktsegment FROM orders JOIN customer "
-        "ON o_custkey = c_custkey ORDER BY o_orderkey"
-    ),
-    "join_left": (
-        f"SELECT o_orderkey, o_custkey, c_name, c_acctbal "
-        f"FROM orders LEFT JOIN "
-        f"(SELECT * FROM customer WHERE c_acctbal > {JOIN_BAL}) c "
-        f"ON o_custkey = c_custkey ORDER BY o_orderkey"
-    ),
-}
-
-
-# ---------------------------------------------------------------------------
-# data mixing (relational.sample_counts_per_group / upsample_groups)
-# ---------------------------------------------------------------------------
-
-MIX_SHARES = {"en": 0.4, "de": 0.2, "fr": 0.2, "es": 0.1, "zh": 0.1}
-MIX_TOTAL = 200
-UP_FACTORS = {"en": 2, "de": 3, "zh": 0}
-
-
-def q_sample_mix(sf_dir):
-    """Deterministic corpus-mix construction: floor(total x share) docs
-    per language, chosen by the stratified hash-rank rule — ONE
-    grouped_topk distributed merge, per-group quota trim on the
-    human-sized candidate set."""
-    from .pipelines.relational import sample_to_proportions
-
-    out = sample_to_proportions(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]),
-        "lang", MIX_SHARES, MIX_TOTAL)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["lang", "doc_id"]]
-
-
-def q_upsample_mix(sf_dir):
-    """Epoch-weighting upsampling: per-language integer repetition with
-    a 0-based copy index, expanded inside the stream (broadcast factor
-    dict + np.repeat per batch)."""
-    from .pipelines.relational import upsample_groups
-
-    out = upsample_groups(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]),
-        "lang", UP_FACTORS).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["rep"] = out["rep"].astype(np.int64)
-    return out.sort_values(["doc_id", "rep"]).reset_index(drop=True)[
-        ["doc_id", "lang", "rep"]]
-
-
-def _mix_case() -> str:
-    ks = {g: int(np.floor(MIX_TOTAL * s)) for g, s in MIX_SHARES.items()}
-    whens = " ".join(f"WHEN '{g}' THEN {k}" for g, k in ks.items())
-    return f"CASE lang {whens} ELSE 0 END"
-
-
-MIXING_SQL = {
-    "sample_mix": f"""WITH r AS (
-  SELECT lang, doc_id,
-    row_number() OVER (PARTITION BY lang
-      ORDER BY (doc_id * 2654435761) % 4294967296, doc_id) AS rn
-  FROM documents)
-SELECT lang, doc_id FROM r WHERE rn <= {_mix_case()}
-ORDER BY lang, doc_id""",
-    "upsample_mix": """SELECT doc_id, lang, rep FROM (
-  SELECT doc_id, lang,
-    unnest(generate_series(0,
-      CASE lang WHEN 'en' THEN 2 WHEN 'de' THEN 3 WHEN 'zh' THEN 0
-      ELSE 1 END - 1))::BIGINT AS rep
-  FROM documents) ORDER BY doc_id, rep""",
-}
-
-
-# ---------------------------------------------------------------------------
-# per-group exact quantiles (packing.grouped_quantiles)
-# ---------------------------------------------------------------------------
-
-GQ_QS = (0.25, 0.5, 0.9)
-
-
-def q_group_quantiles(sf_dir):
-    """Per-language n_chars percentiles: ONE sort exchange
-    (global_row_number over (lang, n_chars, doc_id)), a one-row-per-
-    group (count, min-rank) broadcast, and a vectorized rank-filter
-    pass — #groups x len(qs) rows reach the driver."""
-    from .pipelines.packing import grouped_quantiles
-
-    out = grouped_quantiles(
-        _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"]),
-        "lang", "n_chars", list(GQ_QS))
-    out["q"] = out["q"].astype(np.float64)
-    out["value"] = out["value"].astype(np.int64)
-    return out[["lang", "q", "value"]]
-
-
-GQ_SQL = {
-    "group_quantiles": f"""WITH r AS (
-  SELECT lang, n_chars,
-    (row_number() OVER (PARTITION BY lang ORDER BY n_chars, doc_id)
-     - 1)::BIGINT AS rk,
-    count(*) OVER (PARTITION BY lang) AS cnt
-  FROM documents),
-qs(q) AS (VALUES {", ".join(f"({q})" for q in GQ_QS)})
-SELECT lang, q::DOUBLE AS q, n_chars AS value
-FROM r JOIN qs ON r.rk = CAST(floor(q::DOUBLE * (cnt - 1)) AS BIGINT)
-ORDER BY lang, q""",
-}
-
-
-# ---------------------------------------------------------------------------
-# multi-level analytics / deterministic ordering (pipelines.analytics)
-# ---------------------------------------------------------------------------
-
-PIVOT_LANGS = ("de", "en", "es", "fr", "zh")
-WS_WEIGHTS = {"en": 0.05, "de": 0.2, "fr": 0.5, "es": 0.8, "zh": 1.0}
-NTILE_K = 8
-ZS_THRESH = 2.0
-
-
-def q_rollup(sf_dir):
-    """Multi-level ROLLUP(lang, source) coverage counts: one partial-
-    count pass, coarser levels derived driver-side from the finest
-    (group-cardinality-sized) aggregate."""
-    from .pipelines.analytics import rollup_counts
-
-    return rollup_counts(_docs(sf_dir), ["lang", "source"])
-
-
-def q_cube(sf_dir):
-    """Full CUBE(lang, source) counts from the same single-pass finest
-    aggregate as q_rollup."""
-    from .pipelines.analytics import rollup_counts
-
-    return rollup_counts(_docs(sf_dir), ["lang", "source"], cube=True)
-
-
-def q_pivot(sf_dir):
-    """Pivot: per-source counts, one int64 column per language (the
-    explicit IN-list, as in SQL PIVOT)."""
-    from .pipelines.analytics import pivot_counts
-
-    return pivot_counts(_docs(sf_dir), "source", "lang", list(PIVOT_LANGS))
-
-
-def q_ntile(sf_dir):
-    """NTILE(8) quality/curriculum tiers over (n_chars, doc_id): one
-    sort exchange + closed-form bucket assignment."""
-    from .pipelines.analytics import global_ntile
-
-    out = global_ntile(_docs(sf_dir), "n_chars", NTILE_K).to_pandas()
-    for c in ("doc_id", "n_chars", "tile"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "n_chars", "tile"]]
-
-
-def _events_vy(sf_dir):
-    """events projected to (event_type, value, ysec) with ysec =
-    epoch-us / 1e6 computed float64-elementwise exactly as the oracle's
-    epoch_us(ts)/1000000.0."""
-    import ray.data as rd
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        ys = pc.divide(pc.cast(pc.cast(t["ts"], pa.int64()), pa.float64()),
-                       1000000.0)
-        return pa.table({"event_type": t["event_type"],
-                         "value": t["value"], "ysec": ys})
-
-    return ev.map_batches(prep, batch_format="pyarrow")
-
-
-def q_corr_group(sf_dir):
-    """Per-event-type Pearson corr + sample covariance of (value,
-    event-time-seconds): centered two-pass sufficient statistics."""
-    from .pipelines.analytics import corr_by_group
-
-    out = corr_by_group(_events_vy(sf_dir), "event_type", "value", "ysec")
-    out = out.rename(columns={"corr": "corr_vy", "covar": "covar_vy"})
-    return out[["event_type", "n", "corr_vy", "covar_vy"]]
-
-
-def q_zscore(sf_dir):
-    """Per-event-type z-score outliers (|z| > 2) on value: broadcast
-    group stats, stateless vectorized filter pass."""
-    import ray.data as rd
-    from .pipelines.analytics import zscore_outliers
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "event_type", "value"])
-    out = zscore_outliers(ev, "event_type", "value", "event_id",
-                          ZS_THRESH).to_pandas()
-    out["event_id"] = out["event_id"].astype(np.int64)
-    out["z"] = out["z"].astype(np.float64)
-    return out.sort_values("event_id").reset_index(drop=True)[
-        ["event_id", "event_type", "z"]]
-
-
-def q_weighted_sample(sf_dir):
-    """Per-language weighted Bernoulli sampling under the engine's
-    deterministic Knuth hash (data-mixing downweighting)."""
-    from .pipelines.analytics import weighted_sample_hash
-
-    out = weighted_sample_hash(
-        _docs(sf_dir).select_columns(["doc_id", "lang"]),
-        "lang", WS_WEIGHTS).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "lang"]]
-
-
-def q_shuffle_det(sf_dir):
-    """Reproducible global training-data shuffle: rank under
-    (knuth_hash(doc_id), doc_id) via one global_row_number exchange."""
-    from .pipelines.analytics import deterministic_shuffle_order
-
-    out = deterministic_shuffle_order(_docs(sf_dir)).to_pandas()
-    for c in ("pos", "doc_id"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("pos").reset_index(drop=True)[["pos", "doc_id"]]
-
-
-def q_keep_latest(sf_dir):
-    """Dedup-by-recency: each user's most recent event (k=1
-    grouped_topk distributed merge)."""
-    import ray.data as rd
-    from .pipelines.relational import keep_latest
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_id", "ts"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({"user_id": t["user_id"], "event_id": t["event_id"],
-                         "ts_us": pc.cast(t["ts"], pa.int64())})
-
-    out = keep_latest(ev.map_batches(prep, batch_format="pyarrow"),
-                      "user_id", "ts_us", "event_id")
-    for c in ("user_id", "event_id", "ts_us"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("user_id").reset_index(drop=True)[
-        ["user_id", "event_id", "ts_us"]]
-
-
-def _pivot_cases() -> str:
-    return ", ".join(
-        f"sum(CASE WHEN lang='{v}' THEN 1 ELSE 0 END)::BIGINT AS cnt_{v}"
-        for v in PIVOT_LANGS)
-
-
-def _ws_case() -> str:
-    whens = " ".join(f"WHEN '{g}' THEN {int(w * 4294967296)}"
-                     for g, w in WS_WEIGHTS.items())
-    return f"CASE lang {whens} ELSE 0 END"
-
-
-ANALYTICS_SQL = {
-    "rollup": (
-        "SELECT COALESCE(lang, '<all>') AS lang, "
-        "COALESCE(source, '<all>') AS source, count(*)::BIGINT AS cnt "
-        "FROM documents GROUP BY ROLLUP(lang, source) "
-        "ORDER BY lang, source"
-    ),
-    "cube": (
-        "SELECT COALESCE(lang, '<all>') AS lang, "
-        "COALESCE(source, '<all>') AS source, count(*)::BIGINT AS cnt "
-        "FROM documents GROUP BY CUBE(lang, source) "
-        "ORDER BY lang, source"
-    ),
-    "pivot": (
-        f"SELECT source, {_pivot_cases()} FROM documents "
-        f"GROUP BY source ORDER BY source"
-    ),
-    "ntile": (
-        f"SELECT doc_id, n_chars, NTILE({NTILE_K}) OVER "
-        f"(ORDER BY n_chars, doc_id)::BIGINT AS tile "
-        f"FROM documents ORDER BY doc_id"
-    ),
-    "corr_group": (
-        "WITH e AS (SELECT event_type, value, "
-        "epoch_us(ts)/1000000.0 AS ysec FROM events) "
-        "SELECT event_type, count(*)::BIGINT AS n, "
-        "round(corr(value, ysec), 6) AS corr_vy, "
-        "round(covar_samp(value, ysec), 2) AS covar_vy "
-        "FROM e GROUP BY event_type ORDER BY event_type"
-    ),
-    "zscore": (
-        f"WITH s AS (SELECT event_type, avg(value) AS m, "
-        f"stddev_samp(value) AS sd FROM events GROUP BY event_type) "
-        f"SELECT e.event_id, e.event_type, "
-        f"round((e.value - s.m)/s.sd, 6) AS z "
-        f"FROM events e JOIN s USING (event_type) "
-        f"WHERE abs((e.value - s.m)/s.sd) > {ZS_THRESH} "
-        f"ORDER BY e.event_id"
-    ),
-    "weighted_sample": (
-        f"SELECT doc_id, lang FROM documents "
-        f"WHERE (doc_id * 2654435761) % 4294967296 < ({_ws_case()}) "
-        f"ORDER BY doc_id"
-    ),
-    "shuffle_det": (
-        "SELECT (row_number() OVER (ORDER BY "
-        "(doc_id * 2654435761) % 4294967296, doc_id) - 1)::BIGINT AS pos, "
-        "doc_id FROM documents ORDER BY pos"
-    ),
-    "keep_latest": (
-        "SELECT user_id, event_id, epoch_us(ts)::BIGINT AS ts_us FROM ("
-        "SELECT user_id, event_id, ts, row_number() OVER ("
-        "PARTITION BY user_id ORDER BY ts DESC, event_id) AS rn "
-        "FROM events) t WHERE rn = 1 ORDER BY user_id"
-    ),
-}
-
-
-# ---------------------------------------------------------------------------
-# split assignment + PMI collocations
-# ---------------------------------------------------------------------------
-
-SPLIT_SPEC = (("test", 0.1), ("val", 0.1), ("train", 0.8))
-PMI_MIN, PMI_TOP = 4, 50
-
-
-def q_split_assign(sf_dir):
-    """Deterministic train/val/test labels by Knuth-hash cutoffs —
-    membership is a pure function of doc_id (holdout stability)."""
-    from .pipelines.analytics import split_assign
-
-    out = split_assign(
-        _docs(sf_dir).select_columns(["doc_id"]), list(SPLIT_SPEC)
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "split"]]
-
-
-def q_pmi(sf_dir):
-    """Top-50 bigram collocations by PMI (count >= 4): two ngram_counts
-    exchanges + candidate-bounded driver finish."""
-    from .pipelines.textstats import pmi_collocations
-
-    out = pmi_collocations(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        min_count=PMI_MIN, top=PMI_TOP)
-    out["cnt"] = out["cnt"].astype(np.int64)
-    out["pmi"] = out["pmi"].astype(np.float64)
-    return out[["ngram", "cnt", "pmi"]]
-
-
-def _split_case() -> str:
-    cum = 0.0
-    whens = []
-    for label, frac in SPLIT_SPEC[:-1]:
-        cum += frac
-        whens.append(f"WHEN (doc_id * 2654435761) % 4294967296 < "
-                     f"{int(cum * 4294967296)} THEN '{label}'")
-    return ("CASE " + " ".join(whens)
-            + f" ELSE '{SPLIT_SPEC[-1][0]}' END")
-
-
-SPLIT_PMI_SQL = {
-    "split_assign": (
-        f"SELECT doc_id, {_split_case()} AS split "
-        f"FROM documents ORDER BY doc_id"
-    ),
-    # same [^a-z0-9]+ token convention as NGRAM_SQL; totals are
-    # pre-min_count sums, PMI in log space
-    "pmi": f"""WITH arr AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-                     x -> x <> '') AS a
-  FROM documents),
-ug AS (
-  SELECT unnest(a) AS w FROM arr),
-ugc AS (SELECT w, count(*)::BIGINT AS c FROM ug GROUP BY w),
-tu AS (SELECT sum(c)::DOUBLE AS t FROM ugc),
-bg AS (
-  SELECT unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i+1]))
-         AS ngram
-  FROM arr),
-bgc AS (SELECT ngram, count(*)::BIGINT AS cnt FROM bg GROUP BY ngram),
-tb AS (SELECT sum(cnt)::DOUBLE AS t FROM bgc),
-cand AS (
-  SELECT ngram, cnt, split_part(ngram, ' ', 1) AS w1,
-         split_part(ngram, ' ', 2) AS w2
-  FROM bgc WHERE cnt >= {PMI_MIN})
-SELECT cand.ngram, cand.cnt,
-       round(ln(cand.cnt) - ln(tb.t) + 2*ln(tu.t)
-             - ln(u1.c) - ln(u2.c), 6) AS pmi
-FROM cand, tb, tu
-JOIN ugc u1 ON cand.w1 = u1.w
-JOIN ugc u2 ON cand.w2 = u2.w
-ORDER BY pmi DESC, cand.ngram LIMIT {PMI_TOP}""",
-}
-
-
-# ---------------------------------------------------------------------------
-# funnel / retention / ordered concat / tf-idf keyword extraction
-# (round-5 late additions)
-# ---------------------------------------------------------------------------
-
-FUNNEL_STEPS = ["view", "click", "purchase"]
-TFIDF_K = 5
-
-
-def q_funnel(sf_dir):
-    """Ordered conversion funnel over the event stream (view → click →
-    purchase, each step strictly after the earliest completion of the
-    previous): per step, the number of users reaching it.  ONE
-    sort([user, ts]) exchange; interior user-runs collapse to a depth
-    histogram per block (`funnel._funnel_depth_counts`)."""
-    import ray.data as rd
-
-    from .pipelines.funnel import funnel_steps
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"],
-    )
-    return funnel_steps(ds, FUNNEL_STEPS)
-
-
-def q_retention(sf_dir):
-    """Cohort retention matrix: users cohorted by first active day;
-    per (cohort_day, day_offset) the distinct users active that many
-    days later.  ONE sort([user, day]) exchange, cohort×offset-sized
-    partials per block."""
-    import ray.data as rd
-
-    from .pipelines.funnel import retention_cohorts
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
-    return retention_cohorts(ds)
-
-
-def q_group_concat(sf_dir):
-    """Per-(lang, source) ordered id concatenation — distributed
-    string_agg(doc_id, ',' ORDER BY doc_id) + count; ONE sort
-    exchange, one partial row per (group, block) to the driver."""
-    from .pipelines.packing import ordered_group_concat
-
-    return ordered_group_concat(
-        _docs(sf_dir).select_columns(["lang", "source", "doc_id"]),
-        ["lang", "source"], "doc_id",
-    )
-
-
-def q_tfidf_top(sf_dir):
-    """Per-document top-5 TF-IDF terms (keyword extraction): map-only
-    (doc, term, tf) explode → groupby(term) df → equi_join(auto) →
-    grouped_topk distributed merge.  Ties (score desc, term asc)."""
-    from .pipelines.textstats import tfidf_top_terms
-
-    out = tfidf_top_terms(_docs(sf_dir), k=TFIDF_K)
-    out["score"] = _round(out["score"].to_numpy(np.float64), 6)
-    return out
-
-
-FUNNEL_SQL = {
-    "funnel": """WITH s1 AS (
-  SELECT user_id, min(ts) AS t FROM events
-  WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (
-  SELECT e.user_id, min(e.ts) AS t FROM events e
-  JOIN s1 ON e.user_id = s1.user_id
-  WHERE e.event_type = 'click' AND e.ts > s1.t GROUP BY e.user_id),
-s3 AS (
-  SELECT e.user_id, min(e.ts) AS t FROM events e
-  JOIN s2 ON e.user_id = s2.user_id
-  WHERE e.event_type = 'purchase' AND e.ts > s2.t GROUP BY e.user_id)
-SELECT * FROM (
-  SELECT 1 AS step, 'view' AS step_name, count(*)::BIGINT AS users FROM s1
-  UNION ALL
-  SELECT 2, 'click', count(*)::BIGINT FROM s2
-  UNION ALL
-  SELECT 3, 'purchase', count(*)::BIGINT FROM s3)
-ORDER BY step""",
-    "retention": """WITH ud AS (
-  SELECT DISTINCT user_id,
-         date_diff('day', DATE '1970-01-01', CAST(ts AS DATE)) AS d
-  FROM events),
-c AS (SELECT user_id, min(d) AS cd FROM ud GROUP BY user_id)
-SELECT c.cd AS cohort_day, ud.d - c.cd AS day_offset,
-       count(*)::BIGINT AS users
-FROM ud JOIN c ON ud.user_id = c.user_id
-GROUP BY 1, 2 ORDER BY 1, 2""",
-    "group_concat": """SELECT lang, source,
-  string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id) AS vals,
-  count(*)::BIGINT AS n
-FROM documents GROUP BY lang, source ORDER BY lang, source""",
-}
-
-TFIDF_SQL = {
-    # same [^a-z0-9]+ token convention as TOK_CTE; rank on the raw
-    # double (identical (tf, df) pairs tie exactly on both legs, the
-    # term ASC tiebreak resolves them), round only for the value hash
-    "tfidf_top": f"""WITH {TOK_CTE},
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf
-       FROM tok2 GROUP BY doc_id, term),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-nd AS (SELECT count(*)::DOUBLE AS c FROM documents),
-s AS (SELECT tf.doc_id, tf.term, tf.tf * ln(nd.c / df.df) AS score
-      FROM tf JOIN df USING (term), nd),
-r AS (SELECT s.*, row_number() OVER (
-        PARTITION BY doc_id ORDER BY score DESC, term) AS rn FROM s)
-SELECT doc_id, term, round(score, 6) AS score
-FROM r WHERE rn <= {TFIDF_K} ORDER BY doc_id, rn""",
-}
-
-
-# ---------------------------------------------------------------------------
-# graph rank / engagement / hybrid fusion (round 5 closing additions)
-# ---------------------------------------------------------------------------
-
-PR_NODES = 200       # node universe of the synthesized link graph
-PR_DAMPING = 0.85
-PR_ITERS = 5
-
-
-def _edges(sf_dir):
-    """Deterministic link graph from the events log: src = user bucket,
-    dst = a mixed user/event bucket — a reproducible directed graph
-    with hubs, dangling nodes and multi-edges (deduped downstream);
-    the oracle re-derives the identical edge set in SQL."""
-    import ray.data as rd
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_id"])
-
-    def mk(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        e = t["event_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(u % PR_NODES, pa.int64()),
-            "dst": pa.array((u * 31 + e) % PR_NODES, pa.int64()),
-        })
-
-    return ev.map_batches(mk, batch_format="pyarrow")
-
-
-def q_pagerank(sf_dir):
-    """5-iteration PageRank (d=0.85) over the deduped synthetic link
-    graph; dangling mass leaks (documented in pipelines/graph.py)."""
-    from .pipelines.graph import pagerank
-
-    out = pagerank(_edges(sf_dir), damping=PR_DAMPING, iters=PR_ITERS)
-    out["node"] = out["node"].astype(np.int64)
-    out["rank"] = np.round(out["rank"].astype(np.float64), 6)
-    return out.sort_values("node").reset_index(drop=True)
-
-
-AU_WINDOW = 7
-
-
-def q_active_users(sf_dir):
-    """Rolling 7-day distinct active users per observed day."""
-    import ray.data as rd
-
-    from .pipelines.windows import rolling_active_users
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-    return rolling_active_users(ev, window_days=AU_WINDOW)
-
-
-RRF_LEG_N = 60
-RRF_KK = 60
-RRF_TOP = 20
-
-
-def q_rrf_fusion(sf_dir):
-    """Hybrid search: RRF of the lexical BM25 leg (HOT+RARE should)
-    and the vector leg (cosine vs query vec_id=0).  Both legs rank on
-    6-decimal-rounded scores with id tiebreaks (the precision every
-    oracle already compares at) so leg rankings are bit-stable across
-    the two implementations; fusion itself is exact rational
-    arithmetic in float64."""
-    from .pipelines.fusion import rank_leg, rrf_fuse
-    from .pipelines.similarity import ann_topk_bruteforce
-
-    s = get_searcher(sf_dir)
-    docs, scores = s.engine.top_k(
-        Bool(should=(Term(HOT), Term(RARE))), max(2 * RRF_LEG_N, 128))
-    lex = rank_leg(
-        pd.DataFrame({"doc_id": np.asarray(docs, np.int64),
-                      "score": np.asarray(scores, np.float64)}),
-        "doc_id", "score", RRF_LEG_N)
-
-    qv, _ = _query_vecs(sf_dir)
-    ann = ann_topk_bruteforce(_emb(sf_dir), qv[:1], k=max(2 * RRF_LEG_N, 128))
-    ann = ann.rename(columns={"vec_id": "doc_id"})
-    vec = rank_leg(ann[["doc_id", "cosine"]], "doc_id", "cosine", RRF_LEG_N)
-
-    out = rrf_fuse([lex, vec], id_col="doc_id", k=RRF_KK, top_n=RRF_TOP)
-    out["rrf"] = np.round(out["rrf"].astype(np.float64), 6)
-    return out[["doc_id", "rrf"]]
-
-
-def _pagerank_sql() -> str:
-    d = PR_DAMPING
-    layers = [
-        "pr0 AS (SELECT node, 1.0/(SELECT n FROM nn) AS rank FROM nodes)"]
-    for i in range(1, PR_ITERS + 1):
-        layers.append(f"""pr{i} AS (
-  SELECT n.node,
-         (1-{d})/(SELECT n FROM nn)
-         + {d} * coalesce(sum(p.rank / dg.outdeg), 0) AS rank
-  FROM nodes n
-  LEFT JOIN e ON e.dst = n.node
-  LEFT JOIN pr{i-1} p ON p.node = e.src
-  LEFT JOIN deg dg ON dg.src = e.src
-  GROUP BY n.node)""")
-    return f"""WITH e AS (
-  SELECT DISTINCT user_id % {PR_NODES} AS src,
-         (user_id * 31 + event_id) % {PR_NODES} AS dst
-  FROM events),
-nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e),
-deg AS (SELECT src, count(*)::DOUBLE AS outdeg FROM e GROUP BY src),
-nn AS (SELECT count(*)::DOUBLE AS n FROM nodes),
-{", ".join(layers)}
-SELECT node::BIGINT AS node, round(rank, 6) AS rank
-FROM pr{PR_ITERS} ORDER BY node"""
-
-
-GRAPH_SQL = {
-    "pagerank": _pagerank_sql(),
-    "active_users": f"""WITH ud AS (
-  SELECT DISTINCT user_id,
-         epoch_us(ts) // {86_400_000_000} AS day
-  FROM events),
-days AS (SELECT DISTINCT day FROM ud)
-SELECT d.day, count(DISTINCT u.user_id)::BIGINT AS active_users
-FROM days d JOIN ud u ON u.day BETWEEN d.day - {AU_WINDOW - 1} AND d.day
-GROUP BY d.day ORDER BY d.day""",
-}
-
-
-def _rrf_sql() -> str:
-    return f"""WITH {BM25_CTE}, {_bm25_score_sql([HOT, RARE])},
-lex AS (
-  SELECT doc_id, r FROM (
-    SELECT doc_id, row_number() OVER (
-      ORDER BY round(score, 6) DESC, doc_id) AS r FROM sc)
-  WHERE r <= {RRF_LEG_N}),
-vec AS (
-  SELECT doc_id, r FROM (
-    SELECT e.vec_id AS doc_id, row_number() OVER (
-      ORDER BY round(list_cosine_similarity(
-        CAST(q.qe AS DOUBLE[]), CAST(e.embedding AS DOUBLE[])), 6) DESC,
-      e.vec_id) AS r
-    FROM embeddings e
-    CROSS JOIN (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0) q)
-  WHERE r <= {RRF_LEG_N}),
-fused AS (
-  SELECT coalesce(l.doc_id, v.doc_id) AS doc_id,
-         coalesce(1.0/({RRF_KK} + l.r), 0)
-         + coalesce(1.0/({RRF_KK} + v.r), 0) AS rrf
-  FROM lex l FULL OUTER JOIN vec v ON l.doc_id = v.doc_id)
-SELECT doc_id::BIGINT AS doc_id, round(rrf, 6) AS rrf FROM fused
-ORDER BY fused.rrf DESC, doc_id LIMIT {RRF_TOP}"""
-
-
-GRAPH_SQL["rrf_fusion"] = _rrf_sql()
-
-
-# ---------------------------------------------------------------------------
-# snapshot diff / JSON sidecar extraction (round 5 closing additions)
-# ---------------------------------------------------------------------------
-
-
-def _snapshots(sf_dir):
-    """Deterministic old/new corpus snapshots: new drops doc_id%10==0,
-    rewrites text for doc_id%7==0, and appends ten fresh docs — the
-    oracle re-derives the identical pair in SQL."""
-    import ray.data as rd
-
-    old = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                          columns=["doc_id", "text"])
-
-    def mutate(t: pa.Table) -> pa.Table:
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        keep = did % 10 != 0
-        txt = np.asarray(t["text"].to_pylist(), dtype=object)
-        chg = did % 7 == 0
-        txt = np.where(chg, np.char.add(txt.astype(str), " v2"), txt)
-        return pa.table({"doc_id": pa.array(did[keep], pa.int64()),
-                         "text": pa.array(txt[keep].astype(str))})
-
-    def fresh(t: pa.Table) -> pa.Table:
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        nw = did[did < 10]
-        return pa.table({
-            "doc_id": pa.array(nw + 100000, pa.int64()),
-            "text": pa.array([f"new doc {d}" for d in nw])})
-
-    new = old.map_batches(mutate, batch_format="pyarrow").union(
-        old.map_batches(fresh, batch_format="pyarrow"))
-    return old, new
-
-
-def q_snapshot_diff(sf_dir):
-    """Incremental-recrawl delta: added/removed/changed ids between two
-    corpus snapshots (unchanged drop)."""
-    from .pipelines.maintenance import snapshot_diff
-
-    old, new = _snapshots(sf_dir)
-    out = snapshot_diff(old, new).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def q_json_extract(sf_dir):
-    """Flat-JSON sidecar extraction + per-key rollup: pull int ``k``
-    out of events.props with one vectorized RE2 pass, then count +
-    mean(value) per k (Sum/Count partials — no raw rows shuffle)."""
-    import ray.data as rd
-
-    from .pipelines.cleaning import json_extract_int
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["props", "value"])
-    ex = json_extract_int(ev, "k", keep_cols=("value",))
-
-    from ray.data.aggregate import Count, Sum
-
-    drop_nulls = lambda t: t.filter(pc.is_valid(t["k"]))  # noqa: E731
-    agg = (ex.map_batches(drop_nulls, batch_format="pyarrow")
-           .groupby("k")
-           .aggregate(Count(alias_name="n_events"),
-                      Sum("value", alias_name="_sv"))
-           .to_pandas())
-    agg["avg_value"] = np.round(
-        agg["_sv"].to_numpy(np.float64) / agg["n_events"].to_numpy(np.float64), 6)
-    agg["k"] = agg["k"].astype(np.int64)
-    agg["n_events"] = agg["n_events"].astype(np.int64)
-    return (agg[["k", "n_events", "avg_value"]]
-            .sort_values("k").reset_index(drop=True))
-
-
-_SNAP_CTE = """old AS (SELECT doc_id, text FROM documents),
-new AS (
-  SELECT doc_id,
-         CASE WHEN doc_id % 7 = 0 THEN text || ' v2' ELSE text END AS text
-  FROM documents WHERE doc_id % 10 <> 0
-  UNION ALL
-  SELECT doc_id + 100000, 'new doc ' || doc_id::VARCHAR
-  FROM documents WHERE doc_id < 10)"""
-
-DIFF_SQL = {
-    "snapshot_diff": f"""WITH {_SNAP_CTE}
-SELECT coalesce(o.doc_id, n.doc_id)::BIGINT AS doc_id,
-       CASE WHEN o.doc_id IS NULL THEN 'added'
-            WHEN n.doc_id IS NULL THEN 'removed'
-            ELSE 'changed' END AS status
-FROM old o FULL OUTER JOIN new n ON o.doc_id = n.doc_id
-WHERE o.doc_id IS NULL OR n.doc_id IS NULL OR o.text <> n.text
-ORDER BY doc_id""",
-    "json_extract": """SELECT
-  CAST(regexp_extract(props, '"k"\\s*:\\s*(-?\\d+)', 1) AS BIGINT) AS k,
-  count(*)::BIGINT AS n_events,
-  round(sum(value) / count(*), 6) AS avg_value
-FROM events
-WHERE regexp_extract(props, '"k"\\s*:\\s*(-?\\d+)', 1) <> ''
-GROUP BY 1 ORDER BY 1""",
-}
-
-
-# ---------------------------------------------------------------------------
-# composed curation pipeline (flagship chain of verified operators)
-# ---------------------------------------------------------------------------
-
-CURATE_QTH = 0.9
-
-
-def q_curate(sf_dir):
-    """End-to-end corpus curation — the chain a real training-data run
-    executes, each stage an already-oracle-verified operator:
-
-    1. quality gate ≥ 0.9 (`textstats.quality_filter`, shuffle-free);
-    2. train split (doc_id % 23 ≠ 0; the % 23 == 0 docs are the eval
-       set, taken from the FULL corpus — the eval benchmark is
-       external and is not quality-filtered);
-    3. exact dedup among the gated train docs (`dedup.
-       drop_exact_duplicates`: hash-only shuffle, min-id keeper);
-    4. 3-gram decontamination of the keepers against the eval set
-       (`contamination.decontaminate`, broadcast eval hashes).
-
-    Output: surviving (doc_id, lang)."""
-    from .pipelines.contamination import decontaminate
-    from .pipelines.dedup import drop_exact_duplicates
-    from .pipelines.textstats import quality_filter
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "text", "lang"])
-    ev = _mod_split(docs, True)
-    train = _mod_split(quality_filter(docs, CURATE_QTH), False)
-    kept = drop_exact_duplicates(train)
-    out = decontaminate(kept, ev, n=3).to_pandas()
-    if out.empty:  # fully-contaminated corpora yield a schema-less frame
-        return pd.DataFrame({"doc_id": np.array([], np.int64),
-                             "lang": np.array([], str)})
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "lang"]]
-
-
-_Q_EXPR = """1.0 / (1.0 + exp(-(length(text) / 100.0
-  - (length(regexp_replace(text, '[a-zA-Z0-9 ]', '', 'g')) / greatest(length(text), 1)::DOUBLE) * 5
-  - (length(regexp_replace(text, '[^0-9]', '', 'g')) / greatest(length(text), 1)::DOUBLE) * 5)))"""
-
-_TOKS_EXPR = ("list_filter(regexp_split_to_array(lower(text), '\\s+'), "
-              "x -> x <> '')")
-
-CURATE_SQL = {
-    "curate": f"""WITH q AS (
-  SELECT doc_id, text, lang FROM documents WHERE {_Q_EXPR} >= {CURATE_QTH}
-),
-tr AS (SELECT * FROM q WHERE doc_id % 23 <> 0),
-k AS (SELECT min(doc_id) AS doc_id FROM tr GROUP BY text),
-kd AS (SELECT tr.* FROM tr JOIN k USING (doc_id)),
-dt AS (SELECT doc_id, {_TOKS_EXPR} AS toks FROM kd),
-de AS (SELECT doc_id, {_TOKS_EXPR} AS toks FROM documents
-       WHERE doc_id % 23 = 0),
-shk AS (
-  SELECT DISTINCT doc_id, array_to_string(toks[i:i+2], ' ') AS shingle
-  FROM dt, LATERAL (SELECT unnest(range(1, greatest(len(toks)-2, 1)+1)) AS i) g
-  WHERE len(toks) >= 1),
-she AS (
-  SELECT DISTINCT array_to_string(toks[i:i+2], ' ') AS shingle
-  FROM de, LATERAL (SELECT unnest(range(1, greatest(len(toks)-2, 1)+1)) AS i) g
-  WHERE len(toks) >= 1),
-hits AS (SELECT DISTINCT s.doc_id FROM shk s JOIN she USING (shingle))
-SELECT doc_id, lang FROM kd
-WHERE doc_id NOT IN (SELECT doc_id FROM hits) ORDER BY doc_id""",
-}
-
-
-PPR_SEED_MOD = 17
-
-
-def q_ppr(sf_dir):
-    """Personalized PageRank: teleport restricted to the seed set
-    (node % 17 == 0) — random-walk-with-restart relevance to the
-    seeds, same deduped link graph as `pagerank`."""
-    from .pipelines.graph import pagerank
-
-    seeds = np.arange(0, PR_NODES, PPR_SEED_MOD, dtype=np.int64)
-    out = pagerank(_edges(sf_dir), damping=PR_DAMPING, iters=PR_ITERS,
-                   seeds=seeds)
-    out["node"] = out["node"].astype(np.int64)
-    out["rank"] = np.round(out["rank"].astype(np.float64), 6)
-    return out.sort_values("node").reset_index(drop=True)
-
-
-def _ppr_sql() -> str:
-    d = PR_DAMPING
-    tele = (f"CASE WHEN n.node % {PPR_SEED_MOD} = 0 "
-            f"THEN 1.0/(SELECT n FROM ns) ELSE 0 END")
-    layers = [
-        f"pr0 AS (SELECT node, CASE WHEN node % {PPR_SEED_MOD} = 0 "
-        f"THEN 1.0/(SELECT n FROM ns) ELSE 0 END AS rank FROM nodes)"]
-    for i in range(1, PR_ITERS + 1):
-        layers.append(f"""pr{i} AS (
-  SELECT n.node,
-         (1-{d}) * {tele}
-         + {d} * coalesce(sum(p.rank / dg.outdeg), 0) AS rank
-  FROM nodes n
-  LEFT JOIN e ON e.dst = n.node
-  LEFT JOIN pr{i-1} p ON p.node = e.src
-  LEFT JOIN deg dg ON dg.src = e.src
-  GROUP BY n.node)""")
-    return f"""WITH e AS (
-  SELECT DISTINCT user_id % {PR_NODES} AS src,
-         (user_id * 31 + event_id) % {PR_NODES} AS dst
-  FROM events),
-nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e),
-deg AS (SELECT src, count(*)::DOUBLE AS outdeg FROM e GROUP BY src),
-ns AS (SELECT count(*)::DOUBLE AS n FROM nodes
-       WHERE node % {PPR_SEED_MOD} = 0),
-{", ".join(layers)}
-SELECT node::BIGINT AS node, round(rank, 6) AS rank
-FROM pr{PR_ITERS} ORDER BY node"""
-
-
-GRAPH_SQL["ppr"] = _ppr_sql()
-
-
-def q_components(sf_dir):
-    """Weakly-connected components of the link graph (min-id labels)."""
-    from .pipelines.graph import connected_components
-
-    out = connected_components(_edges(sf_dir))
-    out["node"] = out["node"].astype(np.int64)
-    out["component_id"] = out["component_id"].astype(np.int64)
-    return out.sort_values("node").reset_index(drop=True)
-
-
-def q_degree_stats(sf_dir):
-    """Per-node out/in degree audit over the deduped link graph."""
-    from .pipelines.graph import degree_stats
-
-    return degree_stats(_edges(sf_dir))
-
-
-_EDGE_CTE = f"""p AS (
-  SELECT DISTINCT user_id % {PR_NODES} AS src,
-         (user_id * 31 + event_id) % {PR_NODES} AS dst
-  FROM events)"""
-
-GRAPH_SQL["components"] = f"""WITH RECURSIVE {_EDGE_CTE},
-e AS (SELECT src AS a, dst AS b FROM p UNION SELECT dst, src FROM p
-      UNION SELECT src, src FROM p UNION SELECT dst, dst FROM p),
-reach(a, b) AS (SELECT a, b FROM e
-  UNION SELECT r.a, e2.b FROM reach r JOIN e e2 ON r.b = e2.a)
-SELECT a::BIGINT AS node, min(b)::BIGINT AS component_id
-FROM reach GROUP BY a ORDER BY a"""
-
-GRAPH_SQL["degree_stats"] = f"""WITH {_EDGE_CTE},
-od AS (SELECT src AS node, count(*)::BIGINT AS out_deg FROM p GROUP BY src),
-idg AS (SELECT dst AS node, count(*)::BIGINT AS in_deg FROM p GROUP BY dst),
-n AS (SELECT node FROM od UNION SELECT node FROM idg)
-SELECT n.node::BIGINT AS node, coalesce(od.out_deg, 0)::BIGINT AS out_deg,
-       coalesce(idg.in_deg, 0)::BIGINT AS in_deg
-FROM n LEFT JOIN od USING (node) LEFT JOIN idg USING (node)
-ORDER BY n.node"""
+def all_queries() -> dict:
+    return {
+        "term_stats": q_term_stats,
+        "doc_freq_top": q_doc_freq_top,
+        "corpus_stats": q_corpus_stats,
+        "bm25_rare": q_bm25_rare,
+        "bm25_hot": q_bm25_hot,
+        "bm25_fields": q_bm25_fields,
+        "bm25_or": q_bm25_or,
+        "bm25_and": q_bm25_and,
+        "bm25_msm2": q_bm25_msm2,
+        "bm25_dismax": q_bm25_dismax,
+        "bm25_filter_lang": q_bm25_filter_lang,
+        "bm25_prior": q_bm25_prior,
+        "prefix_docs": q_prefix_docs,
+        "bm25_coalesce": q_bm25_coalesce,
+        "topk_paged": q_topk_paged,
+        "bm25_sort2": q_bm25_sort2,
+        "bm25_geo_sort": q_bm25_geo_sort,
+        "force_merge": q_force_merge,
+        "bm25_fuzzy": q_bm25_fuzzy,
+        "bm25_range": q_bm25_range,
+        "bm25_box": q_bm25_box,
+        "mass_eval": q_mass_eval,
+        "distinct_first": q_distinct_first,
+        "join_agg": q_join_agg,
+        "group_stats": q_group_stats,
+        "delete_by_query": q_delete_by_query,
+        "paged_scroll": q_paged_scroll,
+    }
+
+
+def all_oracle_sql() -> dict:
+    return dict(ORACLE_SQL)

@@ -33,8 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (_cached_hash64, _join_partitions, _shingles,
-                    _stable_hash64)
+from .dedup import _cached_hash64, _shingles, _stable_hash64
+from .relational import _join_partitions
 
 
 def _batch_doc_shingles(t: pa.Table, text_col: str, id_col: str,

@@ -30,6 +30,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .relational import _join_partitions
+
 _MERSENNE = np.uint64((1 << 61) - 1)
 _FNV = np.uint64(1099511628211)
 
@@ -46,22 +48,6 @@ _WS_RE = re.compile(r"[\t\n\f\r ]+")
 # misses are hashed per batch (still one vectorized `_stable_hash64`
 # call) and simply not remembered.
 _CACHE_CAP = 1 << 20
-
-
-def _join_partitions(requested: int | None = None) -> int:
-    """Hash-shuffle partition count for ``Dataset.join``: the join spins
-    up one aggregator actor per partition, so demanding 32 on a 4-CPU
-    session starves the pool (measured: a toy join crawls for minutes).
-    Default = the session's CPU count, clamped to [2, 32]."""
-    if requested is not None:
-        return requested
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(32, cpus))
 
 
 def _cached_hash64(cache: dict[str, int], strings: list[str]) -> np.ndarray:

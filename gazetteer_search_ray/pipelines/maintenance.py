@@ -31,9 +31,7 @@ from ..state import manifest as mf
 
 
 def _segment_dirs(index_dir: str) -> list[str]:
-    man = mf.read_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(index_dir)
+    man = mf.read_checked_manifest(index_dir)
     if "segments" in man:
         return [os.path.join(index_dir, s) for s in man["segments"]]
     return [index_dir]
@@ -50,9 +48,9 @@ def backfill_column(index_dir: str, values: dict[int, object], column: str,
     replaced atomically so a crashed backfill resumes safely.  Returns
     rows touched.
     """
-    import numpy as np
     import ray
 
+    segs = _segment_dirs(index_dir)
     keys = np.array(sorted(values), dtype=np.int64)
     # one array holding mapped values PLUS the default in its last slot:
     # Arrow infers a single unified type for all of them, and a value
@@ -80,7 +78,7 @@ def backfill_column(index_dir: str, values: dict[int, object], column: str,
         return t.num_rows
 
     futs = []
-    for seg in _segment_dirs(index_dir):
+    for seg in segs:
         dmdir = os.path.join(seg, "docmeta")
         for fname in sorted(os.listdir(dmdir)):
             if fname.endswith(".parquet"):
@@ -112,9 +110,7 @@ def update_index(index_dir: str, ds, score_builder=None,
     from ..functions.analyzer import AnalyzerConfig
     from .build_index import BuildOptions, build_index
 
-    man = mf.read_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no committed index at {index_dir}")
+    man = mf.read_checked_manifest(index_dir)
 
     ids = np.unique(
         np.concatenate(
@@ -204,6 +200,7 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
     """
     import ray
 
+    segs = _segment_dirs(index_dir)
     drop_init = np.array(sorted({int(d) for d in (doc_ids or [])}), dtype=np.int64)
     drop_ref = ray.put(drop_init)
 
@@ -228,7 +225,7 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
         )
 
     dm_futs = []
-    for seg in _segment_dirs(index_dir):
+    for seg in segs:
         dmdir = os.path.join(seg, "docmeta")
         for fname in sorted(os.listdir(dmdir)):
             if fname.endswith(".parquet"):
@@ -285,7 +282,7 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
         return out.num_rows
 
     p_futs = []
-    for seg in _segment_dirs(index_dir):
+    for seg in segs:
         pdir = os.path.join(seg, "postings")
         for fname in sorted(os.listdir(pdir)):
             if fname.endswith(".parquet"):
@@ -300,52 +297,6 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
     man["import_counter"] = int(man.get("import_counter", 0)) + 1
     mf.write_manifest(index_dir, man)
     return man
-
-
-def snapshot_diff(old, new, id_col: str = "doc_id",
-                  content_col: str = "text"):
-    """Corpus snapshot diff: classify every id as ``added`` (only in
-    new), ``removed`` (only in old), or ``changed`` (both, content
-    differs) — the incremental-recrawl audit (unchanged ids drop).
-    The reference's re-import drops a whole region and re-adds it
-    (``AddressesImporter.java:98-108``); this computes the precise
-    delta instead so only changed docs need re-indexing.
-
-    Scale shape: each side reduces to ``(id, content-hash)`` inside
-    ``map_batches`` (md5-64 via the dedup family's vectorized hasher —
-    the text itself never crosses the exchange), then ONE full-outer
-    hash-join on id and a vectorized status classification.  Output is
-    delta-sized.
-    """
-    from .dedup import _stable_hash64
-    from .relational import equi_join
-
-    def hashes(col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            txt = t[content_col].to_pylist()
-            h = _stable_hash64([s if s is not None else "" for s in txt])
-            return pa.table({id_col: pc.cast(t[id_col], pa.int64()),
-                             col: pa.array(h.astype(np.int64))})
-        return fn
-
-    oh = old.map_batches(hashes("_ho"), batch_format="pyarrow")
-    nh = new.map_batches(hashes("_hn"), batch_format="pyarrow")
-    j = equi_join(oh, nh, on=id_col, how="full_outer", strategy="shuffle")
-
-    def classify(t: pa.Table) -> pa.Table:
-        ho = t["_ho"].to_numpy(zero_copy_only=False).astype(np.float64)
-        hn = t["_hn"].to_numpy(zero_copy_only=False).astype(np.float64)
-        miss_o = np.isnan(ho)
-        miss_n = np.isnan(hn)
-        status = np.where(miss_o, "added",
-                          np.where(miss_n, "removed",
-                                   np.where(ho != hn, "changed", "same")))
-        keep = status != "same"
-        return pa.table({id_col: pc.cast(t[id_col], pa.int64())
-                         .filter(pa.array(keep)),
-                         "status": pa.array(status[keep])})
-
-    return j.map_batches(classify, batch_format="pyarrow")
 
 
 def force_merge(index_dir: str, sort_partitions: int | None = None,
@@ -368,8 +319,9 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
 
     Crash-safe: the new ``merged-<gen>`` directory is built complete,
     the top manifest re-commit (temp+rename) is the atomic cut-over,
-    and only then are the old segment dirs removed; stray ``merged-*``
-    dirs from a crashed merge are cleaned at entry.  n_docs /
+    and only then are the old segment dirs removed; unlisted ``merged-*``
+    / ``upd-*`` dirs and unlisted root segment data left by a crash are
+    swept at entry.  n_docs /
     total_tokens / per-field avgdl are unchanged (no rows added or
     dropped), ``import_counter`` bumps (M16 generation semantics).
 
@@ -392,13 +344,16 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
         varbyte_rows,
     )
 
-    man = mf.read_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no committed index at {index_dir}")
+    man = mf.read_checked_manifest(index_dir)
+    # sweep what a crash left behind: segment dirs the manifest does not
+    # list, and the root segment's data once "." is no longer listed
     committed = set(man.get("segments") or ["."])
-    for name in sorted(os.listdir(index_dir)):
-        if name.startswith("merged-") and name not in committed:
-            shutil.rmtree(os.path.join(index_dir, name))  # crashed merge
+    stray = [n for n in os.listdir(index_dir)
+             if n.startswith(("merged-", "upd-")) and n not in committed]
+    if "." not in committed:
+        stray += ["postings", "docmeta"]
+    for name in stray:
+        shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
     segs = _segment_dirs(index_dir)
     if len(segs) <= 1:
         return man  # already one segment — no-op

@@ -9,7 +9,7 @@ transforms with explicit shuffle keys:
   ``by_name_agg_index=0`` (``builders/DistinctNameFilter.java``); the
   deterministic re-expression is groupby(key) → min(order_col).
 * :func:`name_agg_index` — the full M15 counter (0..n-1 per group) via
-  ``map_groups`` cumcount in doc_id order.
+  a sorted-run cumcount in doc_id order.
 * :func:`join_aggregate_counts` — G2 street-usage backfill
   (``imp/addr/UpdateStreetsUsage.java:47-132``): the reference scrolls
   every street and issues per-row count searches; here it is ONE
@@ -22,6 +22,8 @@ transforms with explicit shuffle keys:
   anti-filter as a vectorized predicate.
 * :func:`paged_scroll` — S8 ``search_after``-keyed pagination
   (``imp/PagedScroll.java:40-87``).
+* :func:`substring_overlap_flag`, :func:`expand_refs`,
+  :func:`parse_first_number` — the M10 / M11 / M8 per-row import maps.
 """
 
 from __future__ import annotations
@@ -31,7 +33,21 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _join_partitions
+
+def _join_partitions(requested: int | None = None) -> int:
+    """Hash-shuffle partition count for ``Dataset.join``: the join spins
+    up one aggregator actor per partition, so demanding 32 on a 4-CPU
+    session starves the pool (measured: a toy join crawls for minutes).
+    Default = the session's CPU count, clamped to [2, 32]."""
+    if requested is not None:
+        return requested
+    try:
+        import ray
+
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        cpus = 8
+    return max(2, min(32, cpus))
 
 
 def distinct_first_by_key(ds, keys: list[str], order_col: str = "doc_id"):
@@ -55,7 +71,7 @@ def name_agg_index(ds, keys: list[str], order_col: str = "doc_id",
     small driver-side rebase (the postings-merge boundary pattern,
     ``stages/postings.py:78-128``).  Replaces the per-group pandas
     ``map_groups`` callback (~10 ms/group measured, fatal at 10^4+
-    groups — ``dedup.py`` finding).  Boundary volume is
+    groups).  Boundary volume is
     O(#blocks × straddling-group size): a single hot key spanning many
     blocks degrades to a driver-side cumcount of that key only.
     """

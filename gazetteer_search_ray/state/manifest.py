@@ -51,6 +51,22 @@ def read_manifest(index_dir: str) -> dict | None:
         return json.load(f)
 
 
+def read_checked_manifest(index_dir: str) -> dict:
+    """The committed manifest, refused unless its postings format is
+    this build's ``FORMAT_VERSION``: readers would misdecode an older
+    payload, and a maintenance job would re-stamp it as current."""
+    man = read_manifest(index_dir)
+    if man is None:
+        raise FileNotFoundError(f"no committed index at {index_dir}")
+    ver = int(man.get("format_version", 1))
+    if ver != FORMAT_VERSION:
+        raise ValueError(
+            f"index at {index_dir} has postings format v{ver}; this "
+            f"build requires v{FORMAT_VERSION} — rebuild the index"
+        )
+    return man
+
+
 def write_manifest(index_dir: str, manifest: dict) -> None:
     manifest = {"format_version": FORMAT_VERSION, **manifest}
     atomic_write_json(manifest_path(index_dir), manifest)

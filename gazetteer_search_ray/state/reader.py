@@ -60,15 +60,7 @@ class IndexReader:
         n_docs/avgdl still come from the manifest, and per-term global
         df is injected by the coordinator — see
         ``pipelines/search.py::ShardedQueryService``)."""
-        man = mf.read_manifest(index_dir)
-        if man is None:
-            raise FileNotFoundError(f"no committed index at {index_dir}")
-        ver = int(man.get("format_version", 1))
-        if ver != mf.FORMAT_VERSION:
-            raise ValueError(
-                f"index at {index_dir} has postings format v{ver}; this "
-                f"reader requires v{mf.FORMAT_VERSION} — rebuild the index"
-            )
+        man = mf.read_checked_manifest(index_dir)
         self.manifest = man
         self.n_docs = int(man["n_docs"])
         self.avgdl = float(man["avgdl"])

@@ -118,26 +118,6 @@ def test_asof_clashing_columns_rejected(ray_session):
         asof_join(left, right, key_col="k", on_col="t")
 
 
-def test_asof_driver_query_matches_oracle(ray_session, sf_dir):
-    import duckdb
-
-    from gazetteer_search_ray.driver_queries import (
-        WINDOW_SQL,
-        q_events_asof,
-    )
-
-    got = q_events_asof(sf_dir)
-    con = duckdb.connect()
-    con.execute(
-        "CREATE VIEW events AS SELECT * FROM "
-        f"read_parquet('{sf_dir}/events.parquet')"
-    )
-    want = con.execute(WINDOW_SQL["events_asof"]).df()
-    got = got.reset_index(drop=True)
-    want = want.reset_index(drop=True)[got.columns]
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
 def test_asof_right_tiebreak_resolves_duplicates(ray_session):
     """Duplicate (key, on) right rows: right_tiebreak folds the
     groupby(key, on).max(payload) pre-reduce into the join's one sort

@@ -1,8 +1,7 @@
 """Cleaning operators: PII scan/redact + boilerplate line removal.
 
 Differential oracle: DuckDB shares the RE2 regex engine with pyarrow,
-so the SQL expressions the driver contract uses (CLEANING_SQL) must
-match the Ray pipelines byte-for-byte on arbitrary text.
+so the SQL expressions these tests run must match the Ray pipelines byte-for-byte on arbitrary text.
 """
 import duckdb
 import numpy as np
@@ -120,22 +119,6 @@ ORDER BY d.doc_id
     assert got["text"].tolist() == [r[1] for r in want]
 
 
-def test_cleaning_registry_entries_present():
-    from gazetteer_search_ray.driver_queries import (
-        all_oracle_sql,
-        all_queries,
-    )
-
-    qs = all_queries()
-    sql = all_oracle_sql()
-    names = ["pii_scan", "pii_redact", "boilerplate", "boilerplate_drop"]
-    first50 = list(qs)[:50]
-    for n in names:
-        assert n in qs and n in sql
-        assert n in first50  # driver records exactly 50 rows
-    assert set(qs) == set(sql)  # every pipeline is oracle-backed
-
-
 URL_TEXTS = [
     "see https://example.com/a?b=1 and http://sub.test.org/path.",
     "visit https://Blocked.EVIL.net/x then https://ok.io",
@@ -204,20 +187,6 @@ def test_json_extract_int(ray_session):
     out = out.sort_values("event_id").reset_index(drop=True)
     assert out["k"].tolist()[:2] == [7, -3]
     assert out["k"].isna().tolist() == [False, False, True, True]
-
-
-def test_snapshot_diff(ray_session):
-    import ray.data as rd
-
-    from gazetteer_search_ray.pipelines.maintenance import snapshot_diff
-
-    old = pd.DataFrame({"doc_id": [1, 2, 3, 4], "text": ["a", "b", "c", "d"]})
-    new = pd.DataFrame({"doc_id": [2, 3, 5], "text": ["b", "CHANGED", "e"]})
-    out = (snapshot_diff(rd.from_pandas(old).repartition(2),
-                         rd.from_pandas(new).repartition(2))
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert list(zip(out["doc_id"], out["status"])) == [
-        (1, "removed"), (3, "changed"), (4, "removed"), (5, "added")]
 
 
 def test_normalize_text_matches_duckdb(ray_session):

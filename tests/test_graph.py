@@ -1,4 +1,4 @@
-"""PageRank, rolling active users, and RRF fusion vs brute force."""
+"""PageRank and RRF fusion vs brute force."""
 
 import numpy as np
 import pandas as pd
@@ -8,7 +8,6 @@ import ray.data as rd
 
 from gazetteer_search_ray.pipelines.fusion import rank_leg, rrf_fuse
 from gazetteer_search_ray.pipelines.graph import pagerank
-from gazetteer_search_ray.pipelines.windows import rolling_active_users
 
 
 def _brute_pagerank(edges: list[tuple[int, int]], d=0.85, iters=5):
@@ -62,26 +61,6 @@ def test_pagerank_dangling_and_hub(ray_session):
             1: (1 - d) / n + d * (1 / n + 1 / n)}
     for _, row in got.iterrows():
         assert row["rank"] == pytest.approx(want[int(row["node"])])
-
-
-def test_rolling_active_users_matches_brute(ray_session):
-    rng = np.random.default_rng(3)
-    n = 400
-    users = rng.integers(0, 25, n)
-    days = rng.integers(100, 130, n)
-    ts = days.astype("int64") * 86_400_000_000 + rng.integers(
-        0, 86_400_000_000, n)
-    df = pd.DataFrame({"user_id": users.astype(np.int64),
-                       "ts": pd.to_datetime(ts, unit="us")})
-    got = rolling_active_users(rd.from_pandas(df).repartition(6),
-                               window_days=7)
-    obs = np.unique(days)
-    want = []
-    for day in obs:
-        m = (days >= day - 6) & (days <= day)
-        want.append((day, len(np.unique(users[m]))))
-    want = pd.DataFrame(want, columns=["day", "active_users"]).astype(np.int64)
-    pd.testing.assert_frame_equal(got, want)
 
 
 def test_rrf_fuse_basic():

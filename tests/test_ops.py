@@ -1,5 +1,5 @@
 """Training-data operators: dedup family, similarity search, text
-analysis, relational/maintenance jobs, multimodal plumbing."""
+analysis, relational/maintenance jobs."""
 
 import numpy as np
 import pandas as pd
@@ -248,32 +248,6 @@ def test_name_agg_index_cumcount(ray_session):
     assert out.loc[3, "by_name_agg_index"] == 0
     assert out.loc[5, "by_name_agg_index"] == 1
     assert out.loc[7, "by_name_agg_index"] == 0
-
-
-def test_multimodal_plumbing(ray_session):
-    import ray.data as rd
-
-    from gazetteer_search_ray.pipelines.multimodal import (
-        DecodeImage,
-        decode_images,
-        make_fake_image_table,
-        sample_frames,
-    )
-
-    t = make_fake_image_table(12)
-    ds = rd.from_arrow(t)
-    feats = decode_images(ds, fake=True, feature_dim=8).to_pandas()
-    assert len(feats) == 12
-    assert all(len(f) == 8 for f in feats["feature"])
-    # deterministic: same payload → same features
-    f2 = decode_images(rd.from_arrow(t), fake=True, feature_dim=8).to_pandas()
-    assert [list(f) for f in feats["feature"]] == [list(f) for f in f2["feature"]]
-    # real decoder is stubbed
-    with pytest.raises(NotImplementedError):
-        DecodeImage(fake=False)._decode(b"xx", {})
-    frames = sample_frames(ds).to_pandas()
-    assert len(frames) > 12
-    assert set(frames.columns) == {"item_id", "frame_idx", "frame"}
 
 
 def test_ann_ivf_recall(ray_session):

@@ -1,8 +1,8 @@
 """Differential tests for the round-4 scale-shape reworks: distributed
-grouped-topk merge, sort-exchange session windows, distributed
-union-find, and the decontamination semi-join fallback — each checked
-against its driver-side / brute-force twin on inputs that force both
-the interior-run and boundary-run paths."""
+grouped-topk merge, distributed union-find, and the decontamination
+semi-join fallback — each checked against its driver-side /
+brute-force twin on inputs that force both the interior-run and
+boundary-run paths."""
 
 from __future__ import annotations
 
@@ -87,68 +87,6 @@ def test_stratified_sample_many_groups(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, want)
-
-
-# ---------------------------------------------------------------------------
-# session windows (sort-exchange kernel)
-# ---------------------------------------------------------------------------
-
-
-def _brute_sessions(df, gap, key_col="user_id", ts_col="ts"):
-    rows = []
-    for k, g in df.groupby(key_col):
-        ts = np.sort(g[ts_col].to_numpy().astype("datetime64[s]")
-                     .astype(np.int64))
-        new = np.ones(ts.size, dtype=bool)
-        new[1:] = (ts[1:] - ts[:-1]) > gap
-        heads = np.flatnonzero(new)
-        ends = np.concatenate((heads[1:], [ts.size]))
-        for s, e in zip(heads, ends):
-            rows.append((k, ts[s], ts[e - 1], e - s))
-    return (
-        pd.DataFrame(rows, columns=[key_col, "session_start",
-                                    "session_end", "n_events"])
-        .sort_values([key_col, "session_start"])
-        .reset_index(drop=True)
-    )
-
-
-def test_session_windows_many_keys(ray_session):
-    from gazetteer_search_ray.pipelines.windows import session_windows
-
-    rng = np.random.default_rng(6)
-    n = 30_000
-    base = np.datetime64("2024-01-01T00:00:00")
-    df = pd.DataFrame({
-        "user_id": rng.integers(0, 5000, n).astype(np.int64),
-        "ts": base + rng.integers(0, 200_000, n).astype("timedelta64[s]"),
-    })
-    got = (
-        session_windows(_ds(df, 11), 1800).to_pandas()
-        .astype({"user_id": np.int64, "session_start": np.int64,
-                 "session_end": np.int64, "n_events": np.int64})
-        .sort_values(["user_id", "session_start"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, _brute_sessions(df, 1800))
-
-
-def test_session_windows_single_key_spanning_blocks(ray_session):
-    """One hot key across every partition: the all-boundary path."""
-    from gazetteer_search_ray.pipelines.windows import session_windows
-
-    base = np.datetime64("2024-01-01T00:00:00")
-    ts = base + np.array([0, 10, 4000, 4005, 9000],
-                         dtype="timedelta64[s]")
-    df = pd.DataFrame({"user_id": np.ones(5, dtype=np.int64), "ts": ts})
-    got = (
-        session_windows(_ds(df, 5), 1800).to_pandas()
-        .astype({"user_id": np.int64, "session_start": np.int64,
-                 "session_end": np.int64, "n_events": np.int64})
-        .sort_values(["user_id", "session_start"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, _brute_sessions(df, 1800))
 
 
 # ---------------------------------------------------------------------------

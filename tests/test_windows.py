@@ -1,54 +1,4 @@
-"""Windowed aggregates (tumbling + session) and keep/drop policy."""
-
-import numpy as np
-import pandas as pd
-import pytest
-
-
-def test_tumbling_window_agg(ray_session):
-    import ray.data as rd
-
-    from gazetteer_search_ray.pipelines.windows import tumbling_window_agg
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/events.parquet")
-    out = tumbling_window_agg(ds, 3600).to_pandas()
-    import duckdb
-
-    exp = duckdb.sql(
-        "SELECT event_type, (CAST(floor(epoch(ts)/3600) AS BIGINT)*3600) AS w, "
-        "count(*) n, sum(value) s FROM '/root/testdata/sf0.001/events.parquet' "
-        "GROUP BY 1, 2"
-    ).df()
-    got = out.set_index(["event_type", "window_start"]).sort_index()
-    expi = exp.set_index(["event_type", "w"]).sort_index()
-    assert len(got) == len(expi)
-    np.testing.assert_array_equal(got["n_events"].to_numpy(), expi["n"].to_numpy())
-    np.testing.assert_allclose(got["sum_value"].to_numpy(), expi["s"].to_numpy(), rtol=1e-9)
-
-
-def test_session_windows(ray_session):
-    import ray.data as rd
-
-    from gazetteer_search_ray.pipelines.windows import session_windows
-
-    rows = []
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    # user 1: two sessions (gap 3000s > 1800); user 2: one session
-    for off in [0, 100, 200, 3300, 3400]:
-        rows.append({"user_id": 1, "ts": base + np.timedelta64(off, "s")})
-    for off in [0, 1700, 3300]:  # gaps 1700, 1600 → single session
-        rows.append({"user_id": 2, "ts": base + np.timedelta64(off, "s")})
-    ds = rd.from_arrow(
-        __import__("pyarrow").Table.from_pylist(
-            [{"user_id": r["user_id"], "ts": r["ts"].item()} for r in rows]
-        )
-    )
-    out = session_windows(ds, 1800).to_pandas()
-    u1 = out[out["user_id"] == 1].sort_values("session_start")
-    assert len(u1) == 2
-    assert list(u1["n_events"]) == [3, 2]
-    u2 = out[out["user_id"] == 2]
-    assert len(u2) == 1 and int(u2["n_events"].iloc[0]) == 3
+"""Keep/drop policy applied while building an index."""
 
 
 def test_keep_policy(ray_session):
@@ -78,28 +28,3 @@ def test_keep_policy(ray_session):
     assert langs <= {"python", "go"}
     assert not any("/sub0/" in p for p in s.reader.columns["path"])
     assert s.reader.n_docs < 120
-
-
-def test_hopping_window_overlap(ray_session):
-    """With hop = window/2 every event lands in exactly two windows;
-    hop == window degenerates to the tumbling output."""
-    import ray.data as rd
-
-    from gazetteer_search_ray.pipelines.windows import (
-        hopping_window_agg,
-        tumbling_window_agg,
-    )
-
-    rows = [
-        {"ts": np.datetime64(1000 + 100 * i, "s"), "event_type": "a",
-         "value": float(i)}
-        for i in range(50)
-    ]
-    hop = hopping_window_agg(rd.from_items(rows), window_sec=600,
-                             hop_sec=300).to_pandas()
-    assert hop["n_events"].sum() == 2 * 50
-    t1 = tumbling_window_agg(rd.from_items(rows), 600).to_pandas()
-    h1 = hopping_window_agg(rd.from_items(rows), 600, 600).to_pandas()
-    a = t1.sort_values("window_start").reset_index(drop=True)
-    b = h1.sort_values("window_start").reset_index(drop=True)
-    assert a[["window_start", "n_events"]].equals(b[["window_start", "n_events"]])
