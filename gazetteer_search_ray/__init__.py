@@ -4,10 +4,10 @@ A from-scratch reimplementation of the observable semantics of
 kiselev-dv/gazetteer-search's ElasticSearch-backed search core
 (see SURVEY.md): gazetteer-style analyzers feeding an explicit inverted
 index built with ``ray.data`` (``map_batches`` over zero-copy Arrow
-batches, ``groupby(term)`` merge shuffle, raw-int64-doc + varbyte-tf
-postings with block-max skip metadata) and a block-max dynamic-pruning
-BM25 (k1=1.2, b=0.75) top-k query layer, over Parquet corpora of
-source-code files ``(repo, path, commit, lang, content)``.
+batches, ``groupby(term)`` merge shuffle, postings of block-packed doc
+ordinals + varbyte tfs with block-max skip metadata) and a block-max
+dynamic-pruning BM25 (k1=1.2, b=0.75) top-k query layer, over Parquet
+corpora of source-code files ``(repo, path, commit, lang, content)``.
 
 Nothing in this package calls ``ray.init()`` / ``ray.shutdown()`` —
 sessions are owned by the caller (driver, tests, bench.py).

@@ -174,9 +174,10 @@ def _round(a: np.ndarray, nd: int = 6) -> np.ndarray:
     return np.round(a, nd)
 
 
-def _topk_frame(docs: np.ndarray, scores: np.ndarray, nd: int = 6) -> pd.DataFrame:
+def _topk_frame(s, docs: np.ndarray, scores: np.ndarray, nd: int = 6) -> pd.DataFrame:
+    """Engine hits (reader ordinals) of searcher ``s`` as doc_id rows."""
     return pd.DataFrame(
-        {"doc_id": docs.astype(np.int64), "score": _round(scores.astype(np.float64), nd)}
+        {"doc_id": s.reader.doc_ids[docs], "score": _round(scores.astype(np.float64), nd)}
     )
 
 
@@ -282,7 +283,7 @@ def q_corpus_stats(sf_dir: str) -> pd.DataFrame:
 def _topk(sf_dir, plan, k=20, nd=6):
     s = get_searcher(sf_dir)
     docs, scores = s.engine.top_k(plan, k)
-    return _topk_frame(docs, scores, nd)
+    return _topk_frame(s, docs, scores, nd)
 
 
 def q_bm25_rare(sf_dir):
@@ -305,7 +306,7 @@ def q_force_merge(sf_dir):
     s = get_merged_searcher(sf_dir)
     docs, scores = s.engine.top_k(
         Bool(should=tuple(Term(t) for t in OR3)), 20)
-    return _topk_frame(docs, scores, 6)
+    return _topk_frame(s, docs, scores, 6)
 
 
 def q_bm25_and(sf_dir):
@@ -331,7 +332,7 @@ def q_bm25_fields(sf_dir):
     docs, scores = s.engine.top_k(
         Bool(should=(Term(HOT), Term(RARE),
                      Term(SRC_TERM, field="src"))), 20)
-    return _topk_frame(docs, scores, 6)
+    return _topk_frame(s, docs, scores, 6)
 
 
 def q_bm25_filter_lang(sf_dir):
@@ -355,7 +356,7 @@ def q_bm25_prior(sf_dir):
 def q_prefix_docs(sf_dir) -> pd.DataFrame:
     s = get_searcher(sf_dir)
     docs, _ = s.engine.evaluate(Prefix(PREFIX, max_expansions=10_000))
-    return pd.DataFrame({"doc_id": docs.astype(np.int64)})
+    return pd.DataFrame({"doc_id": s.reader.doc_ids[docs]})
 
 
 def q_bm25_coalesce(sf_dir):
@@ -366,7 +367,7 @@ def q_bm25_coalesce(sf_dir):
     for plan in (strict, relaxed):
         docs, scores = s.engine.top_k(plan, 20)
         if docs.size:
-            return _topk_frame(docs, scores)
+            return _topk_frame(s, docs, scores)
     return pd.DataFrame({"doc_id": pd.Series(dtype="int64"), "score": pd.Series(dtype="float64")})
 
 
@@ -378,7 +379,7 @@ def q_bm25_sort2(sf_dir):
     docs, scores = s.engine.top_k_sorted(
         Bool(should=tuple(Term(t) for t in OR3)), 20, secondary_col="n_chars"
     )
-    return _topk_frame(docs, scores)
+    return _topk_frame(s, docs, scores)
 
 
 GEO_ORIGIN = (10.0, 20.0)
@@ -398,7 +399,7 @@ def q_bm25_geo_sort(sf_dir):
     lat = s.reader.column_of(docs, "lat").astype(np.float64)
     lon = s.reader.column_of(docs, "lon").astype(np.float64)
     dist = haversine_km(lat, lon, GEO_ORIGIN[0], GEO_ORIGIN[1])
-    out = _topk_frame(docs, scores)
+    out = _topk_frame(s, docs, scores)
     out["dist_km"] = np.round(dist, 4)
     return out[["doc_id", "score", "dist_km"]]
 
@@ -407,7 +408,7 @@ def q_topk_paged(sf_dir):
     """from/size paging (Q15): page 2 of the OR query (offset 10, size 10)."""
     s = get_searcher(sf_dir)
     docs, scores = s.engine.top_k(Bool(should=tuple(Term(t) for t in OR3)), 20)
-    return _topk_frame(docs[10:20], scores[10:20])
+    return _topk_frame(s, docs[10:20], scores[10:20])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +426,7 @@ def q_bm25_fuzzy(sf_dir):
     docs, scores = s.engine._topk(
         *s.engine.evaluate(Fuzzy(FUZZY_Q, max_expansions=1000)), 20
     )
-    return _topk_frame(docs, scores)
+    return _topk_frame(s, docs, scores)
 
 
 def q_bm25_range(sf_dir):

@@ -1,20 +1,30 @@
-"""Posting-list codec: raw doc ids + varbyte tfs and block-max metadata.
+"""Posting-list codec (format v3): doc ordinals packed per block.
 
 The reference hides postings inside ElasticSearch/Lucene; here they are
-explicit (SURVEY.md §1.3): per (term, shard) a posting list is
+explicit (SURVEY.md §1.3).  Per (term, shard) and segment a posting list
+is
 
-* ``docs``  — doc_ids, strictly increasing, raw little-endian int64.
-  Doc ids are 63-bit content hashes, so within-list gaps average
-  ``2^63/df`` — delta+varbyte emits 6–10 bytes per id (measured ≥ the
-  raw 8 bytes on every real list) while costing a 10-pass byte-emission
-  encode and a bit-scatter decode.  Raw fixed width is smaller-or-equal
-  AND turns both sides into a single buffer view — the build's encode
-  stage was 47% of pipeline CPU at 5.12M docs before this change.
-* ``tfs``   — term frequencies, varbyte (aligned with docs; tfs are
-  tiny, varbyte genuinely wins here)
+* ``docs``  — segment-local doc ORDINALS, strictly increasing: ordinal
+  *i* is the *i*-th smallest ``doc_id`` of the segment's doc store (doc
+  ids themselves are 63-bit content hashes, whose gaps no integer code
+  can shrink).  Each block of ``BLOCK_SIZE`` postings stores its gaps
+  minus one, the first against the previous block's last ordinal (-1
+  before the first block), all at ONE little-endian byte width chosen
+  per block: 1, 2 or 4 bytes, the narrowest that holds the block's
+  largest gap (the SIMD-BP128 / PFor block layout, byte-aligned, Lemire
+  & Boytsov SPE 2015).  The width is implied by the block's byte span
+  over its posting count, so it needs no metadata of its own.
+* ``tfs``   — term frequencies, varbyte (aligned with docs).
 * blocks of ``BLOCK_SIZE`` postings with skip metadata
   ``(last_doc, max_tf, min_dl)`` from which the query layer derives
-  block-max BM25 upper bounds (see ``bm25.block_upper_bound``).
+  block-max BM25 upper bounds (see ``bm25.block_upper_bound``), plus the
+  byte offset of each block in ``docs`` and ``tfs``.  Because a block's
+  base is the previous block's ``last_doc``, any subset of blocks
+  decodes on its own (``decode_blocks``).
+
+Readers map every segment's ordinals onto one global ordinal space in
+doc-id order (``state/reader.py``), so sorted ordinals are sorted doc
+ids and a tie broken on ordinal is a tie broken on doc id.
 
 Everything is vectorized numpy — no per-value Python loops: encoding
 iterates over *byte positions* (≤10) not values, decoding reconstructs
@@ -28,6 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_SIZE = 128
+# ordinals are stored as list<int32> block metadata
+MAX_ORDINAL = np.iinfo(np.int32).max
+_WIDTH_DTYPE = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 
 
 def _varbyte_encode_starts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +116,7 @@ def delta_decode(gaps: np.ndarray) -> np.ndarray:
 class Posting:
     """Decoded posting list with block-max skip metadata."""
 
-    doc_ids: np.ndarray  # int64, strictly increasing
+    doc_ids: np.ndarray  # int64 ordinals, strictly increasing
     tfs: np.ndarray  # int64
     block_last_doc: np.ndarray  # int64, one per block
     block_max_tf: np.ndarray  # int32
@@ -114,56 +127,82 @@ class Posting:
         return int(self.doc_ids.size)
 
 
+def _check_ordinals(ords: np.ndarray) -> None:
+    if ords.size and (ords.min() < 0 or ords.max() > MAX_ORDINAL):
+        raise ValueError("doc ordinal outside [0, 2^31)")
+
+
+def _pack_gaps(gaps: np.ndarray, bstart: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-pack stored gaps at one width per block.
+
+    ``gaps`` (int64, ≥ 0) are ordinal gaps minus one; ``bstart`` holds
+    each block's first index.  Returns (uint8 buffer, per-value byte
+    start offsets, len n+1)."""
+    n = gaps.size
+    if n == 0:
+        return np.empty(0, np.uint8), np.zeros(1, np.int64)
+    bmax = np.maximum.reduceat(gaps, bstart)
+    bw = np.where(bmax < 1 << 8, 1, np.where(bmax < 1 << 16, 2, 4))
+    w = np.repeat(bw, np.diff(np.append(bstart, n)))
+    starts = np.zeros(n + 1, np.int64)
+    np.cumsum(w, out=starts[1:])
+    out = np.empty(int(starts[-1]), np.uint8)
+    g = gaps.astype(np.uint32)
+    for byte in range(4):  # byte `byte` of every value at least that wide
+        m = w > byte
+        if not m.any():
+            break
+        gm = g if m.all() else g[m]
+        out[starts[:-1][m] + byte] = (gm >> np.uint32(8 * byte)).astype(np.uint8)
+    return out, starts
+
+
 def encode_posting(
-    doc_ids: np.ndarray,
+    doc_ords: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
     block_size: int = BLOCK_SIZE,
 ) -> dict:
-    """Sort by doc_id, compress, and compute per-block skip metadata.
+    """Sort by ordinal, compress, and compute per-block skip metadata.
 
     Returns a plain dict (Arrow-friendly) with keys
     ``docs`` / ``tfs`` (binary), ``block_last_doc`` / ``block_max_tf`` /
-    ``block_min_dl`` (lists), ``df`` (int).  ``dls`` are per-posting doc
-    lengths (same order as doc_ids) — they feed the block bounds but are
-    NOT stored per posting (doc lengths live in the doc store).
+    ``block_min_dl`` / ``block_docs_off`` / ``block_tfs_off`` (arrays),
+    ``df`` (int).  ``dls`` are per-posting doc lengths (same order as
+    ``doc_ords``) — they feed the block bounds but are NOT stored per
+    posting (doc lengths live in the doc store).
     """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    ords = np.asarray(doc_ords, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
     dls = np.asarray(dls, dtype=np.int64)
-    order = np.argsort(doc_ids, kind="stable")
-    doc_ids, tfs, dls = doc_ids[order], tfs[order], dls[order]
-    if doc_ids.size > 1 and np.any(doc_ids[1:] == doc_ids[:-1]):
-        raise ValueError("duplicate doc_id in posting list")
-    n = doc_ids.size
-    nblocks = (n + block_size - 1) // block_size
-    pad = nblocks * block_size - n
+    order = np.argsort(ords, kind="stable")
+    ords, tfs, dls = ords[order], tfs[order], dls[order]
+    if ords.size > 1 and np.any(ords[1:] == ords[:-1]):
+        raise ValueError("duplicate doc ordinal in posting list")
+    _check_ordinals(ords)
+    n = ords.size
+    bstart = np.arange(0, n, block_size, dtype=np.int64)
     if n:
-        tf_m = tfs if pad == 0 else np.concatenate([tfs, np.zeros(pad, np.int64)])
-        dl_m = dls if pad == 0 else np.concatenate([dls, np.full(pad, np.iinfo(np.int64).max)])
-        block_max_tf = tf_m.reshape(nblocks, block_size).max(axis=1)
-        block_min_dl = dl_m.reshape(nblocks, block_size).min(axis=1)
-        last_idx = np.minimum(np.arange(1, nblocks + 1) * block_size, n) - 1
-        block_last_doc = doc_ids[last_idx]
+        block_max_tf = np.maximum.reduceat(tfs, bstart)
+        block_min_dl = np.minimum.reduceat(dls, bstart)
+        block_last_doc = ords[np.append(bstart[1:], n) - 1]
     else:
-        block_max_tf = np.empty(0, np.int64)
-        block_min_dl = np.empty(0, np.int64)
-        block_last_doc = np.empty(0, np.int64)
+        block_max_tf = block_min_dl = block_last_doc = np.empty(0, np.int64)
+    gaps = np.diff(ords, prepend=-1) - 1
+    docs_buf, docs_starts = _pack_gaps(gaps, bstart)
     tfs_buf, tfs_starts = _varbyte_encode_starts(tfs)
-    nblk = (n + block_size - 1) // block_size
     return {
         "df": int(n),
-        # raw absolute LE int64 — see module docstring for why 63-bit
-        # hash ids make delta+varbyte strictly worse here
-        "docs": doc_ids.astype("<i8", copy=False).tobytes(),
+        "docs": docs_buf.tobytes(),
         "tfs": tfs_buf.tobytes(),
-        "block_last_doc": block_last_doc.astype(np.int64),
+        "block_last_doc": block_last_doc.astype(np.int32),
         "block_max_tf": block_max_tf.astype(np.int32),
         "block_min_dl": np.minimum(block_min_dl, np.iinfo(np.int32).max).astype(np.int32),
         # byte offset of each block's first value — enables selective
         # (skip) decoding of individual blocks at query time
-        "block_docs_off": (np.arange(nblk, dtype=np.int64) * (8 * block_size)),
-        "block_tfs_off": tfs_starts[::block_size].astype(np.int64),
+        "block_docs_off": docs_starts[bstart],
+        "block_tfs_off": tfs_starts[bstart].astype(np.int64),
     }
 
 
@@ -172,30 +211,110 @@ def decode_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode only the selected blocks of an encoded posting row.
 
-    This is the skip-read primitive of the block-max query path: the
-    ``docs`` payload is raw LE int64, so selected blocks are plain
-    buffer views; the ``tfs`` varbyte stream is sliced at the stored
-    per-block byte offsets and decoded in one vectorized pass.
+    This is the skip-read primitive of the block-max query path.  Each
+    run of neighbouring selected blocks of one byte width is ONE buffer
+    read; one cumsum then restores all their ordinals, after the first
+    gap of every selected block is re-based on the previous block's
+    ``block_last_doc``.  The ``tfs`` varbyte stream is sliced at the
+    stored per-block byte offsets and decoded in one vectorized pass.
 
-    Returns (doc_ids:int64, tfs:int64) for the selected blocks in order.
+    Returns (doc ordinals:int64, tfs:int64) for the selected blocks in
+    order.
     """
     sel = np.asarray(block_indices, dtype=np.int64)
     if sel.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
+    n = int(row["df"])
+    docs_buf = row["docs"]
+    nblocks = (n + block_size - 1) // block_size
     docs_off = np.asarray(row["block_docs_off"], dtype=np.int64)
-    tfs_off = np.asarray(row["block_tfs_off"], dtype=np.int64)
-    docs_buf = np.frombuffer(row["docs"], dtype=np.uint8)
-    tfs_buf = np.frombuffer(row["tfs"], dtype=np.uint8)
-    docs_end = np.append(docs_off[1:], len(docs_buf))
-    tfs_end = np.append(tfs_off[1:], len(tfs_buf))
+    full = sel.size == nblocks
+    width = len(docs_buf) // n
+    if full and len(docs_buf) == n * width and (
+            nblocks == 1 or np.all(np.diff(docs_off) == block_size * width)):
+        # whole list at one width (every single-block list, most long
+        # ones): one buffer read, one cumsum
+        docs = np.frombuffer(docs_buf, _WIDTH_DTYPE[width]).astype(np.int64)
+        docs += 1
+        np.cumsum(docs, out=docs)
+        docs -= 1
+        return docs, varbyte_decode(row["tfs"]).astype(np.int64)
 
-    docs = np.concatenate(
-        [docs_buf[docs_off[b]: docs_end[b]] for b in sel]
-    ).view("<i8").astype(np.int64, copy=False)
-    tfs = varbyte_decode(
-        np.concatenate([tfs_buf[tfs_off[b]: tfs_end[b]] for b in sel])
-    ).astype(np.int64)
-    return docs, tfs
+    last = np.asarray(row["block_last_doc"], dtype=np.int64)
+    lens = np.minimum(block_size, n - sel * block_size)
+    widths = (np.append(docs_off[1:], len(docs_buf))[sel] - docs_off[sel]) // lens
+    starts = np.zeros(sel.size + 1, np.int64)
+    np.cumsum(lens, out=starts[1:])
+    docs = np.empty(int(starts[-1]), np.int64)
+    brk = (np.diff(sel) != 1) | (np.diff(widths) != 0)
+    heads = np.concatenate(([0], np.flatnonzero(brk) + 1))
+    tails = np.append(heads[1:], sel.size)
+    for h, t in zip(heads.tolist(), tails.tolist()):
+        docs[starts[h]: starts[t]] = np.frombuffer(
+            docs_buf, _WIDTH_DTYPE[int(widths[h])], int(starts[t] - starts[h]),
+            int(docs_off[sel[h]]))
+    docs += 1
+    # each block's first gap counts from its predecessor's last ordinal
+    # (-1 before block 0); the cumsum carries the previous SELECTED
+    # block's last ordinal, so add the difference (0 for neighbours)
+    base = np.where(sel > 0, last[np.maximum(sel - 1, 0)], -1)
+    prev_last = np.concatenate(([0], last[sel[:-1]]))
+    docs[starts[:-1]] += base - prev_last
+    np.cumsum(docs, out=docs)
+
+    if full:
+        tfs_bytes = row["tfs"]
+    else:
+        tfs_off = np.asarray(row["block_tfs_off"], dtype=np.int64)
+        tfs_buf = np.frombuffer(row["tfs"], dtype=np.uint8)
+        tfs_end = np.append(tfs_off[1:], len(tfs_buf))
+        tfs_bytes = np.concatenate(
+            [tfs_buf[tfs_off[b]: tfs_end[b]] for b in sel.tolist()])
+    return docs, varbyte_decode(tfs_bytes).astype(np.int64)
+
+
+def decode_docs_many(
+    docs: np.ndarray,
+    dfs: np.ndarray,
+    row_bytes: np.ndarray,
+    block_docs_off: np.ndarray,
+    block_size: int = BLOCK_SIZE,
+) -> np.ndarray:
+    """Ordinals of MANY whole posting lists in one vectorized pass.
+
+    ``docs`` (uint8) is the rows' ``docs`` payloads back to back;
+    ``dfs`` and ``row_bytes`` give each row's posting count and payload
+    length; ``block_docs_off`` is every row's ``block_docs_off``
+    concatenated.  Returns the concatenated ordinals (int64) — the
+    maintenance jobs' whole-file decode, with no per-row Python."""
+    dfs = np.asarray(dfs, dtype=np.int64)
+    n = int(dfs.sum())
+    if n == 0:
+        return np.empty(0, np.int64)
+    nb = (dfs + block_size - 1) // block_size
+    row_start = np.concatenate(([0], np.cumsum(row_bytes)[:-1]))
+    bstart = np.asarray(block_docs_off, np.int64) + np.repeat(row_start, nb)
+    bend = np.append(bstart[1:], docs.size)
+    # postings per block: block_size except each row's last block
+    cnt = np.full(bstart.size, block_size, np.int64)
+    last_blk = np.cumsum(nb) - 1
+    cnt[last_blk] = dfs - (nb - 1) * block_size
+    w = np.repeat((bend - bstart) // cnt, cnt)
+    first = np.repeat(np.cumsum(cnt) - cnt, cnt)
+    pos = np.repeat(bstart, cnt) + (np.arange(n) - first) * w
+    vals = docs[pos].astype(np.int64)
+    for byte in (1, 2, 3):
+        m = w > byte
+        if not m.any():
+            break
+        vals[m] |= docs[pos[m] + byte].astype(np.int64) << (8 * byte)
+    vals += 1
+    np.cumsum(vals, out=vals)
+    # each list restarts from ordinal -1
+    heads = np.cumsum(dfs) - dfs
+    before = np.concatenate(([0], vals[heads[1:] - 1]))
+    vals -= np.repeat(before + 1, dfs)
+    return vals
 
 
 def encode_posting_groups(
@@ -207,15 +326,17 @@ def encode_posting_groups(
 ) -> dict:
     """Encode MANY posting lists in one vectorized pass.
 
-    ``docs``/``tfs``/``dls`` are the concatenated entries of G groups;
-    ``group_offsets`` (len G+1) delimits them.  Entries need not be
-    sorted within a group — a single lexsort handles all groups at once.
-    Returns columns (lists of length G) with the exact same per-group
-    content as :func:`encode_posting`, verified by differential test.
+    ``docs`` (ordinals)/``tfs``/``dls`` are the concatenated entries of
+    G non-empty groups; ``group_offsets`` (len G+1) delimits them.
+    Entries need not be sorted within a group — a single lexsort handles
+    all groups at once.  Returns columns (lists of length G) with the
+    exact same per-group content as :func:`encode_posting`, verified by
+    differential test.
 
     This exists because a per-group Python call (Ray ``map_groups``)
     costs ~10ms/group — fatal at vocabulary scale; here the whole block
-    of groups is one numpy pipeline (sort, delta, varbyte, reduceat).
+    of groups is one numpy pipeline (sort, gaps, pack, varbyte,
+    reduceat).
     """
     docs = np.asarray(docs, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
@@ -233,64 +354,63 @@ def encode_posting_groups(
     gid = np.repeat(np.arange(ngroups, dtype=np.int64), lens)
     order = np.lexsort((docs, gid))
     docs_s, tfs_s, dls_s = docs[order], tfs[order], dls[order]
+    _check_ordinals(docs_s)
 
     starts = off[:-1]
-    nonstart = np.ones(n, dtype=bool)
-    nonstart[starts] = False
-    if np.any((docs_s[1:] == docs_s[:-1]) & nonstart[1:]):
-        raise ValueError("duplicate doc_id within a posting group")
-
-    tfs_buf, tfs_starts = _varbyte_encode_starts(tfs_s)
-    tfs_starts_end = np.append(tfs_starts, len(tfs_buf))
+    gaps = np.empty(n, np.int64)
+    np.subtract(docs_s[1:], docs_s[:-1] + 1, out=gaps[1:])
+    gaps[starts] = docs_s[starts]  # a list starts from ordinal -1
+    if np.any(gaps < 0):
+        raise ValueError("duplicate doc ordinal within a posting group")
 
     # block boundaries: every block_size-th entry within each group
     idx_within = np.arange(n, dtype=np.int64) - np.repeat(starts, lens)
     bstart = np.flatnonzero(idx_within % block_size == 0)
     bgid = gid[bstart]
-    group_end = off[1:][bgid]
-    blast = np.minimum(bstart + block_size, group_end) - 1
+    blast = np.minimum(bstart + block_size, off[1:][bgid]) - 1
 
-    block_last_doc = docs_s[blast]
+    docs_buf, docs_starts = _pack_gaps(gaps, bstart)
+    tfs_buf, tfs_starts = _varbyte_encode_starts(tfs_s)
+    tfs_starts = np.append(tfs_starts, len(tfs_buf))
+
+    block_last_doc = docs_s[blast].astype(np.int32)
     block_max_tf = np.maximum.reduceat(tfs_s, bstart).astype(np.int32)
     block_min_dl = np.minimum(
         np.minimum.reduceat(dls_s, bstart), np.iinfo(np.int32).max
     ).astype(np.int32)
     # byte offsets relative to each group's slice of the buffers
-    # (docs are raw fixed-width int64 → offset is 8 × index-in-group)
-    bdocs_off = (bstart - starts[bgid]) * 8
+    bdocs_off = docs_starts[bstart] - docs_starts[starts[bgid]]
     btfs_off = tfs_starts[bstart] - tfs_starts[starts[bgid]]
 
     nblocks = np.bincount(bgid, minlength=ngroups)
-    boff = np.concatenate(([0], np.cumsum(nblocks)))
+    boff = np.concatenate(([0], np.cumsum(nblocks))).tolist()
+    gdocs = docs_starts[off].tolist()
+    gtfs = tfs_starts[off].tolist()
 
-    docs_bytes = docs_s.astype("<i8", copy=False).tobytes()
+    docs_bytes = docs_buf.tobytes()
     tfs_bytes = tfs_buf.tobytes()
-    docs_col = [
-        docs_bytes[int(off[g]) * 8: int(off[g + 1]) * 8]
-        for g in range(ngroups)
-    ]
-    tfs_col = [
-        tfs_bytes[int(tfs_starts[off[g]]): int(tfs_starts_end[off[g + 1]])]
-        for g in range(ngroups)
-    ]
+
+    def per_group(a: np.ndarray) -> list:
+        return [a[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)]
+
     return {
         "df": lens.tolist(),
-        "docs": docs_col,
-        "tfs": tfs_col,
-        "block_last_doc": [block_last_doc[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)],
-        "block_max_tf": [block_max_tf[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)],
-        "block_min_dl": [block_min_dl[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)],
-        "block_docs_off": [bdocs_off[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)],
-        "block_tfs_off": [btfs_off[boff[g]: boff[g + 1]].tolist() for g in range(ngroups)],
+        "docs": [docs_bytes[gdocs[g]: gdocs[g + 1]] for g in range(ngroups)],
+        "tfs": [tfs_bytes[gtfs[g]: gtfs[g + 1]] for g in range(ngroups)],
+        "block_last_doc": per_group(block_last_doc),
+        "block_max_tf": per_group(block_max_tf),
+        "block_min_dl": per_group(block_min_dl),
+        "block_docs_off": per_group(bdocs_off),
+        "block_tfs_off": per_group(btfs_off),
     }
 
 
 def decode_posting(row: dict, block_size: int = BLOCK_SIZE) -> Posting:
     """Inverse of :func:`encode_posting` (block metadata passed through)."""
-    doc_ids = np.frombuffer(row["docs"], dtype="<i8").astype(np.int64)
-    tfs = varbyte_decode(row["tfs"]).astype(np.int64)
+    nblocks = len(row["block_last_doc"])
+    docs, tfs = decode_blocks(row, np.arange(nblocks), block_size)
     return Posting(
-        doc_ids=doc_ids,
+        doc_ids=docs,
         tfs=tfs,
         block_last_doc=np.asarray(row["block_last_doc"], dtype=np.int64),
         block_max_tf=np.asarray(row["block_max_tf"], dtype=np.int32),

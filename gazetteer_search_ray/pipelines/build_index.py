@@ -5,11 +5,11 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
     read_parquet(corpus)                       # column-pruned
     → map_batches(TokenizeStage, actor pool)   # parse/normalize/prior/sha256
       ├ side-writes docmeta parquet segments   #   (doc store, fused pass)
-      └ emits packed partial postings
-    → groupby(term, shard).map_groups(merge)   # THE shuffle
-    → sort(term)                               # term-ordered segments →
-    → write_parquet(postings/)                 #   row-group min/max pruning
-    → stats scan over docmeta (tiny)
+      └ emits packed partial postings          #   (materialized)
+    → stats scan over docmeta (tiny)           # + doc_id collision check;
+                                               #   sorted ids → ray.put
+    → sort(term) + per-block encode            # THE shuffle; doc ids →
+    → postings/ parquet segments               #   segment ordinals
     → manifest commit (atomic, LAST)
 
 The manifest is the commit point; :func:`build_index_partitioned` builds
@@ -25,6 +25,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from ..functions.analyzer import AnalyzerConfig
@@ -120,14 +122,46 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
             batch_size=opts.batch_size,
         )
 
+    import ray
+    from ray.data import DataContext
+
+    # the doc store is complete once tokenize has run, and postings
+    # number docs by its sorted ids — so run tokenize to the end first
+    # (the exchange below materializes its input anyway)
+    phase = {}
+    t_p = time.monotonic()
+    partials = partials.materialize()
+    pipeline_sec = time.monotonic() - t_p
+
+    # global stats from the (tiny, one-row-per-doc) doc store
+    t_p = time.monotonic()
+    meta = pads.dataset(docmeta_dir, format="parquet")
+    field_cols = [f"dl__{f}" for f, _ in opts.extra_fields]
+    stats = meta.to_table(columns=["doc_id", "dl"] + field_cols)
+    n_docs = stats.num_rows
+    total_tokens = int(pc.sum(stats["dl"]).as_py() or 0)
+    field_stats = {}
+    for (fname, _col), dcol in zip(opts.extra_fields, field_cols):
+        ftot = int(pc.sum(stats[dcol]).as_py() or 0)
+        field_stats[fname] = {
+            "total_tokens": ftot,
+            "avgdl": (ftot / n_docs) if n_docs else 0.0,
+        }
+    ids_sorted = np.sort(stats["doc_id"].to_numpy())
+    if n_docs > 1 and np.any(ids_sorted[1:] == ids_sorted[:-1]):
+        n_unique = int(np.count_nonzero(np.diff(ids_sorted))) + 1
+        raise ValueError(
+            f"doc_id collision: {n_docs} rows, {n_unique} distinct ids"
+        )
+    ids_ref = ray.put(ids_sorted)
+    phase["stats_sec"] = round(time.monotonic() - t_p, 2)
+
     # the groupby(term)-equivalent exchange: range-sort then vectorized
     # per-block encode; only boundary runs need a real per-group merge
     # (see stages/postings.py).  Coalescing to ~1 block per CPU before
     # the sort matters: Ray's range sort degrades ~30× when fed many
     # small blocks (measured), and polars-backed block sorting is ~20×
     # faster than the default on string keys.
-    import ray
-    from ray.data import DataContext
 
     DataContext.get_current().use_polars_sort = True
     # ~4 blocks per CPU: smaller blocks let each worker re-use its
@@ -138,17 +172,17 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
     )
     sorted_partials = partials.repartition(n_blocks).sort("skey")
     boundary = sorted_partials.map_batches(
-        SortedBlockEncoder(postings_dir, opts.block_size, opts.row_group_size),
+        SortedBlockEncoder(postings_dir, opts.block_size, opts.row_group_size,
+                           ids_ref),
         batch_format="pyarrow",
         batch_size=None,
     )
     # Boundary runs are O(2 × sort blocks) keys — merge them on the
     # driver in one vectorized pass when small (saves an all-to-all);
     # fall back to the distributed groupby for pathological sizes.
-    phase = {}
     t_p = time.monotonic()
     bmat = boundary.materialize()
-    phase["pipeline_sec"] = round(time.monotonic() - t_p, 2)
+    phase["pipeline_sec"] = round(pipeline_sec + time.monotonic() - t_p, 2)
     t_p = time.monotonic()
     if bmat.count() <= opts.boundary_driver_limit:
         import pyarrow as pa
@@ -159,40 +193,18 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
             [ray.get(ref) for ref in bmat.to_arrow_refs()],
             promote_options="permissive",
         )
-        rest_tbl = encode_partials_table(tbl, opts.block_size)
+        rest_tbl = encode_partials_table(tbl, opts.block_size, ids_ref)
         if rest_tbl.num_rows:
             mf.atomic_write_table(
                 rest_tbl, os.path.join(postings_dir, "postings-boundary.parquet")
             )
     else:
         rest = bmat.groupby("skey").map_groups(
-            make_postings_merger(opts.block_size), batch_format="pyarrow"
+            make_postings_merger(ids_ref, opts.block_size), batch_format="pyarrow"
         )
         rest.write_parquet(postings_dir, row_group_size=opts.row_group_size)
     phase["boundary_rows"] = bmat.count()
     phase["boundary_merge_sec"] = round(time.monotonic() - t_p, 2)
-    t_p = time.monotonic()
-
-    # global stats from the (tiny, one-row-per-doc) doc store
-    meta = pads.dataset(docmeta_dir, format="parquet")
-    field_cols = [f"dl__{f}" for f, _ in opts.extra_fields]
-    stats = meta.to_table(columns=["doc_id", "dl"] + field_cols)
-    n_docs = stats.num_rows
-    import pyarrow.compute as pc
-
-    total_tokens = int(pc.sum(stats["dl"]).as_py() or 0)
-    field_stats = {}
-    for (fname, _col), dcol in zip(opts.extra_fields, field_cols):
-        ftot = int(pc.sum(stats[dcol]).as_py() or 0)
-        field_stats[fname] = {
-            "total_tokens": ftot,
-            "avgdl": (ftot / n_docs) if n_docs else 0.0,
-        }
-    n_unique = pc.count_distinct(stats["doc_id"]).as_py()
-    if n_unique != n_docs:
-        raise ValueError(
-            f"doc_id collision: {n_docs} rows, {n_unique} distinct ids"
-        )
     elapsed = time.monotonic() - t0
 
     manifest = {
@@ -210,7 +222,6 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
         "docmeta_files": sorted(os.listdir(docmeta_dir)),
         "metrics": {
             **phase,
-            "stats_sec": round(time.monotonic() - t_p, 2),
             "elapsed_sec": elapsed,
             "docs_per_sec": (n_docs / elapsed) if elapsed > 0 else None,
             "tokens_per_sec": (total_tokens / elapsed) if elapsed > 0 else None,

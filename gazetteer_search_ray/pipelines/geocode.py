@@ -90,6 +90,10 @@ def mass_eval(
         fn_constructor_kwargs=dict(index_dir=index_dir, k=k),
         batch_format="pyarrow",
         concurrency=concurrency,
+        # an eval actor is cheap to rebuild, and a crash in one should
+        # surface as a failed eval, not a silent restart (which would
+        # also need its object-store constructor args to still exist)
+        max_restarts=0,
     )
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

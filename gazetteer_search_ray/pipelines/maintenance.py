@@ -11,7 +11,8 @@ Reference analogs:
 * :func:`delete_docs` — S4 delete-by-query
   (``AddressesImporter.java:98-108,156-163,245-260``: drop a region /
   stale generation before re-import): an anti-join compaction that
-  rewrites doc-store AND postings segments without the deleted doc_ids.
+  writes the doc store AND postings of every segment that lost a doc
+  into a new segment directory, without the deleted doc_ids.
   Deletion is by explicit id set or by doc-store predicate; the
   manifest is re-committed last with a bumped generation counter (M16
   analog of ``import_counter``).
@@ -20,13 +21,13 @@ Reference analogs:
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.codec import encode_posting_groups
 from ..state import manifest as mf
 
 
@@ -100,10 +101,13 @@ def update_index(index_dir: str, ds, score_builder=None,
        listed, and ``import_counter`` bumped — exactly the reference's
        region/import-counter semantics (M16).
 
-    The incoming id set is collected on the driver — bounded by the
-    update batch, the same bound the reference's ``batchObjectIds``
-    buffer has.  BM25 stays consistent because df and the global
-    (n_docs, avgdl) merge across segments at read time, like ES shards.
+    The batch is materialized once, and a batch that lacks a column
+    the index maps (``id_col``, ``content``, an ``extra_fields``
+    source) is refused before anything is written.  The incoming id set
+    is collected on the driver — bounded by the update batch, the same
+    bound the reference's ``batchObjectIds`` buffer has.  BM25 stays
+    consistent because df and the global (n_docs, avgdl) merge across
+    segments at read time, like ES shards.
     """
     import ray
 
@@ -111,6 +115,18 @@ def update_index(index_dir: str, ds, score_builder=None,
     from .build_index import BuildOptions, build_index
 
     man = mf.read_checked_manifest(index_dir)
+    extra_fields = tuple(tuple(p) for p in (man.get("extra_fields") or ()))
+    # the batch is read once: its schema, its ids and the segment build
+    # all use these blocks
+    ds = ds.materialize()
+    # refuse a batch the segment build cannot read BEFORE the delete
+    # commits: otherwise the replaced docs are gone and nothing lands
+    have = set(ds.schema().names)
+    for col in (id_col, "content", *(c for _f, c in extra_fields)):
+        if col not in have:
+            raise ValueError(
+                f"update batch lacks column {col!r} that the index at "
+                f"{index_dir} needs; nothing was changed")
 
     ids = np.unique(
         np.concatenate(
@@ -134,8 +150,7 @@ def update_index(index_dir: str, ds, score_builder=None,
         score_builder=score_builder,
         # carry the per-field mapping: without it an update segment
         # silently drops field postings + dl__<field> norms
-        extra_fields=tuple(
-            tuple(p) for p in (man.get("extra_fields") or ())),
+        extra_fields=extra_fields,
     )
     seg_man = build_index(ds, seg_dir, opts, overwrite=True)
 
@@ -155,58 +170,192 @@ def update_index(index_dir: str, ds, score_builder=None,
     return mf.read_manifest(index_dir)
 
 
-def _decode_rows_flat(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode_rows_flat(t: pa.Table, block_size: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode ALL posting rows of one postings table in one vectorized
-    pass → (docs, tfs, group_offsets len rows+1).
+    pass → (segment ordinals, tfs, group_offsets len rows+1).
 
-    The per-row payloads are concatenated and decoded once (docs are
-    raw LE int64, tfs one varbyte pass) — no per-value Python, and
-    per-row Python is limited to the buffer concatenation."""
-    from ..functions.codec import varbyte_decode
+    The per-row payloads are concatenated and decoded once
+    (``codec.decode_docs_many``, one varbyte pass for tfs) — no
+    per-value Python, and per-row Python is limited to the buffer
+    concatenation."""
+    from ..functions.codec import decode_docs_many, varbyte_decode
 
     dfs = t["df"].to_numpy().astype(np.int64)
     off = np.concatenate(([0], np.cumsum(dfs)))
-    docs_bufs = t["docs"].to_pylist()
-    tfs_bufs = t["tfs"].to_pylist()
     if off[-1] == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), off
-    docs = np.concatenate(
-        [np.frombuffer(b, np.uint8) for b in docs_bufs]
-    ).view("<i8").astype(np.int64, copy=False)
+    docs_bufs = t["docs"].to_pylist()
+    boffs = pc.list_flatten(t["block_docs_off"]).to_numpy()
+    ords = decode_docs_many(
+        np.frombuffer(b"".join(docs_bufs), np.uint8), dfs,
+        np.array([len(b) for b in docs_bufs], np.int64), boffs, block_size)
     tfs = varbyte_decode(
-        np.concatenate([np.frombuffer(b, np.uint8) for b in tfs_bufs])
+        np.frombuffer(b"".join(t["tfs"].to_pylist()), np.uint8)
     ).astype(np.int64)
-    return docs, tfs, off
+    return ords, tfs, off
+
+
+def _posting_dls(terms, off: np.ndarray, ords: np.ndarray, dl: np.ndarray,
+                 field_dl: dict[str, np.ndarray]) -> np.ndarray:
+    """True length of each posting's doc: the field's own length for a
+    field-scoped term (``<field>\x1e<term>``), else the content length —
+    what the build feeds ``block_min_dl``, so block-max bounds stay
+    exact after a rewrite."""
+    from ..stages.tokenize import FIELD_SEP
+
+    dls = dl[ords]
+    if field_dl:
+        term_col = pc.cast(terms, pa.string())
+        row_of = np.repeat(np.arange(len(term_col)), np.diff(off))
+        for fname, farr in sorted(field_dl.items()):
+            frows = pc.starts_with(
+                term_col, pattern=fname + FIELD_SEP
+            ).to_numpy(zero_copy_only=False)
+            if frows.any():
+                sel = frows[row_of]
+                dls[sel] = farr[ords[sel]]
+    return dls
+
+
+def _doc_lengths(t: pa.Table) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(dl, {field: dl__field}) columns of a doc-store table."""
+    return (t["dl"].to_numpy().astype(np.int64),
+            {c[4:]: t[c].to_numpy().astype(np.int64)
+             for c in t.column_names if c.startswith("dl__")})
+
+
+# suffix of a segment directory that delete_docs compacted
+_COMPACTED = re.compile(r"\.d\d{5}$")
+
+
+def _compacted_name(seg: str, gen: int) -> str:
+    """Directory name of generation ``gen``'s compacted copy of segment
+    ``seg``: its base name (``root`` for the ``"."`` root segment) with a
+    ``.d<gen>`` suffix in place of an earlier one, so an ``upd-*``
+    segment stays ``upd-*``."""
+    base = "root" if seg == "." else _COMPACTED.sub("", seg)
+    return f"{base}.d{gen:05d}"
+
+
+def _sweep_uncommitted(index_dir: str, man: dict) -> None:
+    """Remove what a crashed maintenance job left behind: segment dirs
+    the manifest does not list (``merged-*``, ``upd-*`` and compacted
+    ``*.d<gen>`` copies), and the root segment's data once ``"."`` is no
+    longer listed.  Run before a job writes, so it never finds a stale
+    file under the name it is about to write."""
+    import shutil
+
+    committed = set(man.get("segments") or ["."])
+    stray = [n for n in os.listdir(index_dir)
+             if (n.startswith(("merged-", "upd-")) or _COMPACTED.search(n))
+             and n not in committed]
+    if "." not in committed:
+        stray += ["postings", "docmeta"]
+    for name in stray:
+        shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
+
+
+def _remove_segment(index_dir: str, seg: str) -> None:
+    """Delete a segment the committed manifest no longer lists; the
+    ``"."`` root segment loses its data dirs, the root itself stays."""
+    import shutil
+
+    if seg == ".":
+        for sub in ("postings", "docmeta"):
+            shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
+    else:
+        shutil.rmtree(os.path.join(index_dir, seg), ignore_errors=True)
+
+
+def _parquet_files(seg_dir: str, sub: str) -> list[str]:
+    d = os.path.join(seg_dir, sub)
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
+
+
+def compact_postings_file(src: str, dst: str, new_ord: np.ndarray,
+                          dl: np.ndarray, field_dl: dict[str, np.ndarray],
+                          block_size: int) -> int:
+    """Re-encode one postings file of a segment that lost docs: decode
+    all its rows in one vectorized pass, drop the deleted postings,
+    renumber the rest through ``new_ord`` (old ordinal → new ordinal, -1
+    for a deleted doc), gather TRUE doc lengths (``dl``/``field_dl`` in
+    new-ordinal order) and re-encode through ``encode_posting_groups``
+    — so ``block_min_dl`` (hence block-max bounds) stays exact.
+
+    ``src`` is only read and ``dst`` is a new path, so a retried call
+    writes the same file again.  Writes nothing when no posting is
+    left.  Returns the rows written."""
+    from ..functions.codec import encode_posting_groups
+    from ..stages.postings import _encoded_table
+
+    t = pq.read_table(src)
+    if t.num_rows == 0:
+        return 0
+    ords, tfs, off = _decode_rows_flat(t, block_size)
+    nords = new_ord[ords]
+    keep = nords >= 0
+    lens = np.diff(off)
+    gid = np.repeat(np.arange(lens.size), lens)
+    new_lens = np.bincount(gid[keep], minlength=lens.size)
+    nonempty = np.flatnonzero(new_lens > 0)
+    if nonempty.size == 0:
+        return 0
+    terms = t["term"].take(pa.array(nonempty))
+    new_off = np.concatenate(([0], np.cumsum(new_lens[nonempty])))
+    kords = nords[keep]
+    enc = encode_posting_groups(
+        kords, tfs[keep], _posting_dls(terms, new_off, kords, dl, field_dl),
+        new_off, block_size)
+    out = _encoded_table(terms, t["shard"].take(pa.array(nonempty)), enc)
+    mf.atomic_write_table(out, dst)
+    return out.num_rows
 
 
 def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
     """Anti-join compaction: drop docs from doc-store + postings.
 
     ``doc_ids``: iterable of ids, or ``predicate(table) -> bool mask``
-    over a docmeta table.  Two parallel phases, one Ray task per file:
+    over a docmeta table.  Copy-on-write: no committed file is written.
+    Each segment that loses a doc is rewritten into a new directory
+    (:func:`_compacted_name`), in two parallel phases, one Ray task per
+    file:
 
-    1. docmeta files rewrite themselves without the deleted rows and
-       return (dropped ids, kept (doc_id, dl) pairs, kept stats);
-    2. postings files decode ALL their rows in one vectorized pass,
-       drop deleted postings, gather TRUE doc lengths from the
-       broadcast (doc_id, dl) arrays, and re-encode everything through
-       ``encode_posting_groups`` — so ``block_min_dl`` (hence block-max
-       pruning bounds) stays exact after compaction.
+    1. every docmeta file computes its keep mask and returns its ids,
+       the mask and the kept doc lengths; a file that lost rows writes
+       its kept rows into the new directory (the others are copied);
+    2. EVERY postings file of the segment is re-encoded into the new
+       directory (:func:`compact_postings_file`): postings hold segment
+       ordinals (ranks of the segment's sorted doc ids), and a deletion
+       shifts the ordinals of all later docs.
 
-    The broadcast dl table is O(n_docs) per segment group — the same
-    bound the query readers already hold in memory.  Manifest is
-    re-committed last with ``import_counter + 1`` (reference M16
-    generation semantics, ``AddressesImporter.java:193-212``).
+    The manifest re-commit (temp+rename) is the atomic cut-over to the
+    new directories; only then are the old ones removed.  Every task
+    reads committed files and writes uncommitted ones, so a retried task
+    redoes the same write, and a crash at any point leaves the committed
+    index as it was (the next maintenance job sweeps the leftovers).
+
+    The broadcast arrays are O(docs of the segment) — the same bound
+    the query readers already hold in memory.  The manifest carries
+    ``import_counter + 1`` (reference M16 generation semantics,
+    ``AddressesImporter.java:193-212``).
     """
+    import shutil
+
     import ray
 
-    segs = _segment_dirs(index_dir)
+    man = mf.read_checked_manifest(index_dir)
+    _sweep_uncommitted(index_dir, man)
+    names = man.get("segments") or ["."]
+    gen = int(man.get("import_counter", 0)) + 1
+    block_size = int(man.get("block_size", 128))
     drop_init = np.array(sorted({int(d) for d in (doc_ids or [])}), dtype=np.int64)
     drop_ref = ray.put(drop_init)
 
     @ray.remote
-    def rewrite_docmeta(path: str):
-        t = pq.read_table(path)
+    def compact_docmeta(src: str, dst: str):
+        t = pq.read_table(src)
         ids = t["doc_id"].to_numpy()
         mask = np.ones(t.num_rows, dtype=bool)
         if predicate is not None:
@@ -217,85 +366,64 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
             mask &= drop0[idx] != ids
         t2 = t.filter(pa.array(mask))
         if t2.num_rows != t.num_rows:
-            mf.atomic_write_table(t2, path)
-        return (
-            ids[~mask],
-            t2["doc_id"].to_numpy(),
-            t2["dl"].to_numpy().astype(np.int64),
-        )
+            mf.atomic_write_table(t2, dst)
+        return ids, mask, t2.select(
+            [c for c in t2.column_names if c == "dl" or c.startswith("dl__")])
 
-    dm_futs = []
-    for seg in segs:
-        dmdir = os.path.join(seg, "docmeta")
-        for fname in sorted(os.listdir(dmdir)):
-            if fname.endswith(".parquet"):
-                dm_futs.append(rewrite_docmeta.remote(os.path.join(dmdir, fname)))
-    dropped_parts, kept_id_parts, kept_dl_parts = zip(*ray.get(dm_futs)) if dm_futs else ((), (), ())
+    compact_postings = ray.remote(compact_postings_file)
 
-    drop_arr = np.unique(
-        np.concatenate([drop_init, *[d.astype(np.int64) for d in dropped_parts]])
-        if dropped_parts
-        else drop_init
-    )
-    kept_ids = np.concatenate(kept_id_parts) if kept_id_parts else np.empty(0, np.int64)
-    kept_dls = np.concatenate(kept_dl_parts) if kept_dl_parts else np.empty(0, np.int64)
-    order = np.argsort(kept_ids)
-    kept_ids, kept_dls = kept_ids[order], kept_dls[order]
-    total_docs = int(kept_ids.size)
-    total_tokens = int(kept_dls.sum())
-    dl_ref = ray.put((kept_ids, kept_dls))
-    drop_all_ref = ray.put(drop_arr)
+    def target(seg: str, path: str) -> str:
+        return os.path.join(index_dir, _compacted_name(seg, gen),
+                            os.path.basename(os.path.dirname(path)),
+                            os.path.basename(path))
 
-    @ray.remote
-    def rewrite_postings(path: str) -> int:
-        from ..stages.postings import POSTINGS_SCHEMA, _encoded_table
-
-        t = pq.read_table(path)
-        if t.num_rows == 0:
-            return 0
-        docs, tfs, off = _decode_rows_flat(t)
-        drops = ray.get(drop_all_ref)
-        if drops.size == 0:
-            return t.num_rows
-        idx = np.minimum(np.searchsorted(drops, docs), drops.size - 1)
-        keep = drops[idx] != docs
-        if keep.all():
-            return t.num_rows
-        ids_sorted, dls_sorted = ray.get(dl_ref)
-        kdocs, ktfs = docs[keep], tfs[keep]
-        kdls = dls_sorted[np.searchsorted(ids_sorted, kdocs)]
-        lens = np.diff(off)
-        gid = np.repeat(np.arange(lens.size), lens)
-        new_lens = np.bincount(gid[keep], minlength=lens.size)
-        nonempty = np.flatnonzero(new_lens > 0)
-        if nonempty.size == 0:
-            os.unlink(path)
-            return 0
-        new_off = np.concatenate(([0], np.cumsum(new_lens[nonempty])))
-        enc = encode_posting_groups(kdocs, ktfs, kdls, new_off)
-        out = _encoded_table(
-            t["term"].take(pa.array(nonempty)),
-            t["shard"].take(pa.array(nonempty)),
-            enc,
-        )
-        mf.atomic_write_table(out, path)
-        return out.num_rows
-
+    dm_files = [_parquet_files(os.path.join(index_dir, s), "docmeta")
+                for s in names]
+    dm_futs = [[compact_docmeta.remote(p, target(s, p)) for p in paths]
+               for s, paths in zip(names, dm_files)]
+    total_docs = total_tokens = 0
     p_futs = []
-    for seg in segs:
-        pdir = os.path.join(seg, "postings")
-        for fname in sorted(os.listdir(pdir)):
-            if fname.endswith(".parquet"):
-                p_futs.append(rewrite_postings.remote(os.path.join(pdir, fname)))
+    new_names = list(names)
+    for i, (seg, paths, futs) in enumerate(zip(names, dm_files, dm_futs)):
+        res = ray.get(futs)
+        if not res:
+            continue
+        ids = np.concatenate([r[0] for r in res])
+        mask = np.concatenate([r[1] for r in res])
+        kept = pa.concat_tables([r[2] for r in res])
+        total_docs += kept.num_rows
+        total_tokens += int(pc.sum(kept["dl"]).as_py() or 0)
+        if mask.all():
+            continue  # no doc of this segment dropped: it stays as is
+        new_names[i] = _compacted_name(seg, gen)
+        for p, r in zip(paths, res):
+            if r[1].all():  # untouched docmeta file: copy it over
+                shutil.copy2(p, target(seg, p))
+        os.makedirs(os.path.join(index_dir, new_names[i], "postings"))
+        # old ordinal (rank among the segment's ids) → new ordinal, or
+        # -1 for a dropped doc; lengths in new-ordinal order
+        order = np.argsort(ids)
+        keep_sorted = mask[order]
+        new_ord = np.where(keep_sorted, np.cumsum(keep_sorted) - 1, -1)
+        dl, field_dl = _doc_lengths(kept.take(pa.array(
+            np.argsort(ids[mask]))))
+        ref = ray.put(new_ord), ray.put(dl), ray.put(field_dl)
+        p_futs += [compact_postings.remote(p, target(seg, p), *ref, block_size)
+                   for p in _parquet_files(os.path.join(index_dir, seg),
+                                           "postings")]
     ray.get(p_futs)
 
-    man = mf.read_manifest(index_dir)
     man.pop("format_version", None)
+    if new_names != names:
+        man["segments"] = new_names
     man["n_docs"] = total_docs
     man["total_tokens"] = total_tokens
     man["avgdl"] = (total_tokens / total_docs) if total_docs else 0.0
-    man["import_counter"] = int(man.get("import_counter", 0)) + 1
-    mf.write_manifest(index_dir, man)
+    man["import_counter"] = gen
+    mf.write_manifest(index_dir, man)  # atomic cut-over
+    for old, new in zip(names, new_names):
+        if new != old:
+            _remove_segment(index_dir, old)
     return man
 
 
@@ -319,14 +447,16 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
 
     Crash-safe: the new ``merged-<gen>`` directory is built complete,
     the top manifest re-commit (temp+rename) is the atomic cut-over,
-    and only then are the old segment dirs removed; unlisted ``merged-*``
-    / ``upd-*`` dirs and unlisted root segment data left by a crash are
-    swept at entry.  n_docs /
+    and only then are the old segment dirs removed; what a crash left
+    behind is swept at entry (:func:`_sweep_uncommitted`).  n_docs /
     total_tokens / per-field avgdl are unchanged (no rows added or
     dropped), ``import_counter`` bumps (M16 generation semantics).
 
-    The broadcast (doc_id, dl, dl__field…) arrays are O(n_docs) — the
-    same bound :func:`delete_docs` and the query readers already hold.
+    Postings hold segment ordinals: ``repack`` turns them back into doc
+    ids through each segment's sorted ids, and the encoder numbers them
+    by the merged segment's sorted ids.  The broadcast (doc_id, dl,
+    dl__field…) arrays are O(n_docs) — the same bound the query readers
+    already hold.
     """
     import shutil
 
@@ -336,24 +466,13 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     from ..stages.postings import (
         SHARD_SEP,
         SortedBlockEncoder,
+        _resolve,
         encode_partials_table,
     )
-    from ..stages.tokenize import (
-        FIELD_SEP,
-        binary_rows_from_flat,
-        varbyte_rows,
-    )
+    from ..stages.tokenize import binary_rows_from_flat, varbyte_rows
 
     man = mf.read_checked_manifest(index_dir)
-    # sweep what a crash left behind: segment dirs the manifest does not
-    # list, and the root segment's data once "." is no longer listed
-    committed = set(man.get("segments") or ["."])
-    stray = [n for n in os.listdir(index_dir)
-             if n.startswith(("merged-", "upd-")) and n not in committed]
-    if "." not in committed:
-        stray += ["postings", "docmeta"]
-    for name in stray:
-        shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
+    _sweep_uncommitted(index_dir, man)
     segs = _segment_dirs(index_dir)
     if len(segs) <= 1:
         return man  # already one segment — no-op
@@ -361,20 +480,18 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     # ---- broadcast true doc lengths (main + per-field) -----------------
     import pyarrow.dataset as pads
 
-    meta_ds = pads.dataset(
-        [pads.dataset(os.path.join(s, "docmeta"), format="parquet")
-         for s in segs])
-    field_cols = sorted(c for c in meta_ds.schema.names
+    seg_meta = [pads.dataset(os.path.join(s, "docmeta"), format="parquet")
+                for s in segs]
+    field_cols = sorted(c for c in seg_meta[0].schema.names
                         if c.startswith("dl__"))
-    mt = meta_ds.to_table(columns=["doc_id", "dl"] + field_cols)
-    order = pc.sort_indices(mt["doc_id"])
-    mt = mt.take(order)
+    seg_tables = [m.to_table(columns=["doc_id", "dl"] + field_cols)
+                  for m in seg_meta]
+    mt = pa.concat_tables(seg_tables)
+    mt = mt.take(pc.sort_indices(mt["doc_id"]))
     ids_sorted = mt["doc_id"].to_numpy()
-    dl_ref = ray.put((
-        ids_sorted,
-        mt["dl"].to_numpy().astype(np.int64),
-        {c[4:]: mt[c].to_numpy().astype(np.int64) for c in field_cols},
-    ))
+    ids_ref = ray.put(ids_sorted)
+    dl_main, dl_fields = _doc_lengths(mt)
+    dl_ref = ray.put((ids_sorted, dl_main, dl_fields))
 
     gen = int(man.get("import_counter", 0)) + 1
     new_name = f"merged-{gen:05d}"
@@ -393,25 +510,17 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     num_doc_shards = int(man.get("num_doc_shards", 1))
     block_size = int(man.get("block_size", 128))
 
-    def repack(t: pa.Table) -> pa.Table:
+    def repack(t: pa.Table, seg_ids) -> pa.Table:
         if t.num_rows == 0:
             from ..stages.tokenize import PARTIAL_SCHEMA
 
             return PARTIAL_SCHEMA.empty_table()
-        docs, tfs, off = _decode_rows_flat(t)
+        ords, tfs, off = _decode_rows_flat(t, block_size)
+        docs = _resolve(seg_ids)[ords]  # segment ordinal → doc id
         ids, dl_main, dl_fields = ray.get(dl_ref)
-        dls = dl_main[np.searchsorted(ids, docs)]
         term_col = pc.cast(t["term"].combine_chunks(), pa.string())
-        if dl_fields:
-            lens = np.diff(off)
-            row_of = np.repeat(np.arange(t.num_rows), lens)
-            for fname, farr in sorted(dl_fields.items()):
-                frows = pc.starts_with(
-                    term_col, pattern=fname + FIELD_SEP
-                ).to_numpy(zero_copy_only=False)
-                if frows.any():
-                    sel = frows[row_of]
-                    dls[sel] = farr[np.searchsorted(ids, docs[sel])]
+        dls = _posting_dls(term_col, off, np.searchsorted(ids, docs),
+                           dl_main, dl_fields)
         # skey (matches TokenizeStage): term alone for 1 shard, else
         # term<SEP>shard
         if num_doc_shards > 1:
@@ -443,13 +552,15 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
             "dls": varbyte_rows(dls.astype(np.int64), row_offsets),
         })
 
-    pfiles = []
-    for s in segs:
-        pdir = os.path.join(s, "postings")
-        pfiles += [os.path.join(pdir, f) for f in sorted(os.listdir(pdir))
-                   if f.endswith(".parquet")]
-    partials = rd.read_parquet(pfiles, partitioning=None) \
-        .map_batches(repack, batch_format="pyarrow")
+    seg_parts = []
+    for s, st in zip(segs, seg_tables):
+        pfiles = _parquet_files(s, "postings")
+        if pfiles:
+            seg_ids_ref = ray.put(np.sort(st["doc_id"].to_numpy()))
+            seg_parts.append(
+                rd.read_parquet(pfiles, partitioning=None).map_batches(
+                    repack, fn_args=(seg_ids_ref,), batch_format="pyarrow"))
+    partials = seg_parts[0].union(*seg_parts[1:])
 
     from ray.data import DataContext
 
@@ -458,27 +569,22 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
         8, min(512, 4 * int(ray.cluster_resources().get("CPU", 8))))
     sorted_partials = partials.repartition(n_blocks).sort("skey")
     boundary = sorted_partials.map_batches(
-        SortedBlockEncoder(postings_dir, block_size),
+        SortedBlockEncoder(postings_dir, block_size, doc_ids=ids_ref),
         batch_format="pyarrow", batch_size=None,
     ).materialize()
     tbl = pa.concat_tables(
         [ray.get(r) for r in boundary.to_arrow_refs()],
         promote_options="permissive")
-    rest = encode_partials_table(tbl, block_size)
+    rest = encode_partials_table(tbl, block_size, ids_ref)
     if rest.num_rows:
         mf.atomic_write_table(
             rest, os.path.join(postings_dir, "postings-boundary.parquet"))
 
-    old_dirs = [s for s in segs]
+    old_names = man.get("segments") or ["."]
     man.pop("format_version", None)
     man["segments"] = [new_name]
     man["import_counter"] = gen
     mf.write_manifest(index_dir, man)  # atomic cut-over
-    for s in old_dirs:
-        if os.path.abspath(s) == os.path.abspath(index_dir):
-            # "." root segment: remove its data dirs, keep the root
-            for sub in ("postings", "docmeta"):
-                shutil.rmtree(os.path.join(s, sub), ignore_errors=True)
-        else:
-            shutil.rmtree(s, ignore_errors=True)
+    for seg in old_names:
+        _remove_segment(index_dir, seg)
     return mf.read_manifest(index_dir)

@@ -18,8 +18,11 @@ the explicit index:
 * the coalesce cascade (``api/search/ESCoalesce.java:30-64``) runs plan
   variants in order and returns the first non-empty top-k.
 
-All arithmetic is float64; ranking ties break (score desc, doc_id asc)
-— the conventions pinned in ``functions/bm25.py``.
+Docs are the reader's global ordinals (positions in its sorted
+``doc_ids``) from decode to top-k; callers map them to ``doc_id`` only
+to project hits.  All arithmetic is float64; ranking ties break (score
+desc, ordinal asc) — ordinal order is doc_id order, so this is the
+(score desc, doc_id asc) convention pinned in ``functions/bm25.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from ..functions import bm25
-from ..functions.codec import decode_blocks
 from ..state.reader import IndexReader, TermPostings
 
 EMPTY_I = np.empty(0, dtype=np.int64)
@@ -218,9 +220,8 @@ class QueryEngine:
         self._term_eval_cache: dict[tuple[str, float], tuple] = {}
         self._filter_cache: dict[tuple, np.ndarray] = {}
         self._ub_cache: dict[str, float] = {}
-        self._pos_cache: dict[str, np.ndarray] = {}
         # leaf cache for the float32 approximate pre-pass: child key →
-        # (doc positions int32, scores float32, max score).  Halves the
+        # (docs, scores float32, max score, scores float64).  Halves the
         # per-query scatter/read bytes vs the float64 arrays — the
         # engine's per-query memory traffic is THE scaling bottleneck on
         # bandwidth-bound machines (round-3 finding); exactness is
@@ -341,7 +342,7 @@ class QueryEngine:
     # -- generic exact evaluation ---------------------------------------
 
     def evaluate(self, node) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted doc_ids, float64 scores) of every matching doc."""
+        """(sorted ordinals, float64 scores) of every matching doc."""
         if isinstance(node, Term):
             return self.eval_term(node)
         if isinstance(node, Prefix):
@@ -404,21 +405,6 @@ class QueryEngine:
 
     # -- dense boolean evaluation (hot-term fast path) -------------------
 
-    def _positions_for(self, child, docs: np.ndarray) -> np.ndarray:
-        """Doc-store row positions of a child's match docs; cached for
-        Term/Prefix leaves (the recurring cascade children)."""
-        if isinstance(child, Term):
-            return self._term_positions(self._term_key(child), docs)
-        if isinstance(child, Prefix):
-            key = "\x00pfx\x00" + child.prefix
-            pos = self._pos_cache.get(key)
-            if pos is None:
-                pos = np.searchsorted(self.reader.doc_ids, docs)
-                if len(self._pos_cache) < 4096:
-                    self._pos_cache[key] = pos
-            return pos
-        return np.searchsorted(self.reader.doc_ids, docs)
-
     def _bool_mass(self, node: Bool) -> int:
         """Posting mass of the Term leaves (cheap upper-bound signal
         for choosing dense vs sorted-merge evaluation)."""
@@ -433,11 +419,12 @@ class QueryEngine:
     def _eval_bool_dense(self, node: Bool):
         """Dense-array boolean evaluation: scores scatter into one
         accumulator over the doc space, set logic becomes boolean-array
-        ops — no sorts, no searchsorted merges (each leaf's positions
-        are cached).  Exact same results and float summation order as
-        the sorted-merge path (differentially tested); engaged only when
-        the posting mass rivals the doc space, where sorted merges are
-        memory-bandwidth-bound (the round-1 QPS-scaling bottleneck)."""
+        ops — no sorts, no searchsorted merges (doc ordinals ARE
+        accumulator positions).  Exact same results and float summation
+        order as the sorted-merge path (differentially tested); engaged
+        only when the posting mass rivals the doc space, where sorted
+        merges are memory-bandwidth-bound (the round-1 QPS-scaling
+        bottleneck)."""
         n = self.reader.doc_ids.size
         # re-entrancy guard: a nested Bool child evaluated below may
         # itself take the dense path — only the outermost call may use
@@ -461,17 +448,15 @@ class QueryEngine:
         if len(node.must) == 1:
             # presence needs no counter: one bool scatter
             cd, cs = self.evaluate(node.must[0])
-            pos = self._positions_for(node.must[0], cd)
-            acc[pos] += cs
+            acc[cd] += cs
             mask = np.zeros(n, dtype=bool)
-            mask[pos] = True
+            mask[cd] = True
         elif node.must:
             cnt = np.zeros(n, dtype=np.int16)
             for child in node.must:
                 cd, cs = self.evaluate(child)
-                pos = self._positions_for(child, cd)
-                cnt[pos] += 1
-                acc[pos] += cs
+                cnt[cd] += 1
+                acc[cd] += cs
             mask = cnt == len(node.must)
         else:
             mask = None
@@ -479,7 +464,7 @@ class QueryEngine:
         for child in node.filter:
             fd, _ = self.evaluate(child)
             fmask = np.zeros(n, dtype=bool)
-            fmask[self._positions_for(child, fd)] = True
+            fmask[fd] = True
             mask = fmask if mask is None else (mask & fmask)
 
         acc_s = None
@@ -502,10 +487,9 @@ class QueryEngine:
             ) else None
             for child in node.should:
                 sd, ss = self.evaluate(child)
-                pos = self._positions_for(child, sd)
-                acc_s[pos] += ss
+                acc_s[sd] += ss
                 if s_cnt is not None:
-                    s_cnt[pos] += 1
+                    s_cnt[sd] += 1
             if mask is None:
                 eff = max(1, node.minimum_should_match)
                 mask = s_cnt >= eff
@@ -518,7 +502,7 @@ class QueryEngine:
         for child in node.must_not:
             nd, _ = self.evaluate(child)
             if nd.size:
-                mask[self._positions_for(child, nd)] = False
+                mask[nd] = False
 
         hit = np.flatnonzero(mask)
         scores = acc[hit].copy()
@@ -526,7 +510,7 @@ class QueryEngine:
             scores += acc_s[hit]
         if node.boost != 1.0:
             scores *= node.boost
-        return self.reader.doc_ids[hit], scores
+        return hit, scores
 
     def _eval_bool(self, node: Bool):
         # single-clause rewriting (the ES query-planner identity): a
@@ -655,7 +639,7 @@ class QueryEngine:
 
     def _topk(self, docs: np.ndarray, scores: np.ndarray, k: int,
               secondary: np.ndarray | None = None):
-        """(score desc[, secondary asc], doc_id asc) tie-break,
+        """(score desc[, secondary asc], ordinal asc) tie-break,
         vectorized.  ``secondary`` (aligned with docs) is the analog of
         the reference's secondary geo-distance sort
         (``api/search/ESCoalesce.java:50``)."""
@@ -675,7 +659,7 @@ class QueryEngine:
 
     def top_k_sorted(self, node, k: int = 20, secondary_col: str | None = None):
         """Top-k with a secondary doc-store sort key (score desc,
-        column asc, doc_id asc) — Q15's geoDistanceSort analog."""
+        column asc, ordinal asc) — Q15's geoDistanceSort analog."""
         if secondary_col is None:
             return self.top_k(node, k)
         full_docs, full_scores = self.evaluate(node)
@@ -692,7 +676,7 @@ class QueryEngine:
                          origin: tuple[float, float] = (0.0, 0.0),
                          lat_col: str = "lat", lon_col: str = "lon"):
         """Top-k with a TRUE haversine secondary sort: (score desc,
-        great-circle distance from ``origin`` asc, doc_id asc) — the
+        great-circle distance from ``origin`` asc, ordinal asc) — the
         reference's ``geoDistanceSort("centroid")``
         (``api/search/ESCoalesce.java:50``) over lat/lon doc-store
         columns (carried by ``DOCMETA_CARRY`` when present in the
@@ -787,7 +771,7 @@ class QueryEngine:
         blocks that contain a candidate (block-selective skip read)."""
         out = np.zeros(cand.size, dtype=np.float64)
         for p in tp.parts:
-            last = p["block_last_doc"]
+            last = p["block_last"]
             if len(last) == 0:
                 continue
             # block index that could contain each candidate
@@ -796,7 +780,7 @@ class QueryEngine:
             sel = np.unique(bidx[valid])
             if sel.size == 0:
                 continue
-            d, t = decode_blocks(p, sel, self.reader.block_size)
+            d, t = self.reader.decode_blocks(p, sel)
             idx = np.searchsorted(d, cand)
             idx_c = np.minimum(idx, d.size - 1)
             hit = (d[idx_c] == cand) & valid
@@ -806,26 +790,13 @@ class QueryEngine:
                 out[hit] += boost * sc
         return out
 
-    def _term_positions(self, term: str, docs: np.ndarray) -> np.ndarray:
-        """Row positions of a term's (sorted) posting docs in the doc
-        store — cached per term, so the dense path pays the searchsorted
-        once per (actor, term), not per query."""
-        pos = self._pos_cache.get(term)
-        if pos is None:
-            pos = np.searchsorted(self.reader.doc_ids, docs)
-            if self.reader.doc_ids.size < 2**31:
-                pos = pos.astype(np.int32)  # halves scatter-read bytes
-            if len(self._pos_cache) < 4096:
-                self._pos_cache[term] = pos
-        return pos
-
     # -- float32 pre-pass (exact after float64 candidate rescore) --------
 
     _F32EPS = float(np.finfo(np.float32).eps)
 
     def _leaf32(self, child):
-        """(positions, scores float32, smax, docs, scores float64) of a
-        Term/Prefix leaf, cached.  The float32 copy halves the per-query
+        """(docs, scores float32, smax, scores float64) of a Term/Prefix
+        leaf, cached.  The float32 copy halves the per-query
         scatter-read bytes — per-query memory traffic over hot-term
         arrays is the engine's scaling bottleneck on bandwidth-bound
         machines (round-3 measurement); the float64 originals stay
@@ -844,16 +815,14 @@ class QueryEngine:
             self._leaf32_cache.move_to_end(key)
             return hit
         d, s = self.evaluate(child)
-        pos = self._positions_for(child, d)
-        res = (pos, s.astype(np.float32),
-               float(s.max()) if s.size else 0.0, d, s)
-        nbytes = pos.nbytes + res[1].nbytes + d.nbytes + s.nbytes
+        res = (d, s.astype(np.float32), float(s.max()) if s.size else 0.0, s)
+        nbytes = d.nbytes + res[1].nbytes + s.nbytes
         if nbytes <= self.leaf32_budget:
             while self._leaf32_bytes + nbytes > self.leaf32_budget \
                     and self._leaf32_cache:
                 _, old = self._leaf32_cache.popitem(last=False)
                 self._leaf32_bytes -= (old[0].nbytes + old[1].nbytes
-                                       + old[3].nbytes + old[4].nbytes)
+                                       + old[3].nbytes)
             self._leaf32_cache[key] = res
             self._leaf32_bytes += nbytes
         return res
@@ -947,14 +916,13 @@ class QueryEngine:
         ONE addend — exactly the sparse path's ``Σmust +
         gather(union_sum(should))`` and the dense path's ``acc[hit] +
         acc_s[hit]``, so the result is bit-identical to both."""
-        docs = self.reader.doc_ids[cand]
-        scores = np.zeros(docs.size, dtype=np.float64)
+        scores = np.zeros(cand.size, dtype=np.float64)
         for _child, lf in leaves_must:
-            scores += _gather_scores(docs, lf[3], lf[4])
+            scores += _gather_scores(cand, lf[0], lf[3])
         if leaves_should:
-            s_acc = np.zeros(docs.size, dtype=np.float64)
+            s_acc = np.zeros(cand.size, dtype=np.float64)
             for _child, lf in leaves_should:
-                s_acc += _gather_scores(docs, lf[3], lf[4])
+                s_acc += _gather_scores(cand, lf[0], lf[3])
             if leaves_must:
                 scores += s_acc
             else:
@@ -1031,7 +999,7 @@ class QueryEngine:
         for child in node.filter:
             fd, _ = self.evaluate(child)
             fmask = np.zeros(n, dtype=bool)
-            fmask[self._positions_for(child, fd)] = True
+            fmask[fd] = True
             mask = fmask if mask is None else (mask & fmask)
 
         if leaves_s:
@@ -1051,7 +1019,7 @@ class QueryEngine:
         for child in node.must_not:
             nd, _ = self.evaluate(child)
             if nd.size:
-                mask[self._positions_for(child, nd)] = False
+                mask[nd] = False
 
         smax_sum = sum(lf[2] for _c, lf in (*leaves_m, *leaves_s))
         bound = 4.0 * len(scoring) * self._F32EPS * smax_sum
@@ -1061,7 +1029,7 @@ class QueryEngine:
         scores = self._rescore_exact(cand, leaves_m, leaves_s)
         if node.boost != 1.0:
             scores *= node.boost
-        return self._topk(self.reader.doc_ids[cand], scores, k)
+        return self._topk(cand, scores, k)
 
     def _topk_dense(self, infos, k: int, filter_docs: np.ndarray | None):
         """Dense-accumulator disjunction through the float32 pre-pass:
@@ -1080,15 +1048,14 @@ class QueryEngine:
             acc64.fill(0.0)
             for node, tp, _ub in infos:
                 d, s = self.eval_term(node)
-                if d.size:
-                    acc64[self._term_positions(self._term_key(node), d)] += s
+                acc64[d] += s
             if filter_docs is not None:
                 keep = np.zeros(n, dtype=bool)
-                keep[np.searchsorted(self.reader.doc_ids, filter_docs)] = True
+                keep[filter_docs] = True
                 hit = np.flatnonzero((acc64 != 0.0) & keep)
             else:
                 hit = np.flatnonzero(acc64)
-            return self._topk(self.reader.doc_ids[hit], acc64[hit].copy(), k)
+            return self._topk(hit, acc64[hit].copy(), k)
         acc = self._acc32_buf(n)
         leaves = []
         smax_sum = 0.0
@@ -1104,13 +1071,13 @@ class QueryEngine:
         mask = None
         if filter_docs is not None:
             mask = np.zeros(n, dtype=bool)
-            mask[np.searchsorted(self.reader.doc_ids, filter_docs)] = True
+            mask[filter_docs] = True
         bound = 4.0 * len(leaves) * self._F32EPS * smax_sum
         cand = self._select_band(acc, mask, k, bound)
         if cand is None:
             return EMPTY_I, EMPTY_F
         scores = self._rescore_exact(cand, leaves)
-        return self._topk(self.reader.doc_ids[cand], scores, k)
+        return self._topk(cand, scores, k)
 
     def top_k_disjunction(self, terms: list[Term], k: int = 20,
                           filter_docs: np.ndarray | None = None):

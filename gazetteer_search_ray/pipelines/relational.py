@@ -167,22 +167,21 @@ def join_aggregate_counts(
         )
         lookup_ref = ray.put(merged)
 
-        class Backfill:
-            def __init__(self):
-                self.lookup: pa.Table = ray.get(lookup_ref)
+        # stateless tasks, not an actor pool: a fixed-size pool holds
+        # its CPUs for the whole stage, and on a small cluster the dim
+        # read then never gets one (a 2-CPU cluster hung here)
+        def backfill(batch: pa.Table) -> pa.Table:
+            joined = batch.join(
+                ray.get(lookup_ref),  # plasma-local, zero-copy
+                keys=[dim_key],
+                right_keys=[fact_key],
+                join_type="left outer",
+            )
+            cnt = pc.fill_null(joined[out_col], 0)
+            i = joined.schema.get_field_index(out_col)
+            return joined.set_column(i, out_col, pc.cast(cnt, pa.int64()))
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                joined = batch.join(
-                    self.lookup,
-                    keys=[dim_key],
-                    right_keys=[fact_key],
-                    join_type="left outer",
-                )
-                cnt = pc.fill_null(joined[out_col], 0)
-                i = joined.schema.get_field_index(out_col)
-                return joined.set_column(i, out_col, pc.cast(cnt, pa.int64()))
-
-        return dim_ds.map_batches(Backfill, batch_format="pyarrow", concurrency=2)
+        return dim_ds.map_batches(backfill, batch_format="pyarrow")
 
     # ---- shuffle fallback: distributed aggregate + hash-shuffle join ----
     from ray.data.aggregate import Sum

@@ -220,8 +220,9 @@ class Searcher:
                 verbose: bool = False,
                 matched: list[list[str]] | None = None) -> list[dict]:
         """Hit projection from the doc store (Q17: base + verbose field
-        sets, ``ESDefaultSearch.java:39-41,168-177``).  One vectorized
-        gather per column — not one per hit."""
+        sets, ``ESDefaultSearch.java:39-41,168-177``): engine ordinals
+        become ``doc_id``s here.  One vectorized gather per column — not
+        one per hit."""
         r = self.reader
         cols = ["repo", "path", "lang"]
         if verbose:
@@ -230,7 +231,8 @@ class Searcher:
         if verbose:
             gathered["dl"] = r.dl_of(docs)
         out = []
-        for i, (d, s) in enumerate(zip(docs.tolist(), scores.tolist())):
+        ids = r.doc_ids[docs].tolist()
+        for i, (d, s) in enumerate(zip(ids, scores.tolist())):
             row = {"rank": i + 1, "doc_id": d, "score": s}
             for col, vals in gathered.items():
                 v = vals[i]
@@ -454,8 +456,9 @@ class ShardedQueryService:
        leaves, and sums them into the GLOBAL df map;
     2. **query phase** — every shard evaluates the same plan with the
        global df injected (``QueryEngine.df_override``) plus the
-       manifest's global n_docs/avgdl, returns its local top-k, and the
-       coordinator merges by (score desc, doc_id asc).
+       manifest's global n_docs/avgdl, returns its local top-k as
+       ``doc_id``s (shard ordinals mean nothing to the coordinator), and
+       the coordinator merges by (score desc, doc_id asc).
 
     The coalesce cascade is decided globally: a variant counts as
     non-empty if ANY shard matched, so shards never mix variants.
@@ -500,7 +503,7 @@ class ShardedQueryService:
                 eng = self.searcher.engine
                 eng.df_override = df_override
                 docs, scores = eng.top_k(plan, k)
-                return docs, scores
+                return eng.reader.doc_ids[docs], scores
 
         self._ray = ray
         self.workers = [_Shard.remote(index_dir, group) for group in shards]

@@ -19,6 +19,10 @@ sort-based group-aggregate explicitly, keeping the encode vectorized:
 3. the (tiny) boundary stream goes through a real
    ``groupby(term, shard).map_groups`` merge.
 
+Partials carry doc ids (63-bit hashes); every encoder maps them to the
+segment's doc ordinals (``codec`` format v3) with one ``searchsorted``
+over the segment's sorted ids, which the build ``ray.put``s once.
+
 ``shard`` = ``doc_id % num_doc_shards`` bounds run length for
 heavy-hitter terms so no single group materializes a 10^12-doc posting
 list; the query layer sort-merges shards per term (tested equivalent to
@@ -33,6 +37,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 from ..functions.codec import BLOCK_SIZE, encode_posting, encode_posting_groups
 from ..state.manifest import atomic_write_table
@@ -64,7 +69,7 @@ POSTINGS_SCHEMA = pa.schema(
         ("df", pa.int64()),
         ("docs", pa.binary()),
         ("tfs", pa.binary()),
-        ("block_last_doc", pa.list_(pa.int64())),
+        ("block_last_doc", pa.list_(pa.int32())),
         ("block_max_tf", pa.list_(pa.int32())),
         ("block_min_dl", pa.list_(pa.int32())),
         ("block_docs_off", pa.list_(pa.int64())),
@@ -84,7 +89,7 @@ def _encoded_table(term_arr, shard_arr, enc: dict) -> pa.Table:
             "df": pa.array(enc["df"], pa.int64()),
             "docs": pa.array(enc["docs"], pa.binary()),
             "tfs": pa.array(enc["tfs"], pa.binary()),
-            "block_last_doc": pa.array(enc["block_last_doc"], pa.list_(pa.int64())),
+            "block_last_doc": pa.array(enc["block_last_doc"], pa.list_(pa.int32())),
             "block_max_tf": pa.array(enc["block_max_tf"], pa.list_(pa.int32())),
             "block_min_dl": pa.array(enc["block_min_dl"], pa.list_(pa.int32())),
             "block_docs_off": pa.array(enc["block_docs_off"], pa.list_(pa.int64())),
@@ -94,14 +99,46 @@ def _encoded_table(term_arr, shard_arr, enc: dict) -> pa.Table:
     )
 
 
+def segment_doc_ids(docmeta_dir: str) -> np.ndarray:
+    """A segment's doc ids, sorted: ordinal i is the i-th smallest."""
+    t = pads.dataset(docmeta_dir, format="parquet").to_table(columns=["doc_id"])
+    return np.sort(t["doc_id"].to_numpy())
+
+
+def _resolve(doc_ids) -> np.ndarray:
+    """The sorted-id array behind ``doc_ids`` (an array or an object ref)."""
+    if isinstance(doc_ids, np.ndarray):
+        return doc_ids
+    import ray
+
+    return ray.get(doc_ids)
+
+
+def ordinals_of(ids_sorted: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Segment ordinals of doc ids; every id must be in the doc store."""
+    ords = np.searchsorted(ids_sorted, docs)
+    if docs.size and (ords.max() >= ids_sorted.size
+                      or not np.array_equal(ids_sorted[ords], docs)):
+        raise ValueError("posting of a doc_id missing from the doc store")
+    return ords
+
+
 class SortedBlockEncoder:
-    """``map_batches`` stage over (term, shard)-sorted partial postings."""
+    """``map_batches`` stage over (term, shard)-sorted partial postings.
+
+    ``doc_ids`` is the segment's sorted doc ids (array or object ref);
+    None reads them from the ``docmeta`` directory next to
+    ``postings_dir``."""
 
     def __init__(self, postings_dir: str, block_size: int = BLOCK_SIZE,
-                 row_group_size: int = 4096):
+                 row_group_size: int = 4096, doc_ids=None):
         self.postings_dir = postings_dir
         self.block_size = block_size
         self.row_group_size = row_group_size
+        if doc_ids is None:
+            doc_ids = segment_doc_ids(
+                os.path.join(os.path.dirname(postings_dir), "docmeta"))
+        self.doc_ids = doc_ids
 
     def __call__(self, t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -119,7 +156,7 @@ class SortedBlockEncoder:
         inner = t.slice(lo_row, hi_row - lo_row)
         heads = run_heads[1:-1] - lo_row
         docs, row_lens = flat_from_binary_col(inner["docs"], np.dtype("<i8"))
-        docs = docs.astype(np.int64, copy=False)
+        docs = ordinals_of(_resolve(self.doc_ids), docs)
         tfs, _ = varbyte_flat_from_binary_col(inner["tfs"])
         dls, _ = varbyte_flat_from_binary_col(inner["dls"])
         row_off = np.concatenate(([0], np.cumsum(row_lens)))
@@ -144,11 +181,16 @@ class SortedBlockEncoder:
         return pa.concat_tables([first, last])
 
 
-def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE) -> pa.Table:
+def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,
+                          doc_ids=None) -> pa.Table:
     """Sort + merge + encode an (unsorted) partial-postings table in one
     vectorized pass.  Used for the boundary stream when it is small
     enough to merge on the driver — saves a whole all-to-all exchange
-    (the ``groupby`` path remains for large boundary sets)."""
+    (the ``groupby`` path remains for large boundary sets).
+
+    ``doc_ids``: the segment's sorted doc ids (array or object ref);
+    None numbers the table's own distinct docs, as for a table that is
+    a segment by itself."""
     if t.num_rows == 0:
         return POSTINGS_SCHEMA.empty_table()
     t = t.combine_chunks().take(
@@ -157,7 +199,8 @@ def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE) -> pa.Table
     codes = pc.dictionary_encode(t["skey"]).combine_chunks().indices.to_numpy()
     heads = np.concatenate(([0], np.flatnonzero(np.diff(codes) != 0) + 1))
     docs, row_lens = flat_from_binary_col(t["docs"], np.dtype("<i8"))
-    docs = docs.astype(np.int64, copy=False)
+    ids = np.unique(docs) if doc_ids is None else _resolve(doc_ids)
+    docs = ordinals_of(ids, docs)
     tfs, _ = varbyte_flat_from_binary_col(t["tfs"])
     dls, _ = varbyte_flat_from_binary_col(t["dls"])
     row_off = np.concatenate(([0], np.cumsum(row_lens)))
@@ -167,8 +210,9 @@ def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE) -> pa.Table
     return _encoded_table(terms_h, shards_h, enc)
 
 
-def make_postings_merger(block_size: int = BLOCK_SIZE):
-    """``map_groups`` merge for one (term, shard) group of partials.
+def make_postings_merger(doc_ids, block_size: int = BLOCK_SIZE):
+    """``map_groups`` merge for one (term, shard) group of partials;
+    ``doc_ids`` is the segment's sorted doc ids (array or object ref).
 
     Used only for the boundary stream (O(#sorted-blocks) groups), where
     per-group Python overhead is harmless.
@@ -176,7 +220,7 @@ def make_postings_merger(block_size: int = BLOCK_SIZE):
 
     def merge(group: pa.Table) -> pa.Table:
         docs, _ = flat_from_binary_col(group["docs"], np.dtype("<i8"))
-        docs = docs.astype(np.int64, copy=False)
+        docs = ordinals_of(_resolve(doc_ids), docs)
         tfs, _ = varbyte_flat_from_binary_col(group["tfs"])
         dls, _ = varbyte_flat_from_binary_col(group["dls"])
         enc = encode_posting(docs, tfs, dls, block_size)

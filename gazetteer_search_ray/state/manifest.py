@@ -18,7 +18,10 @@ import shutil
 import uuid
 
 MANIFEST_NAME = "_manifest.json"
-FORMAT_VERSION = 2  # v2: postings "docs" payload is raw LE int64 (was delta+varbyte)
+# v3: postings "docs" hold segment-local doc ordinals, delta-packed at a
+# 1/2/4-byte width per 128-posting block; block_last_doc is list<int32>
+# ordinals (v2: raw LE int64 doc ids; v1: delta+varbyte doc ids)
+FORMAT_VERSION = 3
 
 
 def atomic_write_json(path: str, obj: dict) -> None:

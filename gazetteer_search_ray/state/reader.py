@@ -7,6 +7,13 @@ row groups whose [min_term, max_term] statistics cover the term — the
 on-disk analog of a term dictionary — so a query touches a few row
 groups, not the index (SURVEY.md §3.2).
 
+Docs are addressed by GLOBAL ordinal: the position of a doc in the
+sorted ``doc_ids`` array.  Each segment's postings hold segment-local
+ordinals (``codec`` format v3); ``seg_map[s]`` maps them to global
+ordinals.  Both orders are doc-id order, so ``seg_map`` is monotone and
+decoded lists stay sorted.  The query layer works on global ordinals and
+maps back to ``doc_id`` only to project hits.
+
 Scale note: doc-store arrays are per-*segment-group* — on a multi-node
 cluster each query actor serves the segments co-located with it and a
 scatter-gather layer merges top-k across actors (the reference relies on
@@ -21,11 +28,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.analyzer import Analyzer, AnalyzerConfig
-from ..functions.codec import decode_blocks
+from ..functions import codec
 from . import manifest as mf
 import os
 
@@ -48,7 +56,10 @@ class TermPostings:
 
     term: str
     df: int  # global doc frequency (sum over parts)
-    parts: list[dict]  # encoded rows (codec.encode_posting layout)
+    # encoded rows (codec.encode_posting layout) plus "seg_map" (the
+    # part's local→global ordinal map, None for the identity) and
+    # "block_last" (block_last_doc as global ordinals)
+    parts: list[dict]
 
 
 class IndexReader:
@@ -92,10 +103,22 @@ class IndexReader:
         field_cols = sorted(c for c in avail if c.startswith("dl__"))
         cols = (["doc_id", "dl"] + field_cols
                 + [c for c in DOCMETA_EXTRA if c in avail])
-        t = meta_ds.to_table(columns=cols)
-        order = pc.sort_indices(t["doc_id"])
+        # one table per segment (a segment may lack optional columns)
+        tables = [c.to_table(columns=[n for n in cols if n in c.schema.names])
+                  for c in children]
+        t = tables[0] if len(tables) == 1 else pa.concat_tables(
+            tables, promote_options="permissive")
+        order = pc.sort_indices(t["doc_id"]).to_numpy()
         t = t.take(order)
         self.doc_ids = t["doc_id"].to_numpy()  # sorted ascending
+        # per segment: local ordinal i (its i-th smallest doc id) → the
+        # global ordinal of that doc; None = identity (one segment)
+        seg_maps: list[np.ndarray | None] = [None]
+        if len(tables) > 1:
+            glob = np.empty(order.size, np.int64)
+            glob[order] = np.arange(order.size)
+            ends = np.cumsum([tb.num_rows for tb in tables])
+            seg_maps = [np.sort(g) for g in np.split(glob, ends[:-1])]
         self.dl = t["dl"].to_numpy().astype(np.int64)
         # per-field BM25 length norms (multi-field mapping): dl__<field>
         # docmeta columns + manifest per-field avgdl
@@ -119,7 +142,8 @@ class IndexReader:
         self._rg_min: list[str] = []
         self._rg_max: list[str] = []
         self._rg_loc: list[tuple[int, int]] = []  # (file_idx, rg_idx)
-        for d in seg_dirs:
+        self._file_seg_map: list[np.ndarray | None] = []  # by file_idx
+        for seg_map, d in zip(seg_maps, seg_dirs):
             pdir = os.path.join(d, "postings")
             for fname in sorted(os.listdir(pdir)):
                 if not fname.endswith(".parquet"):
@@ -131,6 +155,7 @@ class IndexReader:
                                     memory_map=True)
                 fi = len(self._files)
                 self._files.append(pf)
+                self._file_seg_map.append(seg_map)
                 term_idx = pf.schema_arrow.get_field_index("term")
                 for rg in range(pf.metadata.num_row_groups):
                     st = pf.metadata.row_group(rg).column(term_idx).statistics
@@ -149,31 +174,27 @@ class IndexReader:
     # ---- doc store gathers --------------------------------------------
 
     def dl_of(self, docs: np.ndarray, field: str | None = None) -> np.ndarray:
-        idx = np.searchsorted(self.doc_ids, docs)
-        return (self.dl if field is None else self.field_dl[field])[idx]
+        return (self.dl if field is None else self.field_dl[field])[docs]
 
     def avgdl_of(self, field: str | None = None) -> float:
         return self.avgdl if field is None else self.field_avgdl[field]
 
     def column_of(self, docs: np.ndarray, col: str) -> np.ndarray:
-        idx = np.searchsorted(self.doc_ids, docs)
-        return self.columns[col][idx]
+        return self.columns[col][docs]
 
     def docs_matching(self, col: str, values) -> np.ndarray:
-        """Sorted doc_ids whose docmeta column ∈ values (filter leaf)."""
-        mask = np.isin(self.columns[col], list(values))
-        return self.doc_ids[mask]
+        """Sorted ordinals whose docmeta column ∈ values (filter leaf)."""
+        return np.flatnonzero(np.isin(self.columns[col], list(values)))
 
     def docs_in_range(self, col: str, lo: float, hi: float) -> np.ndarray:
-        """Sorted doc_ids with lo ≤ column ≤ hi (numeric range leaf)."""
+        """Sorted ordinals with lo ≤ column ≤ hi (numeric range leaf)."""
         if col == "doc_id":
             vals = self.doc_ids
         elif col == "dl":
             vals = self.dl
         else:
             vals = self.columns[col].astype(np.float64)
-        mask = (vals >= lo) & (vals <= hi)
-        return self.doc_ids[mask]
+        return np.flatnonzero((vals >= lo) & (vals <= hi))
 
     def all_terms(self) -> list[str]:
         """The full term dictionary (scanned once, cached)."""
@@ -232,17 +253,20 @@ class IndexReader:
             self._rg_cache.popitem(last=False)
         return tbl
 
-    @staticmethod
-    def _row_to_part(tbl, i: int) -> dict:
+    def _row_to_part(self, fi: int, tbl, i: int) -> dict:
+        last = np.asarray(tbl["block_last_doc"][i].as_py(), np.int64)
+        seg_map = self._file_seg_map[fi]
         return {
             "df": tbl["df"][i].as_py(),
             "docs": tbl["docs"][i].as_py(),
             "tfs": tbl["tfs"][i].as_py(),
-            "block_last_doc": np.asarray(tbl["block_last_doc"][i].as_py(), np.int64),
+            "block_last_doc": last,
             "block_max_tf": np.asarray(tbl["block_max_tf"][i].as_py(), np.int32),
             "block_min_dl": np.asarray(tbl["block_min_dl"][i].as_py(), np.int32),
             "block_docs_off": np.asarray(tbl["block_docs_off"][i].as_py(), np.int64),
             "block_tfs_off": np.asarray(tbl["block_tfs_off"][i].as_py(), np.int64),
+            "seg_map": seg_map,
+            "block_last": last if seg_map is None else seg_map[last],
         }
 
     def posting(self, term: str) -> TermPostings | None:
@@ -255,7 +279,7 @@ class IndexReader:
             mask = pc.equal(tbl["term"], term)
             idxs = np.flatnonzero(mask.combine_chunks().to_numpy(zero_copy_only=False))
             for i in idxs:
-                parts.append(self._row_to_part(tbl, int(i)))
+                parts.append(self._row_to_part(fi, tbl, int(i)))
         tp = TermPostings(term, sum(p["df"] for p in parts), parts) if parts else None
         self._cache[term] = tp
         if len(self._cache) > self._cache_terms:
@@ -277,16 +301,21 @@ class IndexReader:
 
     # ---- decode --------------------------------------------------------
 
+    def decode_blocks(self, part: dict, blocks: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(global ordinals, tfs) of the selected blocks of one part."""
+        d, t = codec.decode_blocks(part, blocks, self.block_size)
+        seg_map = part["seg_map"]
+        return (d if seg_map is None else seg_map[d]), t
+
     def decode_all(self, tp: TermPostings) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids sorted, tfs) across all parts (sorted merge)."""
+        """(global ordinals sorted, tfs) across all parts (sorted merge)."""
         if len(tp.parts) == 1:
             p = tp.parts[0]
-            nblocks = len(p["block_last_doc"])
-            return decode_blocks(p, np.arange(nblocks), self.block_size)
+            return self.decode_blocks(p, np.arange(len(p["block_last"])))
         ds_, ts_ = [], []
         for p in tp.parts:
-            nblocks = len(p["block_last_doc"])
-            d, t = decode_blocks(p, np.arange(nblocks), self.block_size)
+            d, t = self.decode_blocks(p, np.arange(len(p["block_last"])))
             ds_.append(d)
             ts_.append(t)
         docs = np.concatenate(ds_)

@@ -183,3 +183,127 @@ def test_varbyte_rows_sliced_column():
     got, cnt = varbyte_flat_from_binary_col(tbl["x"])
     np.testing.assert_array_equal(got, flat[30:70])
     np.testing.assert_array_equal(cnt, [10, 10, 10, 10])
+
+
+# ---- format v3: ordinals delta-packed at a 1/2/4-byte width per block ----
+
+
+def _ords_with_gaps(stored_gaps) -> np.ndarray:
+    """Ordinals whose stored values (gap − 1, first against −1) are
+    ``stored_gaps``."""
+    return np.cumsum(np.asarray(stored_gaps, np.int64) + 1) - 1
+
+
+@pytest.mark.parametrize("gap,width", [(0, 1), (255, 1), (256, 2),
+                                       (65535, 2), (65536, 4)])
+def test_v3_width_boundaries(gap, width):
+    """One block's width is the narrowest that holds its largest gap;
+    the values round-trip on both sides of each width boundary."""
+    ords = _ords_with_gaps([0, gap, 3])
+    row = encode_posting(ords, [1, 2, 3], [5, 5, 5])
+    assert len(row["docs"]) == 3 * width
+    np.testing.assert_array_equal(decode_posting(row).doc_ids, ords)
+
+
+def test_v3_first_ordinal_zero_and_singletons():
+    for ords in ([0], [1], [65536], [2**31 - 1], [0, 1]):
+        row = encode_posting(np.array(ords), np.ones(len(ords)),
+                             np.ones(len(ords)))
+        p = decode_posting(row)
+        np.testing.assert_array_equal(p.doc_ids, ords)
+        assert p.block_last_doc.tolist() == [ords[-1]]
+    with pytest.raises(ValueError):
+        encode_posting(np.array([2**31]), np.array([1]), np.array([1]))
+    with pytest.raises(ValueError):
+        encode_posting(np.array([-1]), np.array([1]), np.array([1]))
+
+
+def test_v3_multi_block_mixed_widths():
+    """10·128+7 postings whose blocks take every width: each block is
+    sized on its own, and every block base chains from the previous
+    block's last ordinal."""
+    r = np.random.default_rng(11)
+    n = 10 * BLOCK_SIZE + 7
+    gaps = r.integers(0, 3, size=n)
+    # each block's largest gap
+    gaps[::BLOCK_SIZE] = [0, 300, 70_000, 2, 255, 2**20, 256, 3, 65_535,
+                          65_536, 9]
+    ords = _ords_with_gaps(gaps)
+    tfs = r.integers(1, 200, size=n)
+    row = encode_posting(ords, tfs, r.integers(1, 99, size=n))
+    off = np.append(row["block_docs_off"], len(row["docs"]))
+    widths = np.diff(off) // np.diff(np.append(
+        np.arange(0, n, BLOCK_SIZE), n))
+    assert widths.tolist() == [1, 2, 4, 1, 1, 4, 2, 1, 2, 4, 1]
+    p = decode_posting(row)
+    np.testing.assert_array_equal(p.doc_ids, ords)
+    np.testing.assert_array_equal(p.tfs, tfs)
+    # widths 1, 1, 4, 2 average to exactly 2 bytes per posting: the
+    # list is NOT at one width although its size says it could be
+    gaps = np.zeros(4 * BLOCK_SIZE, np.int64)
+    gaps[::BLOCK_SIZE] = [0, 9, 70_000, 300]
+    row = encode_posting(_ords_with_gaps(gaps), np.ones(gaps.size),
+                         np.ones(gaps.size))
+    assert len(row["docs"]) == 2 * gaps.size
+    np.testing.assert_array_equal(decode_posting(row).doc_ids,
+                                  _ords_with_gaps(gaps))
+
+
+def test_v3_decode_every_block_subset():
+    """All 127 non-empty subsets of a 7-block list (widths mixed)."""
+    from itertools import combinations
+
+    from gazetteer_search_ray.functions.codec import decode_blocks
+
+    r = np.random.default_rng(5)
+    n = 6 * BLOCK_SIZE + 50
+    caps = np.repeat([3, 1000, 3, 100_000, 3, 3, 500], BLOCK_SIZE)[:n]
+    ords = _ords_with_gaps(r.integers(0, caps))
+    tfs = r.integers(1, 300, size=n)
+    row = encode_posting(ords, tfs, r.integers(1, 50, size=n))
+    assert len(row["block_last_doc"]) == 7
+    for m in range(1, 8):
+        for sel in combinations(range(7), m):
+            d, t = decode_blocks(row, np.array(sel))
+            idx = np.concatenate([np.arange(b * BLOCK_SIZE,
+                                            min((b + 1) * BLOCK_SIZE, n))
+                                  for b in sel])
+            np.testing.assert_array_equal(d, ords[idx])
+            np.testing.assert_array_equal(t, tfs[idx])
+
+
+def test_v3_groups_differential_and_flat_decode():
+    """encode_posting_groups ≡ per-group encode_posting on lists whose
+    blocks take every width, and decode_docs_many (the maintenance
+    jobs' whole-file decode) restores every group."""
+    from gazetteer_search_ray.functions.codec import (
+        decode_docs_many,
+        encode_posting_groups,
+    )
+
+    r = np.random.default_rng(8)
+    lens = [1, 3, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 9, 2]
+    caps = [2, 70_000, 300, 5, 100_000, 1]
+    groups = [_ords_with_gaps(r.integers(0, c, size=L))
+              for L, c in zip(lens, caps)]
+    tfs_l = [r.integers(1, 20, size=L) for L in lens]
+    dls_l = [r.integers(1, 300, size=L) for L in lens]
+    perms = [r.permutation(L) for L in lens]  # groups arrive unsorted
+    off = np.concatenate(([0], np.cumsum(lens)))
+    out = encode_posting_groups(
+        np.concatenate([g[p] for g, p in zip(groups, perms)]),
+        np.concatenate([t[p] for t, p in zip(tfs_l, perms)]),
+        np.concatenate([d[p] for d, p in zip(dls_l, perms)]), off)
+    for g, L in enumerate(lens):
+        exp = encode_posting(groups[g], tfs_l[g], dls_l[g])
+        assert out["df"][g] == exp["df"] == L
+        assert out["docs"][g] == exp["docs"]
+        assert out["tfs"][g] == exp["tfs"]
+        for k in ("block_last_doc", "block_max_tf", "block_min_dl",
+                  "block_docs_off", "block_tfs_off"):
+            np.testing.assert_array_equal(out[k][g], np.asarray(exp[k]))
+    flat = decode_docs_many(
+        np.frombuffer(b"".join(out["docs"]), np.uint8), lens,
+        [len(b) for b in out["docs"]],
+        np.concatenate([np.asarray(o, np.int64) for o in out["block_docs_off"]]))
+    np.testing.assert_array_equal(flat, np.concatenate(groups))

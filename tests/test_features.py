@@ -77,7 +77,7 @@ def test_trim_cuts_optional_only_hits(searcher):
         # every surviving hit contains the required term
         tp = searcher.reader.posting("qwyzzle")
         docs, _ = searcher.reader.decode_all(tp)
-        assert h["doc_id"] in set(docs.tolist())
+        assert h["doc_id"] in set(searcher.reader.doc_ids[docs].tolist())
 
 
 def test_dense_bool_matches_sparse(searcher):
@@ -144,7 +144,8 @@ def test_matched_queries_attribution(searcher):
                            with_matched=True)
     assert hits
     tp = searcher.reader.posting("qwyzzle")
-    req_docs = set(searcher.reader.decode_all(tp)[0].tolist())
+    req_docs = set(
+        searcher.reader.doc_ids[searcher.reader.decode_all(tp)[0]].tolist())
     for h in hits:
         assert "matched_queries" in h
         if h["doc_id"] in req_docs:
@@ -244,7 +245,7 @@ def test_delete_docs_compaction(ray_session):
         tp = s2.reader.posting(term)
         if tp:
             docs, _ = s2.reader.decode_all(tp)
-            assert not (set(docs.tolist()) & victims)
+            assert not (set(s2.reader.doc_ids[docs].tolist()) & victims)
     # deleted docs are gone from search results
     hits = s2.search("def return class", k=50, use_prior=False)
     assert not ({h["doc_id"] for h in hits} & victims)
@@ -305,7 +306,7 @@ def test_update_index_incremental(ray_session):
     # replaced docs are no longer reachable through their old content:
     # every posting for the updated ids comes from the new segment, so
     # their doc length matches the replacement body
-    dls = s1.reader.dl_of(np.array(sorted(old_ids)))
+    dls = s1.reader.dl_of(np.searchsorted(s1.reader.doc_ids, sorted(old_ids)))
     assert all(0 < dl < 10 for dl in dls)
     # pruned vs exhaustive stays identical on the multi-segment index
     from gazetteer_search_ray.pipelines.query import Bool, Term

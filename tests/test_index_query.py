@@ -103,14 +103,14 @@ def test_df_and_tf_match_oracle(searcher, brute):
         assert tp.df == brute.df[term], term
         docs, tfs = r.decode_all(tp)
         exp = sorted((d, c[term]) for d, c in brute.tf.items() if c.get(term))
-        np.testing.assert_array_equal(docs, [d for d, _ in exp])
+        np.testing.assert_array_equal(r.doc_ids[docs], [d for d, _ in exp])
         np.testing.assert_array_equal(tfs, [tf for _, tf in exp])
 
 
 def test_planted_rare_term_scores(searcher, brute):
     docs, scores = searcher.engine.top_k(Bool(should=(Term("xqzfrobnicate"),)), 10)
     exp_d, exp_s = brute.topk(brute.matches_or(["xqzfrobnicate"]), 10)
-    np.testing.assert_array_equal(docs, exp_d)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp_d)
     np.testing.assert_allclose(scores, exp_s, rtol=0, atol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_or_topk_rank_identical(searcher, brute, terms):
         Bool(should=tuple(Term(t) for t in terms)), 20
     )
     exp_d, exp_s = brute.topk(brute.matches_or(terms), 20)
-    np.testing.assert_array_equal(docs, exp_d)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp_d)
     np.testing.assert_allclose(scores, exp_s, rtol=0, atol=1e-9)
 
 
@@ -149,7 +149,7 @@ def test_and_matches_oracle(searcher, brute):
         Bool(must=tuple(Term(t) for t in terms)), 20
     )
     exp_d, exp_s = brute.topk(brute.matches_and(terms), 20)
-    np.testing.assert_array_equal(docs, exp_d)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp_d)
     np.testing.assert_allclose(scores, exp_s, rtol=0, atol=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_msm2_matches_oracle(searcher, brute):
         Bool(should=tuple(Term(t) for t in terms), minimum_should_match=2), 20
     )
     exp_d, exp_s = brute.topk(brute.matches_msm(terms, 2), 20)
-    np.testing.assert_array_equal(docs, exp_d)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp_d)
     np.testing.assert_allclose(scores, exp_s, rtol=0, atol=1e-9)
 
 
@@ -174,7 +174,7 @@ def test_dismax_takes_max(searcher, brute):
         if brute.tf[d].get(a) or brute.tf[d].get(b):
             exp[d] = max(sa, sb)
     exp_d, exp_s = brute.topk(exp, 20)
-    np.testing.assert_array_equal(docs, exp_d)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp_d)
     np.testing.assert_allclose(scores, exp_s, rtol=0, atol=1e-12)
 
 
@@ -182,14 +182,14 @@ def test_must_not_excludes(searcher, brute):
     docs, _ = searcher.engine.evaluate(
         Bool(must=(Term("def"),), must_not=(Term("return"),))
     )
-    for d in docs:
+    for d in searcher.reader.doc_ids[docs]:
         assert brute.tf[int(d)].get("def") and not brute.tf[int(d)].get("return")
 
 
 def test_prefix_constant_score(searcher, brute):
     docs, scores = searcher.engine.evaluate(Prefix("xqz"))
     exp = sorted(d for d, c in brute.tf.items() if any(t.startswith("xqz") for t in c))
-    np.testing.assert_array_equal(docs, exp)
+    np.testing.assert_array_equal(searcher.reader.doc_ids[docs], exp)
     assert (scores == 1.0).all()
 
 

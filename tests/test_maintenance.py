@@ -1,5 +1,7 @@
 """Maintenance-job safety: the format-version guard shared by readers and
-writers, and force_merge's sweep of segment data a crash leaked."""
+writers, force_merge's sweep of segment data a crash leaked, and the
+postings format v3 invariants across segments and deletes (segment-local
+doc ordinals, mapped to one global ordinal space in doc_id order)."""
 
 import json
 import os
@@ -50,16 +52,12 @@ def _snapshot(root: str) -> dict[str, bytes]:
 
 
 def test_v1_manifest_refused_by_readers_and_writers(ray_session):
+    """v1 (delta+varbyte ids) and v2 (raw int64 ids) indexes are both
+    refused, with every file left as it was."""
     import ray.data as rd
 
     idx = _two_segment_index("v1")
-    man = mf.read_manifest(idx)
-    man["format_version"] = 1
-    with open(mf.manifest_path(idx), "w") as f:
-        json.dump(man, f)
-    before = _snapshot(idx)
     some_id = 50_000  # a doc of the update segment
-
     calls = {
         "reader": lambda: IndexReader(idx),
         "update_index": lambda: update_index(
@@ -68,10 +66,16 @@ def test_v1_manifest_refused_by_readers_and_writers(ray_session):
         "force_merge": lambda: force_merge(idx),
         "backfill_column": lambda: backfill_column(idx, {some_id: 7}, "ref_count"),
     }
-    for name, call in calls.items():
-        with pytest.raises(ValueError, match="format v1"):
-            call()
-        assert _snapshot(idx) == before, f"{name} wrote to a v1 index"
+    for version in (1, 2):
+        man = mf.read_manifest(idx)
+        man["format_version"] = version
+        with open(mf.manifest_path(idx), "w") as f:
+            json.dump(man, f)
+        before = _snapshot(idx)
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"format v{version}"):
+                call()
+            assert _snapshot(idx) == before, f"{name} wrote to a v{version} index"
 
 
 def test_force_merge_sweeps_leaked_segment_data(ray_session):
@@ -101,3 +105,216 @@ def test_force_merge_sweeps_leaked_segment_data(ray_session):
         assert [h["doc_id"] for h in got] == [h["doc_id"] for h in want[q]]
         np.testing.assert_array_equal(
             [h["score"] for h in got], [h["score"] for h in want[q]])
+
+
+def _items(ids, content) -> list[dict]:
+    return [{"doc_id": int(i), "content": content(i)} for i in ids]
+
+
+def _filler(i: int) -> str:
+    words = ["sort", "merge", "scan", "query", "window", "index", "block"]
+    return " ".join(words[(i * 7 + j) % 7] for j in range(3 + i % 5)) + f" w{i % 13}"
+
+
+def test_equal_scores_across_segments_tie_break_on_doc_id(ray_session):
+    """Three segments (build + 2 updates) whose tied hits interleave in
+    doc_id order: hits come back in doc_id order, exactly as from a
+    fresh one-segment build of the same documents."""
+    import ray.data as rd
+
+    idx, fresh = f"{BASE}/tie3", f"{BASE}/tie1"
+    opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=16)
+    tie = "zztie alpha beta"
+    seg_ties = [[1000, 4000, 7000], [2000, 5000, 8000], [3000, 6000, 9000]]
+    base = _items(range(1, 60), _filler) + _items(seg_ties[0], lambda i: tie)
+    upd1 = _items(seg_ties[1], lambda i: tie) + _items([5], lambda i: "sort zzrepl")
+    upd2 = _items(seg_ties[2], lambda i: tie)
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(base).repartition(3), idx, opts)
+    update_index(idx, rd.from_items(upd1))
+    update_index(idx, rd.from_items(upd2))
+    assert len(mf.read_manifest(idx)["segments"]) == 3
+
+    final = {r["doc_id"]: r for r in base + upd1 + upd2}
+    shutil.rmtree(fresh, ignore_errors=True)
+    build_index(rd.from_items(list(final.values())).repartition(3), fresh, opts)
+
+    got = Searcher(idx).search("zztie", k=20, use_prior=False)
+    want = Searcher(fresh).search("zztie", k=20, use_prior=False)
+    assert [h["doc_id"] for h in got] == sorted(sum(seg_ties, []))
+    assert len({h["score"] for h in got}) == 1
+    assert [(h["doc_id"], h["score"]) for h in got] == \
+        [(h["doc_id"], h["score"]) for h in want]
+    for q in ("sort merge", "query window block", "zzrepl"):
+        a = Searcher(idx).search(q, k=20, use_prior=False)
+        b = Searcher(fresh).search(q, k=20, use_prior=False)
+        assert [(h["doc_id"], h["score"]) for h in a] == \
+            [(h["doc_id"], h["score"]) for h in b], q
+
+
+def _postings_by_term(idx: str) -> dict:
+    r = IndexReader(idx)
+    out = {}
+    for t in r.all_terms():
+        d, tf = r.decode_all(r.posting(t))
+        out[t] = (r.doc_ids[d].tolist(), tf.tolist())
+    return out
+
+
+def test_delete_renumbers_every_postings_file(ray_session):
+    """Deleting the first doc (in doc_id order) shifts every later
+    ordinal of its segment, so postings files holding none of its terms
+    must be re-encoded too: afterwards every term of every file decodes
+    to the same doc_ids and tfs as a fresh build of the live docs."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gazetteer_search_ray.pipelines.maintenance import _decode_rows_flat
+
+    idx, fresh = f"{BASE}/del", f"{BASE}/del_fresh"
+    opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=16)
+    docs = _items(range(10, 90), _filler) + _items([3], lambda i: "zzgone only")
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(docs).repartition(3), idx, opts)
+    pdir = os.path.join(idx, "postings")
+    files = sorted(os.listdir(pdir))
+    # doc 3 has ordinal 0; some file holds no posting of it
+    without = [f for f in files
+               if 0 not in _decode_rows_flat(pq.read_table(os.path.join(pdir, f)), 128)[0]]
+    assert len(files) >= 2 and without
+
+    delete_docs(idx, doc_ids=[3])
+    shutil.rmtree(fresh, ignore_errors=True)
+    build_index(rd.from_items(docs[:-1]).repartition(3), fresh, opts)
+    got = _postings_by_term(idx)
+    assert got == _postings_by_term(fresh)
+    assert "zzgone" not in got and len(got) > 20
+
+
+def _without(postings: dict, victims: set) -> dict:
+    out = {}
+    for t, (ids, tfs) in postings.items():
+        kept = [(d, f) for d, f in zip(ids, tfs) if d not in victims]
+        if kept:
+            out[t] = ([d for d, _ in kept], [f for _, f in kept])
+    return out
+
+
+def test_compact_postings_file_rerun_is_idempotent(ray_session):
+    """A Ray task retry re-runs a postings rewrite: the second run must
+    leave the source untouched and write the same doc ids again."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gazetteer_search_ray.pipelines.maintenance import (
+        _decode_rows_flat,
+        _doc_lengths,
+        compact_postings_file,
+    )
+
+    idx = f"{BASE}/rerun"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(_items(range(10, 90), _filler)).repartition(3),
+                idx, BuildOptions(analyzer_config=AnalyzerConfig.code(),
+                                  batch_size=16))
+    dm = pads.dataset(os.path.join(idx, "docmeta")).to_table()
+    dm = dm.take(np.argsort(dm["doc_id"].to_numpy()))
+    ids = dm["doc_id"].to_numpy()
+    keep = np.ones(ids.size, bool)
+    keep[[0, 5, 40]] = False
+    new_ord = np.where(keep, np.cumsum(keep) - 1, -1)
+    dl, field_dl = _doc_lengths(dm.filter(keep))
+
+    def decoded(path):
+        t = pq.read_table(path)
+        ords, tfs, off = _decode_rows_flat(t, 128)
+        return t["term"].to_pylist(), off.tolist(), ords, tfs.tolist()
+
+    pdir = os.path.join(idx, "postings")
+    for f in sorted(os.listdir(pdir)):
+        src, dst = os.path.join(pdir, f), f"{BASE}/rerun_out/{f}"
+        with open(src, "rb") as fh:
+            src_bytes = fh.read()
+        terms, off, ords, tfs = decoded(src)
+        runs = []
+        for _ in range(2):
+            compact_postings_file(src, dst, new_ord, dl, field_dl, 128)
+            with open(src, "rb") as fh:
+                assert fh.read() == src_bytes
+            t2, off2, ords2, tfs2 = decoded(dst)
+            runs.append((t2, off2, ids[keep][ords2].tolist(), tfs2))
+        assert runs[0] == runs[1]
+        # the survivors of each row, as doc ids, in the same order
+        want = {}
+        for i, term in enumerate(terms):
+            row = [(int(ids[o]), tf) for o, tf in
+                   zip(ords[off[i]:off[i + 1]], tfs[off[i]:off[i + 1]])
+                   if keep[o]]
+            if row:
+                want[term] = row
+        t2, off2, docs2, tfs2 = runs[0]
+        got = {term: list(zip(docs2[off2[i]:off2[i + 1]],
+                              tfs2[off2[i]:off2[i + 1]]))
+               for i, term in enumerate(t2)}
+        assert got == want and got
+
+
+def test_delete_crash_before_commit_leaves_index_unchanged(ray_session,
+                                                           monkeypatch):
+    """A delete that dies before its manifest commit changes no file of
+    the committed index; the next delete sweeps its leftovers and
+    lands."""
+    import pyarrow.dataset as pads
+
+    idx = _two_segment_index("crash")
+    root_id = int(pads.dataset(os.path.join(idx, "docmeta")).to_table()
+                  ["doc_id"][0].as_py())
+    victims = {root_id, 50_001}
+    before = _snapshot(idx)
+    postings = _postings_by_term(idx)
+    n0 = IndexReader(idx).n_docs
+
+    def crash(*_a, **_k):
+        raise RuntimeError("crash before commit")
+
+    monkeypatch.setattr(mf, "write_manifest", crash)
+    with pytest.raises(RuntimeError, match="crash before commit"):
+        delete_docs(idx, doc_ids=victims)
+    monkeypatch.undo()
+    after = _snapshot(idx)
+    assert {p: after.get(p) for p in before} == before
+    assert _postings_by_term(idx) == postings
+
+    man = delete_docs(idx, doc_ids=victims)
+    assert sorted(os.listdir(idx)) == sorted(
+        [mf.MANIFEST_NAME, *man["segments"]])
+    assert [s.split(".d")[0] for s in man["segments"]] == ["root", "upd-00001"]
+    r = IndexReader(idx)
+    assert r.n_docs == n0 - 2 and not victims & set(r.doc_ids.tolist())
+    assert _postings_by_term(idx) == _without(postings, victims)
+
+
+def test_update_without_extra_field_column_changes_nothing(ray_session):
+    """An update batch that lacks a column the index maps (an
+    extra_fields source, the id or the content) is refused before the
+    delete commits: every index file stays byte-identical."""
+    import ray.data as rd
+
+    idx = f"{BASE}/fields"
+    shutil.rmtree(idx, ignore_errors=True)
+    rows = [{"doc_id": i, "content": _filler(i), "title": f"t{i % 4}"}
+            for i in range(1, 40)]
+    build_index(rd.from_items(rows), idx,
+                BuildOptions(analyzer_config=AnalyzerConfig.code(),
+                             batch_size=16,
+                             extra_fields=(("name", "title"),)))
+    before = _snapshot(idx)
+    for batch, col in (
+            ([{"doc_id": 5, "content": "zznew body"}], "title"),
+            ([{"content": "zznew body", "title": "t"}], "doc_id"),
+            ([{"doc_id": 5, "title": "t"}], "content")):
+        with pytest.raises(ValueError, match=repr(col)):
+            update_index(idx, rd.from_items(batch))
+        assert _snapshot(idx) == before, col
+    assert Searcher(idx).reader.n_docs == 39

@@ -15,7 +15,9 @@ from gazetteer_search_ray.functions.codec import (
 
 
 class FakeReader:
-    """In-memory reader over synthetic postings (no Ray, no files)."""
+    """In-memory reader over synthetic postings (no Ray, no files).
+    Like ``IndexReader`` with one segment: postings hold doc ordinals
+    (positions in the sorted ``doc_ids``)."""
 
     def __init__(self, rng, n_docs=2000, vocab=50, avg_df=300):
         self.n_docs = n_docs
@@ -30,9 +32,9 @@ class FakeReader:
         for t in range(vocab):
             df = int(np.clip(rng.poisson(avg_df), 1, n_docs))
             idx = np.sort(rng.choice(n_docs, size=df, replace=False))
-            docs = self.doc_ids[idx]
             tfs = rng.integers(1, 15, size=df).astype(np.int64)
-            row = encode_posting(docs, tfs, self.dl[idx], self.block_size)
+            row = encode_posting(idx, tfs, self.dl[idx], self.block_size)
+            row["block_last"] = row["block_last_doc"]
             from gazetteer_search_ray.state.reader import TermPostings
 
             self._postings[f"t{t}"] = TermPostings(f"t{t}", df, [row])
@@ -41,16 +43,17 @@ class FakeReader:
         return self._postings.get(term)
 
     def dl_of(self, docs, field=None):
-        idx = np.searchsorted(self.doc_ids, docs)
-        return self.dl[idx]
+        return self.dl[docs]
 
     def avgdl_of(self, field=None):
         return self.avgdl
 
+    def decode_blocks(self, part, blocks):
+        return decode_blocks(part, blocks, self.block_size)
+
     def decode_all(self, tp):
         p = tp.parts[0]
-        nblocks = len(p["block_last_doc"])
-        return decode_blocks(p, np.arange(nblocks), self.block_size)
+        return self.decode_blocks(p, np.arange(len(p["block_last_doc"])))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,7 +111,7 @@ def test_bool_combinations_random(seed):
         maps_s = [term_map(t) for t in should]
         maps_n = [term_map(t) for t in mnot]
         exp = {}
-        for d in reader.doc_ids.tolist():
+        for d in range(reader.doc_ids.size):
             if must:
                 if not all(d in m for m in maps_m):
                     continue
