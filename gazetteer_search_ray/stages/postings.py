@@ -41,7 +41,11 @@ import pyarrow.dataset as pads
 
 from ..functions.codec import BLOCK_SIZE, encode_posting, encode_posting_groups
 from ..state.manifest import atomic_write_table
-from .tokenize import flat_from_binary_col, varbyte_flat_from_binary_col
+from .tokenize import (
+    PARTIAL_SCHEMA,
+    flat_from_binary_col,
+    varbyte_flat_from_binary_col,
+)
 
 SHARD_SEP = "\x1f"
 
@@ -141,15 +145,19 @@ class SortedBlockEncoder:
         self.doc_ids = doc_ids
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        """Encode the block's complete runs; return its boundary runs as
+        ``PARTIAL_SCHEMA`` whatever string/binary widths the sort
+        emitted, so every output block has one schema."""
         if t.num_rows == 0:
-            return t
+            return PARTIAL_SCHEMA.empty_table()
         codes = pc.dictionary_encode(t["skey"]).combine_chunks().indices.to_numpy()
         m = len(codes)
         run_heads = np.concatenate(([0], np.flatnonzero(np.diff(codes) != 0) + 1))
         nruns = run_heads.size
         run_ends = np.append(run_heads[1:], m)
         if nruns <= 2:
-            return t  # every row may straddle a boundary → all pass through
+            # every row may straddle a boundary → all pass through
+            return t.cast(PARTIAL_SCHEMA)
 
         # inner (complete) runs: all but first and last
         lo_row, hi_row = int(run_ends[0]), int(run_heads[-1])
@@ -178,7 +186,15 @@ class SortedBlockEncoder:
         # pass through only the boundary runs
         first = t.slice(0, int(run_ends[0]))
         last = t.slice(int(run_heads[-1]), m - int(run_heads[-1]))
-        return pa.concat_tables([first, last])
+        return pa.concat_tables([first, last]).cast(PARTIAL_SCHEMA)
+
+
+def boundary_table(blocks: list[pa.Table]) -> pa.Table:
+    """The encoder's output blocks as one ``PARTIAL_SCHEMA`` table.  Ray
+    also emits empty blocks that never passed through the encoder, with
+    no columns; they are dropped."""
+    blocks = [b for b in blocks if b.num_rows]
+    return pa.concat_tables(blocks) if blocks else PARTIAL_SCHEMA.empty_table()
 
 
 def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,

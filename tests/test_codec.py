@@ -307,3 +307,44 @@ def test_v3_groups_differential_and_flat_decode():
         [len(b) for b in out["docs"]],
         np.concatenate([np.asarray(o, np.int64) for o in out["block_docs_off"]]))
     np.testing.assert_array_equal(flat, np.concatenate(groups))
+
+
+@pytest.mark.parametrize("nruns", [0, 1, 2, 5])
+def test_sorted_block_encoder_emits_partial_schema(tmp_path, nruns):
+    """The exchange's sort may hand the encoder large_string /
+    large_binary blocks; every block the encoder passes on (empty,
+    passed through whole, or its boundary runs) is ``PARTIAL_SCHEMA``,
+    so the boundary stream has one schema."""
+    import pyarrow as pa
+
+    from gazetteer_search_ray.functions.analyzer import AnalyzerConfig
+    from gazetteer_search_ray.sources.corpus import (
+        _assign_doc_ids,
+        synthetic_corpus,
+    )
+    from gazetteer_search_ray.stages.postings import SortedBlockEncoder
+    from gazetteer_search_ray.stages.tokenize import (
+        PARTIAL_SCHEMA,
+        TokenizeStage,
+        flat_from_binary_col,
+    )
+
+    stage = TokenizeStage(AnalyzerConfig.code(),
+                          docmeta_dir=str(tmp_path / "docmeta"))
+    part = stage(_assign_doc_ids(synthetic_corpus(50))).sort_by("skey")
+    skeys = part["skey"].to_pylist()
+    heads = [i for i in range(len(skeys)) if i == 0 or skeys[i] != skeys[i - 1]]
+    assert len(heads) > 5
+    heads.append(len(skeys))
+    large = pa.schema([("skey", pa.large_string()), ("docs", pa.large_binary()),
+                       ("tfs", pa.large_binary()), ("dls", pa.large_binary())])
+    block = part.slice(0, heads[nruns]).cast(large)
+    doc_ids = np.unique(flat_from_binary_col(part["docs"], np.dtype("<i8"))[0])
+    (tmp_path / "postings").mkdir()
+    out = SortedBlockEncoder(str(tmp_path / "postings"), doc_ids=doc_ids)(block)
+    assert out.schema == PARTIAL_SCHEMA
+    if nruns <= 2:  # every run may straddle a block boundary
+        assert out.num_rows == block.num_rows
+    else:  # the first and the last run pass through
+        assert out.num_rows == heads[1] + heads[nruns] - heads[nruns - 1]
+        assert len(list((tmp_path / "postings").iterdir())) == 1

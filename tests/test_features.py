@@ -105,13 +105,12 @@ def test_dense_bool_matches_sparse(searcher):
         Bool(must=(Bool(should=(Term("def"), Term("return"))),),
              should=(Bool(must=(Term("class"),), name="inner"),)),
     ]
+    cap = eng.dense_doc_cap
     for plan in plans:
-        eng.dense_enabled = True
-        eng._term_eval_cache.clear()
         dd, ds_ = eng.evaluate(plan)
-        eng.dense_enabled = False
+        eng.dense_doc_cap = 0  # the sparse reference path
         sd, ss = eng.evaluate(plan)
-        eng.dense_enabled = True
+        eng.dense_doc_cap = cap
         np.testing.assert_array_equal(dd, sd)
         np.testing.assert_array_equal(ds_, ss)  # bit-identical floats
 
@@ -128,9 +127,9 @@ def test_dense_doc_cap_guards_accumulator(searcher):
     old = eng.dense_doc_cap
     try:
         eng.dense_doc_cap = 0  # force the sparse path everywhere
-        eng._acc = None
+        eng._bufs.clear()
         d1, s1 = eng.top_k(plan, 20)
-        assert eng._acc is None  # dense accumulator never allocated
+        assert not eng._bufs  # no dense accumulator allocated
     finally:
         eng.dense_doc_cap = old
     np.testing.assert_array_equal(d0, d1)
@@ -480,10 +479,10 @@ def test_sharded_scatter_gather_matches_unsharded(ray_session):
 
 
 def test_topk_approx_band_matches_exact(searcher):
-    """The float32 pre-pass top-k (`_topk_bool_approx` / float32
-    `_topk_dense`) must return bit-identical (docs, scores) to the
-    sparse exact path for every qualifying plan shape, including plans
-    with heavy score ties around the kth position."""
+    """The float32 band top-k (`_topk_bool_approx`) must return
+    bit-identical (docs, scores) to the sparse exact path for every
+    qualifying plan shape, including plans with heavy score ties around
+    the kth position."""
     from gazetteer_search_ray.pipelines.query import (
         Bool,
         ColumnFilter,
@@ -497,6 +496,8 @@ def test_topk_approx_band_matches_exact(searcher):
         Bool(must=(Term("def"), Term("return"))),
         Bool(must=(Term("def"), Term("return"), Term("import"))),
         Bool(should=(Term("def"), Term("class"), Term("import"))),
+        Bool(should=(Term("def"), Term("class"), Term("import")),
+             must_not=(Term("ident50"),)),
         Bool(should=(Term("def"), Term("class"), Term("return")),
              minimum_should_match=2),
         Bool(must=(Term("def"),), should=(Term("class"), Prefix("re")),
@@ -517,16 +518,90 @@ def test_topk_approx_band_matches_exact(searcher):
              filter=(RangeFilter("dl", 5, 500),),
              minimum_should_match=1),
     ]
+    cap = eng.dense_doc_cap
     for plan in plans:
         for k in (1, 5, 20, 10_000):
-            eng.dense_enabled = True
             d0, s0 = eng.top_k(plan, k)
-            eng.dense_enabled = False
+            eng.dense_doc_cap = 0  # the sparse reference path
             dd, ss = eng.evaluate(plan)
             d1, s1 = eng._topk(dd, ss, k)
-            eng.dense_enabled = True
+            eng.dense_doc_cap = cap
             np.testing.assert_array_equal(d0, d1)
             np.testing.assert_array_equal(s0, s1)  # bit-identical floats
+
+
+def _mixed_plans():
+    from gazetteer_search_ray.pipelines.query import (
+        ColumnFilter,
+        DisMax,
+        Prefix,
+    )
+
+    dl = RangeFilter("dl", 5, 500)
+    return [
+        Bool(should=(Term("def"), Term("class"), Term("import"))),
+        Bool(must=(Term("def"), Term("return")), should=(Prefix("re"),)),
+        Bool(should=(Term("qwyzzle"), Term("name"))),
+        Bool(should=(Term("def"), Term("return")), filter=(dl,),
+             minimum_should_match=1),
+        Bool(must=(Term("def"),), filter=(dl,),
+             must_not=(ColumnFilter("lang", ("python",)),)),
+        DisMax((Term("class"), Prefix("im")), tie_breaker=0.3),
+        Bool(should=(Term("return"),)),
+    ]
+
+
+def test_leaf_cache_is_byte_bounded(searcher, monkeypatch):
+    """With a budget of a few KB the leaf LRU never holds more than its
+    bound, evicts, keeps its byte count exact, and every top-k stays
+    bit-identical to an engine with the default budget."""
+    from gazetteer_search_ray.pipelines import query
+
+    plans = _mixed_plans()
+    fresh = query.QueryEngine(searcher.reader)
+    want = [fresh.top_k(p, k) for p in plans for k in (3, 20)]
+
+    bound = 4096
+    monkeypatch.setattr(query, "LEAF_CACHE_BYTES", bound)
+    eng = query.QueryEngine(searcher.reader)
+    seen: set = set()
+    for _ in range(2):
+        got = []
+        for p in plans:
+            for k in (3, 20):
+                got.append(eng.top_k(p, k))
+                assert eng._leaves_bytes <= bound
+                assert eng._leaves_bytes == sum(
+                    query._entry_bytes(e) for e in eng._leaves.values())
+                seen.update(eng._leaves)
+        for (d0, s0), (d1, s1) in zip(want, got):
+            np.testing.assert_array_equal(d0, d1)
+            np.testing.assert_array_equal(s0, s1)  # bit-identical floats
+    assert len(seen) > len(eng._leaves)  # entries were evicted
+
+
+def test_topk_follows_df_override(searcher):
+    """The leaf cache keys a Term by its effective df, so one engine
+    switching global-df maps A → B → A answers each exactly as a fresh
+    engine under that map (the sharded dfs phase relies on it)."""
+    from gazetteer_search_ray.pipelines.query import QueryEngine
+
+    n = searcher.reader.n_docs
+    maps = [{}, {"def": n, "class": 3, "return": n // 2, "qwyzzle": 40}, {}]
+    plans = _mixed_plans()
+    eng = QueryEngine(searcher.reader)
+    results = []
+    for df_map in maps:
+        eng.df_override = df_map
+        ref = QueryEngine(searcher.reader)
+        ref.df_override = df_map
+        got = [eng.top_k(p, 20) for p in plans]
+        for (d0, s0), (d1, s1) in zip(got, (ref.top_k(p, 20) for p in plans)):
+            np.testing.assert_array_equal(d0, d1)
+            np.testing.assert_array_equal(s0, s1)
+        results.append(got)
+    assert any(not np.array_equal(a[1], b[1])
+               for a, b in zip(results[0], results[1]))  # the maps matter
 
 
 def test_force_merge_preserves_results(ray_session):

@@ -75,6 +75,24 @@ def test_pruned_disjunction_equals_exhaustive_random(seed):
         np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
 
 
+def test_leaf_cache_admits_new_terms():
+    """The leaf cache is an LRU, not a table that stops admitting once
+    full: after 1,100 distinct term evaluations the last term is still
+    cached, and evaluating it again decodes nothing."""
+    from gazetteer_search_ray.pipelines.query import QueryEngine, Term
+
+    reader = FakeReader(np.random.default_rng(7), n_docs=200, vocab=1100,
+                        avg_df=5)
+    eng = QueryEngine(reader)
+    for t in range(1100):
+        eng.eval_term(Term(f"t{t}"))
+    decoded = []
+    orig = reader.decode_all
+    reader.decode_all = lambda tp: decoded.append(tp.term) or orig(tp)
+    d, s = eng.eval_term(Term("t1099"))
+    assert d.size and not decoded
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_bool_combinations_random(seed):
     """must/should/must_not/msm against a slow reference evaluation."""

@@ -36,8 +36,7 @@ ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
 from bench import make_queries, VOCAB
 from gazetteer_search_ray.pipelines.search import QueryService
 pool = max(2, ncpu // 2)
-cache = 0 if os.environ.get("GSR_QS_NOCACHE") else None
-svc = QueryService(%(idx)r, pool_size=pool, topk_cache_size=cache)
+svc = QueryService(%(idx)r, pool_size=pool)
 queries = make_queries(8000)
 svc.warm(VOCAB, prime_queries=queries[:256])
 t0 = time.monotonic()
@@ -50,7 +49,9 @@ print(json.dumps({"ncpu": ncpu, "qps": round(8000 / dt, 1)}))
 
 
 def ensure_index() -> None:
-    if os.path.exists(os.path.join(IDX, "manifest.json")):
+    from gazetteer_search_ray.state.manifest import read_manifest
+
+    if read_manifest(IDX) is not None:
         return
     import ray
 
@@ -92,8 +93,7 @@ def main() -> None:
     q_hi = max(r["qps"] for r in runs if r["ncpu"] == hi)
     print(json.dumps({
         "metric": f"query_scaling_isolated_{lo}_to_{hi}_cpus",
-        "note": (("request-cache OFF; " if os.environ.get("GSR_QS_NOCACHE") else "")
-                 + "replay of 8000 mixed 1-3-term queries through the "
+        "note": ("replay of 8000 mixed 1-3-term queries through the "
                  "QueryService pool against the SAME prebuilt "
                  f"{DOCS}-doc index, fresh ray.init per leg, legs "
                  "interleaved lo,hi"),

@@ -1,127 +1,146 @@
-"""Single-thread query microbench: float32 pre-pass A/B on the 320k
-index (round-4 VERDICT #1 evidence).
+"""Large-shard query check: one warm single-thread ``Searcher`` over a
+320k-doc index, with distinct Zipf-drawn queries.
 
-Measures warm single-searcher QPS over the bench replay mix with the
-float32 approximate pre-pass OFF (the round-3 float64 dense paths) and
-ON (float32 accumulate + exact float64 candidate rescore), plus an
-analytic per-query memory-traffic estimate for both modes.  Results are
-bit-identical between modes (asserted here on the fly for every query).
+perfbench's 12k-doc index is too small to show the engine's dense paths
+and float32 band at work; this check is the large-shard workload that a
+change to the query engine's routes or caches is measured on.  It
+builds the synthetic corpus and its index once (``ray.init(num_cpus=1)``,
+in a child process, so the query process's RSS is the engine's alone),
+then opens one ``Searcher`` and runs 400 warm-up queries followed by
+2,000 timed ones.  All 2,400 are distinct 1-3-term queries drawn Zipf
+over the 3,000 highest-df terms; 15% are prefix queries whose last term
+is cut to 4 letters.  It prints one JSON line: QPS, p50/p95 latency,
+peak RSS and a digest of every timed hit (doc_id and score bits), so two
+versions of the engine run on one index can be compared hit for hit.
 
-Usage: python tools/bench_query32.py   # prints one JSON line
+Usage: python tools/bench_query32.py [--index DIR] [--corpus DIR]
+Env: GSR_QBENCH_DOCS (default 320000).
 """
 
 from __future__ import annotations
 
+import argparse
+import glob
+import hashlib
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 SCRATCH = "/dev/shm" if os.path.isdir("/dev/shm") else "/tmp"
 DOCS = int(os.environ.get("GSR_QBENCH_DOCS", "320000"))
-CORPUS = f"{SCRATCH}/gsr_bench_corpus_{DOCS}"
-IDX = f"{SCRATCH}/gsr_idx_{DOCS}_q32"
-N_QUERIES = int(os.environ.get("GSR_QBENCH_QUERIES", "4000"))
-
-MALLOC_ENV = {
-    "MALLOC_MMAP_THRESHOLD_": "1073741824",
-    "MALLOC_TRIM_THRESHOLD_": "1073741824",
-}
+N_WARM, N_TIMED = 400, 2000
+TOP_TERMS = 3000
+PREFIX_SHARE = 0.15
 
 
-def main() -> None:
-    os.environ.update(MALLOC_ENV)
-    import numpy as np
+def build(corpus: str, index: str) -> None:
     import ray
 
-    from bench import make_queries
     from gazetteer_search_ray.functions.analyzer import AnalyzerConfig
     from gazetteer_search_ray.pipelines.build_index import (
         BuildOptions,
         build_index,
     )
-    from gazetteer_search_ray.pipelines.search import Searcher
     from gazetteer_search_ray.sources.corpus import (
         read_corpus,
         write_synthetic_corpus,
     )
 
-    if not os.path.exists(os.path.join(CORPUS, "corpus-0063.parquet")):
-        if not ray.is_initialized():
-            ray.init(address="local", num_cpus=16, include_dashboard=False,
-                     logging_level="ERROR")
-        write_synthetic_corpus(CORPUS, n_docs=DOCS, n_files=64)
-    if not os.path.exists(os.path.join(IDX, "manifest.json")):
-        if not ray.is_initialized():
-            ray.init(address="local", num_cpus=16, include_dashboard=False,
-                     logging_level="ERROR")
-        build_index(
-            read_corpus(CORPUS), IDX,
-            BuildOptions(analyzer_config=AnalyzerConfig.code(),
-                         batch_size=512),
-            overwrite=True,
-        )
-    if ray.is_initialized():
-        ray.shutdown()
+    if not glob.glob(os.path.join(corpus, "corpus-*.parquet")):
+        write_synthetic_corpus(corpus, n_docs=DOCS, n_files=64)
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    build_index(read_corpus(corpus), index,
+                BuildOptions(analyzer_config=AnalyzerConfig.code(),
+                             batch_size=512), overwrite=True)
+    ray.shutdown()
 
-    queries = make_queries(N_QUERIES)
-    out: dict = {"metric": "query32_single_thread", "docs": DOCS,
-                 "n_queries": N_QUERIES}
-    results: dict[bool, list] = {}
-    for approx in (False, True):
-        s = Searcher(IDX)
-        s.engine.approx32 = approx
-        for q in queries[:400]:  # warm leaf caches
-            s.search(q["q"], k=q["k"], prefix=q["prefix"], use_prior=False)
-        t0 = time.monotonic()
-        res = [
-            s.search(q["q"], k=q["k"], prefix=q["prefix"], use_prior=False)
-            for q in queries
-        ]
-        dt = time.monotonic() - t0
-        results[approx] = res
-        out[f"qps_approx_{'on' if approx else 'off'}"] = round(
-            N_QUERIES / dt, 1)
 
-        # analytic per-query traffic over the mix: bytes read+written by
-        # the accumulator passes (pos reads + score reads + acc writes +
-        # counter traffic + fills + hit scan)
-        n = s.reader.doc_ids.size
-        total = 0.0
-        for q in queries:
-            from gazetteer_search_ray.pipelines.search import analyze_query
-            pq = analyze_query(q["q"], s.reader.analyzer, q["prefix"])
-            terms = pq.required + pq.numbers + pq.optional
-            dfs = []
-            for t in terms:
-                tp = s.reader.posting(t)
-                dfs.append(tp.df if tp else 0)
-            sw = 4 if approx else 8            # score element width
-            aw = 4 if approx else 8            # accumulator width
-            cw = 1 if approx else 2            # counter width
-            traffic = sum(df * (4 + sw + aw) for df in dfs)  # pos+s+acc
-            if len(terms) > 1:                 # counter scatter + fill
-                traffic += sum(df * cw for df in dfs) + n * cw
-            traffic += n * aw                  # accumulator fill
-            traffic += n * aw                  # hit scan
-            total += traffic
-        out[f"est_bytes_per_query_{'on' if approx else 'off'}"] = int(
-            total / max(1, len(queries)))
+def top_terms(index: str) -> list[str]:
+    """The ``TOP_TERMS`` highest-df terms, df summed over shards and
+    segments, ties broken by term."""
+    import pyarrow.dataset as pads
 
-    # bit-identity between modes, every query
-    for a, b in zip(results[False], results[True]):
-        assert len(a) == len(b)
-        for ha, hb in zip(a, b):
-            assert ha["doc_id"] == hb["doc_id"] and ha["score"] == hb["score"]
-    out["bit_identical"] = True
-    out["qps_ratio"] = round(
-        out["qps_approx_on"] / max(out["qps_approx_off"], 1e-9), 3)
-    out["bytes_ratio"] = round(
-        out["est_bytes_per_query_off"]
-        / max(out["est_bytes_per_query_on"], 1), 3)
-    print(json.dumps(out))
+    files = glob.glob(os.path.join(index, "**", "postings-*.parquet"),
+                      recursive=True)
+    t = pads.dataset(files).to_table(columns=["term", "df"])
+    t = t.group_by("term").aggregate([("df", "sum")])
+    t = t.sort_by([("df_sum", "descending"), ("term", "ascending")])
+    return t["term"].to_pylist()[:TOP_TERMS]
+
+
+def make_queries(terms: list[str], n: int) -> list[tuple[str, bool]]:
+    """``n`` distinct (query, prefix) pairs of 1-3 terms drawn Zipf
+    (s = 1) over ``terms`` ranked by df."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    p = 1.0 / np.arange(1, len(terms) + 1)
+    p /= p.sum()
+    out: list[tuple[str, bool]] = []
+    seen: set = set()
+    while len(out) < n:
+        words = [terms[i] for i in rng.choice(len(terms), size=rng.integers(1, 4), p=p)]
+        prefix = bool(rng.random() < PREFIX_SHARE)
+        if prefix and len(words[-1]) > 4:
+            words[-1] = words[-1][:4]
+        q = (" ".join(words), prefix)
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--index", default=f"{SCRATCH}/gsr_idx_{DOCS}_q32")
+    ap.add_argument("--corpus", default=f"{SCRATCH}/gsr_bench_corpus_{DOCS}")
+    ap.add_argument("--build-only", action="store_true")
+    args = ap.parse_args()
+    if args.build_only:
+        build(args.corpus, args.index)
+        return
+    from gazetteer_search_ray.state.manifest import read_manifest
+
+    if read_manifest(args.index) is None:
+        subprocess.run([sys.executable, os.path.abspath(__file__),
+                        "--index", args.index, "--corpus", args.corpus,
+                        "--build-only"], check=True)
+
+    import numpy as np
+
+    from gazetteer_search_ray.pipelines.search import Searcher
+
+    queries = make_queries(top_terms(args.index), N_WARM + N_TIMED)
+    s = Searcher(args.index)
+    for q, prefix in queries[:N_WARM]:
+        s.search(q, k=20, prefix=prefix, use_prior=False)
+    digest = hashlib.blake2b(digest_size=16)
+    lat = []
+    t0 = time.perf_counter()
+    for q, prefix in queries[N_WARM:]:
+        t1 = time.perf_counter()
+        hits = s.search(q, k=20, prefix=prefix, use_prior=False)
+        lat.append(time.perf_counter() - t1)
+        for h in hits:
+            digest.update(f"{h['doc_id']}:{float(h['score']).hex()};".encode())
+        digest.update(b"|")
+    wall = time.perf_counter() - t0
+    print(json.dumps({
+        "metric": "large_shard_query", "docs": int(s.reader.n_docs),
+        "n_timed": N_TIMED,
+        "qps": round(N_TIMED / wall, 1),
+        "p50_ms": round(float(np.percentile(lat, 50)) * 1e3, 3),
+        "p95_ms": round(float(np.percentile(lat, 95)) * 1e3, 3),
+        "rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "hits_digest": digest.hexdigest(),
+    }))
 
 
 if __name__ == "__main__":
