@@ -4,7 +4,7 @@ A from-scratch reimplementation of the observable semantics of
 kiselev-dv/gazetteer-search's ElasticSearch-backed search core
 (see SURVEY.md): gazetteer-style analyzers feeding an explicit inverted
 index built with ``ray.data`` (``map_batches`` over zero-copy Arrow
-batches, ``groupby(term)`` merge shuffle, postings of block-packed doc
+batches, a ``groupby(term)``-equivalent sort exchange, postings of block-packed doc
 ordinals + varbyte tfs with block-max skip metadata) and a block-max
 dynamic-pruning BM25 (k1=1.2, b=0.75) top-k query layer, over Parquet
 corpora of source-code files ``(repo, path, commit, lang, content)``.

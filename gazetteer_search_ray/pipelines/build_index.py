@@ -3,13 +3,13 @@
 Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
 
     read_parquet(corpus)                       # column-pruned
-    → map_batches(TokenizeStage, actor pool)   # parse/normalize/prior/sha256
+    → map_batches(TokenizeStage)               # parse/normalize/prior/sha256
       ├ side-writes docmeta parquet segments   #   (doc store, fused pass)
       └ emits packed partial postings          #   (materialized)
     → stats scan over docmeta (tiny)           # + doc_id collision check;
                                                #   sorted ids → ray.put
-    → sort(term) + per-block encode            # THE shuffle; doc ids →
-    → postings/ parquet segments               #   segment ordinals
+    → write_postings: sort(skey) + per-block   # THE shuffle; doc ids →
+      encode + driver boundary merge           #   segment ordinals
     → manifest commit (atomic, LAST)
 
 The manifest is the commit point; :func:`build_index_partitioned` builds
@@ -31,12 +31,7 @@ import pyarrow.dataset as pads
 
 from ..functions.analyzer import AnalyzerConfig
 from ..functions.codec import BLOCK_SIZE
-from ..stages.postings import (
-    SortedBlockEncoder,
-    boundary_table,
-    encode_partials_table,
-    make_postings_merger,
-)
+from ..stages.postings import write_postings
 from ..stages.tokenize import TokenizeStage
 from ..state import manifest as mf
 
@@ -50,23 +45,7 @@ class BuildOptions:
     num_doc_shards: int = 1
     block_size: int = BLOCK_SIZE
     batch_size: int = 512
-    # tokenize actor pool size; None → stateless tasks (elastic). The
-    # pool must leave CPUs for read + shuffle stages (ray_guide: a pool
-    # reserving every CPU serializes the pipeline).
-    tokenize_concurrency: int | None = None
     score_builder: object | None = None
-    compute_sha256: bool = True
-    # parquet row-group size of the postings segments: small enough that
-    # a term lookup reads one row group, big enough to amortize footers
-    row_group_size: int = 4096
-    # reduce partitions for the merge sort; None → ~1 per cluster CPU
-    sort_partitions: int | None = None
-    # boundary sets up to this many rows merge on the driver (one
-    # vectorized pass — saves an execution for small test builds);
-    # above it, the distributed groupby merges: boundary DISTINCT keys
-    # are only ~2 per sorted block, but their rows are the HOT terms,
-    # whose encode must not serialize on the driver
-    boundary_driver_limit: int = 20_000
     # extra text fields ((field_name, column_name), ...): indexed as
     # field-scoped terms with per-field BM25 length norms (the
     # reference's multi-field mapping, es_mappings/addr_row.json:41-121)
@@ -100,36 +79,21 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
     os.makedirs(docmeta_dir)
 
     t0 = time.monotonic()
-    kwargs = dict(
-        analyzer_config=opts.analyzer_config,
-        docmeta_dir=docmeta_dir,
-        num_doc_shards=opts.num_doc_shards,
-        score_builder=opts.score_builder,
-        compute_sha256=opts.compute_sha256,
-        extra_fields=opts.extra_fields,
+    partials = ds.map_batches(
+        TokenizeStage(
+            analyzer_config=opts.analyzer_config,
+            docmeta_dir=docmeta_dir,
+            num_doc_shards=opts.num_doc_shards,
+            score_builder=opts.score_builder,
+            extra_fields=opts.extra_fields,
+        ),
+        batch_format="pyarrow",
+        batch_size=opts.batch_size,
     )
-    if opts.tokenize_concurrency:
-        partials = ds.map_batches(
-            TokenizeStage,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=opts.batch_size,
-            concurrency=opts.tokenize_concurrency,
-        )
-    else:
-        partials = ds.map_batches(
-            TokenizeStage(**kwargs),
-            batch_format="pyarrow",
-            batch_size=opts.batch_size,
-        )
-
-    import ray
-    from ray.data import DataContext
 
     # the doc store is complete once tokenize has run, and postings
     # number docs by its sorted ids — so run tokenize to the end first
-    # (the exchange below materializes its input anyway)
-    phase = {}
+    # (the exchange materializes its input anyway)
     t_p = time.monotonic()
     partials = partials.materialize()
     pipeline_sec = time.monotonic() - t_p
@@ -154,51 +118,11 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
         raise ValueError(
             f"doc_id collision: {n_docs} rows, {n_unique} distinct ids"
         )
-    ids_ref = ray.put(ids_sorted)
-    phase["stats_sec"] = round(time.monotonic() - t_p, 2)
+    stats_sec = round(time.monotonic() - t_p, 2)
 
-    # the groupby(term)-equivalent exchange: range-sort then vectorized
-    # per-block encode; only boundary runs need a real per-group merge
-    # (see stages/postings.py).  Coalescing to ~1 block per CPU before
-    # the sort matters: Ray's range sort degrades ~30× when fed many
-    # small blocks (measured), and polars-backed block sorting is ~20×
-    # faster than the default on string keys.
-
-    DataContext.get_current().use_polars_sort = True
-    # ~4 blocks per CPU: smaller blocks let each worker re-use its
-    # already-faulted heap pages across blocks (first-touch page faults
-    # are ~100× slower than warm memory on ballooned VMs)
-    n_blocks = opts.sort_partitions or max(
-        8, min(512, 4 * int(ray.cluster_resources().get("CPU", 8)))
-    )
-    sorted_partials = partials.repartition(n_blocks).sort("skey")
-    boundary = sorted_partials.map_batches(
-        SortedBlockEncoder(postings_dir, opts.block_size, opts.row_group_size,
-                           ids_ref),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    # Boundary runs are O(2 × sort blocks) keys — merge them on the
-    # driver in one vectorized pass when small (saves an all-to-all);
-    # fall back to the distributed groupby for pathological sizes.
-    t_p = time.monotonic()
-    bmat = boundary.materialize()
-    phase["pipeline_sec"] = round(pipeline_sec + time.monotonic() - t_p, 2)
-    t_p = time.monotonic()
-    if bmat.count() <= opts.boundary_driver_limit:
-        tbl = boundary_table(ray.get(bmat.to_arrow_refs()))
-        rest_tbl = encode_partials_table(tbl, opts.block_size, ids_ref)
-        if rest_tbl.num_rows:
-            mf.atomic_write_table(
-                rest_tbl, os.path.join(postings_dir, "postings-boundary.parquet")
-            )
-    else:
-        rest = bmat.groupby("skey").map_groups(
-            make_postings_merger(ids_ref, opts.block_size), batch_format="pyarrow"
-        )
-        rest.write_parquet(postings_dir, row_group_size=opts.row_group_size)
-    phase["boundary_rows"] = bmat.count()
-    phase["boundary_merge_sec"] = round(time.monotonic() - t_p, 2)
+    phase = write_postings(partials, postings_dir, ids_sorted, opts.block_size)
+    phase["pipeline_sec"] = round(pipeline_sec + phase.pop("exchange_sec"), 2)
+    phase["stats_sec"] = stats_sec
     elapsed = time.monotonic() - t0
 
     manifest = {

@@ -427,8 +427,7 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
     return man
 
 
-def force_merge(index_dir: str, sort_partitions: int | None = None,
-                pack_cap: int = 128) -> dict:
+def force_merge(index_dir: str) -> dict:
     """Merge ALL index segments into one — the ES ``_forcemerge`` /
     Lucene segment-merge analog for this engine's explicit lifecycle
     (reference runs on ES where incremental ``--update`` imports leave
@@ -437,13 +436,14 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
 
     Ray-Data-first: postings rows of every segment stream through ONE
     ``map_batches`` repack (decode → per-doc true lengths from the
-    broadcast docmeta arrays → partial-postings rows, hot terms split
-    at ``pack_cap`` docs/row exactly like the build) into the build
-    pipeline's own ``sort("skey")`` exchange + ``SortedBlockEncoder``
-    + boundary merge — so merged segments are byte-compatible with
-    fresh builds and block-max metadata (``block_min_dl`` etc.) stays
-    exact.  Docmeta files are copied as-is (doc ids are disjoint across
-    segments by the ``update_index`` delete-first contract).
+    broadcast docmeta arrays → ``tokenize.pack_partials``, the build's
+    own partial-row packer) into the build's own exchange
+    (``postings.write_postings``) — so merged segments are
+    byte-compatible with fresh builds and block-max metadata
+    (``block_min_dl`` etc.) stays exact.  An index whose deletes left no
+    postings merges into a segment with none.  Docmeta files are copied
+    as-is (doc ids are disjoint across segments by the ``update_index``
+    delete-first contract).
 
     Crash-safe: the new ``merged-<gen>`` directory is built complete,
     the top manifest re-commit (temp+rename) is the atomic cut-over,
@@ -463,14 +463,8 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     import ray
     import ray.data as rd
 
-    from ..stages.postings import (
-        SHARD_SEP,
-        SortedBlockEncoder,
-        _resolve,
-        boundary_table,
-        encode_partials_table,
-    )
-    from ..stages.tokenize import binary_rows_from_flat, varbyte_rows
+    from ..stages.postings import _resolve, write_postings
+    from ..stages.tokenize import pack_partials
 
     man = mf.read_checked_manifest(index_dir)
     _sweep_uncommitted(index_dir, man)
@@ -490,7 +484,6 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     mt = pa.concat_tables(seg_tables)
     mt = mt.take(pc.sort_indices(mt["doc_id"]))
     ids_sorted = mt["doc_id"].to_numpy()
-    ids_ref = ray.put(ids_sorted)
     dl_main, dl_fields = _doc_lengths(mt)
     dl_ref = ray.put((ids_sorted, dl_main, dl_fields))
 
@@ -512,72 +505,29 @@ def force_merge(index_dir: str, sort_partitions: int | None = None,
     block_size = int(man.get("block_size", 128))
 
     def repack(t: pa.Table, seg_ids) -> pa.Table:
-        if t.num_rows == 0:
-            from ..stages.tokenize import PARTIAL_SCHEMA
-
-            return PARTIAL_SCHEMA.empty_table()
         ords, tfs, off = _decode_rows_flat(t, block_size)
         docs = _resolve(seg_ids)[ords]  # segment ordinal → doc id
         ids, dl_main, dl_fields = ray.get(dl_ref)
-        term_col = pc.cast(t["term"].combine_chunks(), pa.string())
-        dls = _posting_dls(term_col, off, np.searchsorted(ids, docs),
+        terms = pc.cast(t["term"].combine_chunks(), pa.string())
+        dls = _posting_dls(terms, off, np.searchsorted(ids, docs),
                            dl_main, dl_fields)
-        # skey (matches TokenizeStage): term alone for 1 shard, else
-        # term<SEP>shard
-        if num_doc_shards > 1:
-            # TokenizeStage zero-pads: "term\x1f<shard:04d>"
-            skey_src = pc.binary_join_element_wise(
-                term_col,
-                pc.utf8_lpad(
-                    pc.cast(t["shard"].combine_chunks(), pa.string()),
-                    width=4, padding="0"),
-                SHARD_SEP)
-        else:
-            skey_src = term_col
-        # pack_cap split (vectorized): byte-uniform partial rows so hot
-        # terms can't skew one sort range
-        lens = np.diff(off)
-        nsub = np.maximum(1, -(-lens // pack_cap))
-        tot = int(nsub.sum())
-        first = np.concatenate(([0], np.cumsum(nsub)))[:-1]
-        intra = np.arange(tot) - np.repeat(first, nsub)
-        starts = np.repeat(off[:-1], nsub) + intra * pack_cap
-        row_offsets = np.append(starts, off[-1])
-        rep_idx = pa.array(np.repeat(np.arange(t.num_rows), nsub))
-        skey_arr = pc.take(skey_src, rep_idx)
-        return pa.table({
-            "skey": skey_arr,
-            "docs": binary_rows_from_flat(
-                docs.astype("<i8"), row_offsets),
-            "tfs": varbyte_rows(tfs, row_offsets),
-            "dls": varbyte_rows(dls.astype(np.int64), row_offsets),
-        })
+        return pack_partials(terms, t["shard"], docs, tfs, dls, off,
+                             num_doc_shards)
 
     seg_parts = []
     for s, st in zip(segs, seg_tables):
         pfiles = _parquet_files(s, "postings")
         if pfiles:
             seg_ids_ref = ray.put(np.sort(st["doc_id"].to_numpy()))
+            # one block per file: Ray's split of a small file's read
+            # leaves empty blocks with no columns
             seg_parts.append(
-                rd.read_parquet(pfiles, partitioning=None).map_batches(
+                rd.read_parquet(pfiles, partitioning=None,
+                                override_num_blocks=len(pfiles)).map_batches(
                     repack, fn_args=(seg_ids_ref,), batch_format="pyarrow"))
-    partials = seg_parts[0].union(*seg_parts[1:])
-
-    from ray.data import DataContext
-
-    DataContext.get_current().use_polars_sort = True
-    n_blocks = sort_partitions or max(
-        8, min(512, 4 * int(ray.cluster_resources().get("CPU", 8))))
-    sorted_partials = partials.repartition(n_blocks).sort("skey")
-    boundary = sorted_partials.map_batches(
-        SortedBlockEncoder(postings_dir, block_size, doc_ids=ids_ref),
-        batch_format="pyarrow", batch_size=None,
-    ).materialize()
-    tbl = boundary_table(ray.get(boundary.to_arrow_refs()))
-    rest = encode_partials_table(tbl, block_size, ids_ref)
-    if rest.num_rows:
-        mf.atomic_write_table(
-            rest, os.path.join(postings_dir, "postings-boundary.parquet"))
+    if seg_parts:
+        write_postings(seg_parts[0].union(*seg_parts[1:]), postings_dir,
+                       ids_sorted, block_size)
 
     old_names = man.get("segments") or ["."]
     man.pop("format_version", None)

@@ -1,27 +1,33 @@
-"""Posting-list merge — the ``groupby(term)``-equivalent shuffle stage.
+"""Posting-list merge — the ``groupby(term)``-equivalent exchange.
 
-Reference analog: Lucene's hidden segment merge inside ES; here it is the
-explicit all-to-all exchange of the build pipeline (SURVEY.md §3.1).
+Reference analog: Lucene's hidden segment merge inside ES, which sends a
+freshly flushed segment and a merged segment through the same codec
+writer; here :func:`write_postings` is that one writer, called by the
+build (and so by ``update_index``) and by ``force_merge`` (SURVEY.md
+§3.1).
 
 The naive realization — ``groupby(term).map_groups(encode)`` — costs one
 Python call per vocabulary term (~10ms/group in Ray), which is fatal at
-real vocabulary sizes.  The pipeline therefore performs the same
-sort-based group-aggregate explicitly, keeping the encode vectorized:
+real vocabulary sizes.  :func:`write_postings` therefore performs the
+same sort-based group-aggregate explicitly, keeping the encode
+vectorized:
 
-1. ``sort(["term", "shard"])`` — the range-partitioned all-to-all
-   exchange (identical data movement to a groupby);
+1. ``sort("skey")`` — the range-partitioned all-to-all exchange
+   (identical data movement to a groupby) over the fused
+   (term, shard) key of the partial rows (``tokenize.pack_partials``);
 2. :class:`SortedBlockEncoder` (``map_batches``) — every sorted block
    encodes ALL its *complete* key-runs in one numpy pass
    (``codec.encode_posting_groups``) and side-writes them as a postings
    parquet segment (temp+rename, content-derived name → idempotent under
    task retry); only the block's first/last runs — the ones that may
    straddle block boundaries — are passed through;
-3. the (tiny) boundary stream goes through a real
-   ``groupby(term, shard).map_groups`` merge.
+3. the boundary stream (≤ 2 runs per sorted block) merges on the driver
+   in one vectorized pass (:func:`encode_partials_table`) into
+   ``postings-boundary.parquet``.
 
 Partials carry doc ids (63-bit hashes); every encoder maps them to the
 segment's doc ordinals (``codec`` format v3) with one ``searchsorted``
-over the segment's sorted ids, which the build ``ray.put``s once.
+over the segment's sorted ids, which the caller ``ray.put``s once.
 
 ``shard`` = ``doc_id % num_doc_shards`` bounds run length for
 heavy-hitter terms so no single group materializes a 10^12-doc posting
@@ -33,21 +39,21 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from ..functions.codec import BLOCK_SIZE, encode_posting, encode_posting_groups
+from ..functions.codec import BLOCK_SIZE, encode_posting_groups
 from ..state.manifest import atomic_write_table
 from .tokenize import (
     PARTIAL_SCHEMA,
+    SHARD_SEP,
     flat_from_binary_col,
     varbyte_flat_from_binary_col,
 )
-
-SHARD_SEP = "\x1f"
 
 
 def _terms_shards_from_skeys(skey_arr) -> tuple[pa.Array, pa.Array]:
@@ -127,18 +133,41 @@ def ordinals_of(ids_sorted: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return ords
 
 
+def _run_heads(skey) -> np.ndarray:
+    """Row index of the first row of each run of equal ``skey``."""
+    codes = pc.dictionary_encode(skey).combine_chunks().indices.to_numpy()
+    return np.flatnonzero(np.diff(codes, prepend=-1) != 0)
+
+
+def _encode_runs(t: pa.Table, heads: np.ndarray, block_size: int,
+                 doc_ids) -> pa.Table:
+    """Encode the complete runs of a ``skey``-sorted partial table whose
+    runs start at rows ``heads``: one posting row per run.  ``doc_ids``
+    is the segment's sorted doc ids (array or object ref); None numbers
+    the table's own distinct docs."""
+    docs, row_lens = flat_from_binary_col(t["docs"], np.dtype("<i8"))
+    ids = np.unique(docs) if doc_ids is None else _resolve(doc_ids)
+    docs = ordinals_of(ids, docs)
+    tfs, _ = varbyte_flat_from_binary_col(t["tfs"])
+    dls, _ = varbyte_flat_from_binary_col(t["dls"])
+    row_off = np.concatenate(([0], np.cumsum(row_lens)))
+    group_offsets = np.append(row_off[heads], row_off[-1])
+    enc = encode_posting_groups(docs, tfs, dls, group_offsets, block_size)
+    terms, shards = _terms_shards_from_skeys(t["skey"].take(pa.array(heads)))
+    return _encoded_table(terms, shards, enc)
+
+
 class SortedBlockEncoder:
-    """``map_batches`` stage over (term, shard)-sorted partial postings.
+    """``map_batches`` stage over ``skey``-sorted partial postings.
 
     ``doc_ids`` is the segment's sorted doc ids (array or object ref);
     None reads them from the ``docmeta`` directory next to
     ``postings_dir``."""
 
     def __init__(self, postings_dir: str, block_size: int = BLOCK_SIZE,
-                 row_group_size: int = 4096, doc_ids=None):
+                 doc_ids=None):
         self.postings_dir = postings_dir
         self.block_size = block_size
-        self.row_group_size = row_group_size
         if doc_ids is None:
             doc_ids = segment_doc_ids(
                 os.path.join(os.path.dirname(postings_dir), "docmeta"))
@@ -150,43 +179,27 @@ class SortedBlockEncoder:
         emitted, so every output block has one schema."""
         if t.num_rows == 0:
             return PARTIAL_SCHEMA.empty_table()
-        codes = pc.dictionary_encode(t["skey"]).combine_chunks().indices.to_numpy()
-        m = len(codes)
-        run_heads = np.concatenate(([0], np.flatnonzero(np.diff(codes) != 0) + 1))
-        nruns = run_heads.size
-        run_ends = np.append(run_heads[1:], m)
-        if nruns <= 2:
+        heads = _run_heads(t["skey"])
+        if heads.size <= 2:
             # every row may straddle a boundary → all pass through
             return t.cast(PARTIAL_SCHEMA)
 
         # inner (complete) runs: all but first and last
-        lo_row, hi_row = int(run_ends[0]), int(run_heads[-1])
-        inner = t.slice(lo_row, hi_row - lo_row)
-        heads = run_heads[1:-1] - lo_row
-        docs, row_lens = flat_from_binary_col(inner["docs"], np.dtype("<i8"))
-        docs = ordinals_of(_resolve(self.doc_ids), docs)
-        tfs, _ = varbyte_flat_from_binary_col(inner["tfs"])
-        dls, _ = varbyte_flat_from_binary_col(inner["dls"])
-        row_off = np.concatenate(([0], np.cumsum(row_lens)))
-        ends = run_ends[1:-1] - lo_row
-        group_offsets = np.concatenate((row_off[heads], [row_off[ends[-1]]]))
-        enc = encode_posting_groups(docs, tfs, dls, group_offsets, self.block_size)
-        terms_h, shards_h = _terms_shards_from_skeys(
-            inner["skey"].take(pa.array(heads))
-        )
-        out = _encoded_table(terms_h, shards_h, enc)
+        lo, hi = int(heads[1]), int(heads[-1])
+        inner = t.slice(lo, hi - lo)
+        out = _encode_runs(inner, heads[1:-1] - lo, self.block_size,
+                           self.doc_ids)
         digest = hashlib.blake2b(
             (inner["skey"][0].as_py() + "\x00" + inner["skey"][-1].as_py()).encode()
-            + np.asarray(enc["df"], dtype=np.int64).tobytes(),
+            + out["df"].to_numpy().tobytes(),
             digest_size=8,
         ).hexdigest()
         atomic_write_table(
             out, os.path.join(self.postings_dir, f"postings-{digest}.parquet")
         )
         # pass through only the boundary runs
-        first = t.slice(0, int(run_ends[0]))
-        last = t.slice(int(run_heads[-1]), m - int(run_heads[-1]))
-        return pa.concat_tables([first, last]).cast(PARTIAL_SCHEMA)
+        return pa.concat_tables(
+            [t.slice(0, lo), t.slice(hi)]).cast(PARTIAL_SCHEMA)
 
 
 def boundary_table(blocks: list[pa.Table]) -> pa.Table:
@@ -199,10 +212,9 @@ def boundary_table(blocks: list[pa.Table]) -> pa.Table:
 
 def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,
                           doc_ids=None) -> pa.Table:
-    """Sort + merge + encode an (unsorted) partial-postings table in one
-    vectorized pass.  Used for the boundary stream when it is small
-    enough to merge on the driver — saves a whole all-to-all exchange
-    (the ``groupby`` path remains for large boundary sets).
+    """Sort, merge and encode an unsorted partial-postings table in one
+    vectorized pass on the caller — the boundary merge of
+    :func:`write_postings`.
 
     ``doc_ids``: the segment's sorted doc ids (array or object ref);
     None numbers the table's own distinct docs, as for a table that is
@@ -212,40 +224,52 @@ def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,
     t = t.combine_chunks().take(
         pc.sort_indices(t, sort_keys=[("skey", "ascending")])
     )
-    codes = pc.dictionary_encode(t["skey"]).combine_chunks().indices.to_numpy()
-    heads = np.concatenate(([0], np.flatnonzero(np.diff(codes) != 0) + 1))
-    docs, row_lens = flat_from_binary_col(t["docs"], np.dtype("<i8"))
-    ids = np.unique(docs) if doc_ids is None else _resolve(doc_ids)
-    docs = ordinals_of(ids, docs)
-    tfs, _ = varbyte_flat_from_binary_col(t["tfs"])
-    dls, _ = varbyte_flat_from_binary_col(t["dls"])
-    row_off = np.concatenate(([0], np.cumsum(row_lens)))
-    group_offsets = np.append(row_off[heads], row_off[-1])
-    enc = encode_posting_groups(docs, tfs, dls, group_offsets, block_size)
-    terms_h, shards_h = _terms_shards_from_skeys(t["skey"].take(pa.array(heads)))
-    return _encoded_table(terms_h, shards_h, enc)
+    return _encode_runs(t, _run_heads(t["skey"]), block_size, doc_ids)
 
 
-def make_postings_merger(doc_ids, block_size: int = BLOCK_SIZE):
-    """``map_groups`` merge for one (term, shard) group of partials;
-    ``doc_ids`` is the segment's sorted doc ids (array or object ref).
+def write_postings(partials, postings_dir: str, doc_ids,
+                   block_size: int = BLOCK_SIZE) -> dict:
+    """The exchange from partial rows to a segment's postings files:
+    ``sort("skey")``, :class:`SortedBlockEncoder` over each sorted block,
+    then the driver merge of the boundary runs into
+    ``postings-boundary.parquet``.
 
-    Used only for the boundary stream (O(#sorted-blocks) groups), where
-    per-group Python overhead is harmless.
-    """
+    ``partials`` is a Dataset of ``PARTIAL_SCHEMA`` rows and ``doc_ids``
+    the segment's sorted doc ids, broadcast once.  Returns the
+    exchange metrics: ``sort_blocks``, ``boundary_rows``,
+    ``exchange_sec`` and ``boundary_merge_sec``."""
+    import ray
+    from ray.data import DataContext
 
-    def merge(group: pa.Table) -> pa.Table:
-        docs, _ = flat_from_binary_col(group["docs"], np.dtype("<i8"))
-        docs = ordinals_of(_resolve(doc_ids), docs)
-        tfs, _ = varbyte_flat_from_binary_col(group["tfs"])
-        dls, _ = varbyte_flat_from_binary_col(group["dls"])
-        enc = encode_posting(docs, tfs, dls, block_size)
-        enc_cols = {
-            k: [enc[k]] if not isinstance(enc[k], np.ndarray) else [enc[k].tolist()]
-            for k in ("df", "docs", "tfs", "block_last_doc", "block_max_tf",
-                      "block_min_dl", "block_docs_off", "block_tfs_off")
-        }
-        terms_h, shards_h = _terms_shards_from_skeys(group["skey"].slice(0, 1))
-        return _encoded_table(terms_h, shards_h, enc_cols)
-
-    return merge
+    t0 = time.monotonic()
+    partials = partials.materialize()
+    rows = partials.count()
+    # polars-backed block sorting is ~20× faster than the default on
+    # string keys.  ~4 blocks per CPU: smaller blocks let each worker
+    # re-use its already-faulted heap pages across blocks (first-touch
+    # page faults are ~100× slower than warm memory on ballooned VMs);
+    # coalescing to them matters, since Ray's range sort degrades ~30×
+    # when fed many small blocks (measured).  A block gets ≥ 64 rows:
+    # emptier ones would leave Ray empty, column-less blocks.
+    DataContext.get_current().use_polars_sort = True
+    cpu_blocks = max(8, min(512, 4 * int(ray.cluster_resources().get("CPU", 8))))
+    n_blocks = max(1, min(cpu_blocks, rows // 64))
+    boundary = (
+        partials.repartition(n_blocks).sort("skey")
+        .map_batches(SortedBlockEncoder(postings_dir, block_size,
+                                        ray.put(doc_ids)),
+                     batch_format="pyarrow", batch_size=None)
+        .materialize()
+    )
+    t1 = time.monotonic()
+    tbl = boundary_table(ray.get(boundary.to_arrow_refs()))
+    rest = encode_partials_table(tbl, block_size, doc_ids)
+    if rest.num_rows:
+        atomic_write_table(
+            rest, os.path.join(postings_dir, "postings-boundary.parquet"))
+    return {
+        "sort_blocks": n_blocks,
+        "boundary_rows": tbl.num_rows,
+        "exchange_sec": round(t1 - t0, 2),
+        "boundary_merge_sec": round(time.monotonic() - t1, 2),
+    }

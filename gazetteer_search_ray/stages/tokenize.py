@@ -18,14 +18,15 @@ Reference analog: the whole single-threaded import loop body
    content-derived filename → idempotent under Ray task retries), which
    fuses the doc store into the single corpus pass — no second read of
    100 TB;
-5. emits *packed partial postings*: one row per (term, shard) per batch
-   with list columns (doc_ids, tfs, dls) — the pre-aggregation that cuts
-   the ``groupby(term)`` shuffle volume (SURVEY.md §4 'Memory pressure').
+5. emits *packed partial postings* (:func:`pack_partials`): one row
+   per (term, shard) run per batch with binary payloads (docs, tfs,
+   dls) — the pre-aggregation that cuts the exchange volume (SURVEY.md
+   §4 'Memory pressure').
 
 ``shard`` = ``doc_id % num_doc_shards`` splits heavy-hitter terms
-(stopword-like code tokens) into bounded sub-groups so no single
-``map_groups`` group materializes a 10^12-doc posting list; the query
-layer merges shards per term (SURVEY.md §2.2 skew note).
+(stopword-like code tokens) into bounded sub-runs so no single run
+materializes a 10^12-doc posting list; the query layer merges shards
+per term (SURVEY.md §2.2 skew note).
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ PARTIAL_SCHEMA = pa.schema(
         ("dls", pa.binary()),
     ]
 )
+SHARD_SEP = "\x1f"
+# Cap on postings per packed row: the sort exchange range-partitions by
+# ROW count, so one fat row per hot term (≤batch_size docs ≈ 4KB payload
+# vs ~30B for rare terms) makes the top-Zipf key range a byte-skewed
+# straggler block (measured 6.3× mean bytes and a 134s/25s-mean encode
+# task at 5.12M docs).  Splitting fat runs into ≤PACK_CAP-doc rows makes
+# bytes/row ~uniform so the row-balancing sampler balances bytes; the
+# encoder merges multiple rows per skey, so semantics are unchanged.
+PACK_CAP = 128
 
 
 def binary_rows_from_flat(flat: np.ndarray, row_offsets: np.ndarray) -> pa.Array:
@@ -158,6 +168,48 @@ def flat_from_binary_col(col, dtype) -> tuple[np.ndarray, np.ndarray]:
     seg = data[off[0] : off[-1]].copy()  # copy for alignment
     return seg.view(dtype), (np.diff(off) // itemsize).astype(np.int64)
 
+
+def pack_partials(terms, shards, docs, tfs, dls, offsets,
+                  num_doc_shards: int, cap: int = PACK_CAP) -> pa.Table:
+    """Partial-postings rows (``PARTIAL_SCHEMA``) of postings runs: run
+    i is (``terms[i]``, ``shards[i]``) with postings
+    ``docs/tfs/dls[offsets[i]:offsets[i+1]]``, doc ids ascending.  Runs
+    longer than ``cap`` postings split into ≤cap-posting rows (0: no
+    split).  ``skey`` is the term when ``num_doc_shards == 1``, else
+    ``"<term>\\x1f<shard:04d>"``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    shards = np.asarray(shards, dtype=np.int32)
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    terms = pc.cast(terms, pa.string())
+    lens = np.diff(offsets)
+    if cap and int(lens.max(initial=0)) > cap:
+        nsub = np.maximum(1, -(-lens // cap))
+        first = np.cumsum(nsub) - nsub
+        within = np.arange(int(nsub.sum()), dtype=np.int64) - np.repeat(first, nsub)
+        offsets = np.append(np.repeat(offsets[:-1], nsub) + cap * within,
+                            offsets[-1])
+        rows = np.repeat(np.arange(lens.size), nsub)
+        terms, shards = terms.take(pa.array(rows)), shards[rows]
+    skey = terms
+    if num_doc_shards > 1:
+        skey = pc.binary_join_element_wise(
+            terms,
+            pc.utf8_lpad(pc.cast(pa.array(shards), pa.string()),
+                         width=4, padding="0"),
+            SHARD_SEP)
+    return pa.table(
+        {
+            "skey": skey,
+            "docs": binary_rows_from_flat(
+                np.asarray(docs).astype("<i8"), offsets),
+            "tfs": varbyte_rows(tfs, offsets),
+            "dls": varbyte_rows(dls, offsets),
+        },
+        schema=PARTIAL_SCHEMA,
+    )
+
+
 DOCMETA_CARRY = ("repo", "path", "commit", "lang", "n_chars", "lat", "lon")
 
 # Field-scoped term separator: extra fields index their tokens as
@@ -184,11 +236,12 @@ def _is_arrow_fast_path(c: AnalyzerConfig) -> bool:
 
 
 class TokenizeStage:
-    """Callable class for ``map_batches(TokenizeStage, concurrency=N)``.
+    """Per-batch callable for ``map_batches(TokenizeStage(...))``.
 
-    Analyzer construction and regex compilation happen once per actor in
+    Analyzer construction and regex compilation happen once, in
     ``__init__`` (reference analog: the singleton compiled replacers,
-    ``ReplacersCompiler.java:20-38``).
+    ``ReplacersCompiler.java:20-38``); the distinct-token expansion
+    cache persists across the batches one worker runs.
     """
 
     def __init__(
@@ -196,11 +249,9 @@ class TokenizeStage:
         analyzer_config: AnalyzerConfig | None = None,
         docmeta_dir: str | None = None,
         num_doc_shards: int = 1,
-        content_col: str = "content",
         score_builder: Callable[[pa.Table], np.ndarray] | None = None,
-        compute_sha256: bool = True,
         extra_fields: tuple = (),
-        pack_cap: int = 128,
+        pack_cap: int = PACK_CAP,
     ):
         # extra_fields: ((field_name, column_name), ...) — each extra
         # text field indexes as FIELD_SEP-scoped terms with its own
@@ -214,9 +265,7 @@ class TokenizeStage:
         self.docmeta_dir = docmeta_dir
         self.num_doc_shards = int(num_doc_shards)
         self.pack_cap = int(pack_cap)
-        self.content_col = content_col
         self.score_builder = score_builder
-        self.compute_sha256 = compute_sha256
         self._fast = _is_arrow_fast_path(self.config)
         # distinct-token → expansion cache (persists across batches)
         self._exp_cache: dict[str, list[str]] = {}
@@ -360,9 +409,7 @@ class TokenizeStage:
         if n == 0:
             return PARTIAL_SCHEMA.empty_table()
         doc_ids = batch["doc_id"].to_numpy().astype(np.int64)
-        content = batch[self.content_col]
-
-        flat, parent = self._tokenize(content)
+        flat, parent = self._tokenize(batch["content"])
         dl = np.bincount(parent, minlength=n).astype(np.int64)
         fields = []  # (prefix, flat, parent, field dl)
         field_dls: dict[str, np.ndarray] = {}
@@ -405,59 +452,17 @@ class TokenizeStage:
         ).sort_by([("term", "ascending"), ("shard", "ascending"),
                    ("doc", "ascending")])
 
-        # pack runs of equal (term, shard) into binary payload rows
+        # one packed row per run of equal (term, shard)
         codes = pc.dictionary_encode(entries["term"]).combine_chunks().indices.to_numpy()
         shards = entries["shard"].to_numpy()
-        m = len(codes)
-        if m == 0:
-            return PARTIAL_SCHEMA.empty_table()
-        boundary = np.flatnonzero((np.diff(codes) != 0) | (np.diff(shards) != 0)) + 1
-        offsets = np.concatenate(([0], boundary, [m])).astype(np.int64)
-        heads = offsets[:-1]
-        # Cap postings per packed row: the sort exchange range-partitions
-        # by ROW count, so one fat row per hot term (≤batch_size docs ≈
-        # 4KB payload vs ~30B for rare terms) makes the top-Zipf key
-        # range a byte-skewed straggler block (measured 6.3× mean bytes
-        # and a 134s/25s-mean encode task at 5.12M docs).  Splitting fat
-        # runs into ≤pack_cap-doc rows makes bytes/row ~uniform so the
-        # row-balancing sampler balances bytes; the encoder already
-        # merges multiple rows per skey, so semantics are unchanged.
-        lens = np.diff(offsets)
-        cap = self.pack_cap
-        if cap and int(lens.max(initial=0)) > cap:
-            nchunks = (lens + cap - 1) // cap
-            total = int(nchunks.sum())
-            cstart = np.cumsum(nchunks) - nchunks
-            within = np.arange(total, dtype=np.int64) - np.repeat(cstart, nchunks)
-            heads = np.repeat(heads, nchunks) + cap * within
-            offsets = np.append(heads, m)
-        terms_out = entries["term"].take(pa.array(heads))
-        shards_out = entries["shard"].take(pa.array(heads))
-        if self.num_doc_shards > 1:
-            skey = pa.array(
-                [
-                    f"{t}\x1f{s:04d}"
-                    for t, s in zip(terms_out.to_pylist(), shards_out.to_pylist())
-                ],
-                pa.string(),
-            )
-        else:
-            skey = terms_out
-        return pa.table(
-            {
-                "skey": skey,
-                "docs": binary_rows_from_flat(
-                    entries["doc"].combine_chunks().to_numpy().astype("<i8"),
-                    offsets,
-                ),
-                "tfs": varbyte_rows(
-                    entries["tf"].combine_chunks().to_numpy(), offsets
-                ),
-                "dls": varbyte_rows(
-                    entries["dl"].combine_chunks().to_numpy(), offsets
-                ),
-            }
-        )
+        heads = np.flatnonzero((np.diff(codes, prepend=-1) != 0)
+                               | (np.diff(shards, prepend=-1) != 0))
+        offsets = np.append(heads, len(codes))
+        return pack_partials(
+            entries["term"].take(pa.array(heads)), shards[heads],
+            entries["doc"].to_numpy(), entries["tf"].to_numpy(),
+            entries["dl"].to_numpy(), offsets, self.num_doc_shards,
+            self.pack_cap)
 
     # -- doc store -------------------------------------------------------
 
@@ -473,17 +478,16 @@ class TokenizeStage:
         for c in DOCMETA_CARRY:
             if c in batch.column_names:
                 cols[c] = batch[c].filter(pa.array(keep))
-        if self.compute_sha256:
-            texts = batch[self.content_col].to_pylist()
-            cols["sha256"] = pa.array(
-                [
-                    hashlib.sha256(
-                        (texts[i] or "").encode("utf-8", "surrogatepass")
-                    ).hexdigest()
-                    for i in np.flatnonzero(keep)
-                ],
-                pa.string(),
-            )
+        texts = batch["content"].to_pylist()
+        cols["sha256"] = pa.array(
+            [
+                hashlib.sha256(
+                    (texts[i] or "").encode("utf-8", "surrogatepass")
+                ).hexdigest()
+                for i in np.flatnonzero(keep)
+            ],
+            pa.string(),
+        )
         t = pa.table(cols)
         # content-derived name → retries of the same block overwrite the
         # same file with identical bytes (idempotent side-write)

@@ -191,3 +191,52 @@ def test_pack_cap_split_preserves_postings():
         part = TokenizeStage(cfg, docmeta_dir=meta, pack_cap=3)(t)
     keys = part["skey"].to_pylist()
     assert len(keys) > len(set(keys))
+
+
+def test_pack_partials_keys_and_cap_split():
+    """pack_partials writes the one ``skey`` format — the term alone for
+    one shard, else ``f"{term}\\x1f{shard:04d}"`` (five or more digits
+    from shard 10,000 on) — which _terms_shards_from_skeys inverts; cap
+    0 never splits a run, cap 3 splits it into ≤3-posting rows that
+    concatenate back to the input."""
+    import numpy as np
+    import pyarrow as pa
+
+    from gazetteer_search_ray.stages.postings import _terms_shards_from_skeys
+    from gazetteer_search_ray.stages.tokenize import (
+        PARTIAL_SCHEMA,
+        flat_from_binary_col,
+        pack_partials,
+        varbyte_flat_from_binary_col,
+    )
+
+    terms = ["alpha", "alpha", "beta", "gamma", "zeta"]
+    shards = np.array([0, 7, 12, 10_000, 123_456], np.int32)
+    lens = np.array([1, 5, 3, 7, 2])
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    n = int(offsets[-1])
+    docs = np.arange(n, dtype=np.int64) * 1_000_003 + 2**62
+    tfs = np.arange(n) % 4 + 1
+    dls = np.arange(n) + 300
+
+    one = pack_partials(pa.array(terms), np.zeros(5, np.int32), docs, tfs,
+                        dls, offsets, 1, cap=0)
+    assert one["skey"].to_pylist() == terms
+    for cap, rows_per_run in ((0, [1, 1, 1, 1, 1]), (3, [1, 2, 1, 3, 1])):
+        t = pack_partials(pa.array(terms), shards, docs, tfs, dls, offsets,
+                          4, cap=cap)
+        assert t.schema == PARTIAL_SCHEMA
+        run = np.repeat(np.arange(5), rows_per_run)
+        assert t["skey"].to_pylist() == [
+            f"{terms[r]}\x1f{shards[r]:04d}" for r in run]
+        got_terms, got_shards = _terms_shards_from_skeys(t["skey"])
+        assert got_terms.to_pylist() == [terms[r] for r in run]
+        assert got_shards.to_pylist() == shards[run].tolist()
+        got_docs, row_lens = flat_from_binary_col(t["docs"], np.dtype("<i8"))
+        assert row_lens.max() <= (cap or n)
+        np.testing.assert_array_equal(np.bincount(run, weights=row_lens), lens)
+        np.testing.assert_array_equal(got_docs, docs)
+        for col, want in (("tfs", tfs), ("dls", dls)):
+            vals, counts = varbyte_flat_from_binary_col(t[col])
+            np.testing.assert_array_equal(vals, want)
+            np.testing.assert_array_equal(counts, row_lens)

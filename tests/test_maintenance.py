@@ -318,3 +318,102 @@ def test_update_without_extra_field_column_changes_nothing(ray_session):
             update_index(idx, rd.from_items(batch))
         assert _snapshot(idx) == before, col
     assert Searcher(idx).reader.n_docs == 39
+
+
+def _segment_postings(seg_dir: str, block_size: int) -> dict:
+    """(term, shard) → (doc ids, tfs, df, block_last_doc, block_max_tf,
+    block_min_dl) of every posting row of one segment, decoded."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from gazetteer_search_ray.pipelines.maintenance import _decode_rows_flat
+    from gazetteer_search_ray.stages.postings import segment_doc_ids
+
+    ids = segment_doc_ids(os.path.join(seg_dir, "docmeta"))
+    pdir = os.path.join(seg_dir, "postings")
+    t = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
+                          for f in sorted(os.listdir(pdir))])
+    ords, tfs, off = _decode_rows_flat(t, block_size)
+    out = {}
+    for i, row in enumerate(t.select(
+            ["term", "shard", "df", "block_last_doc", "block_max_tf",
+             "block_min_dl"]).to_pylist()):
+        key = (row["term"], row["shard"])
+        assert key not in out, f"{key} written twice"
+        run = slice(int(off[i]), int(off[i + 1]))
+        out[key] = (ids[ords[run]].tolist(), tfs[run].tolist(), row["df"],
+                    row["block_last_doc"], row["block_max_tf"],
+                    row["block_min_dl"])
+    return out
+
+
+def test_force_merge_equals_fresh_build(ray_session):
+    """build → replace update → add update → delete → force_merge, with
+    two doc shards and an extra field: every (term, shard) of the merged
+    segment decodes to the postings and block metadata of a fresh build
+    of the live docs."""
+    import ray.data as rd
+
+    idx, fresh = f"{BASE}/life", f"{BASE}/life_fresh"
+    opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=32,
+                        block_size=16, num_doc_shards=2,
+                        extra_fields=(("src", "repo"),))
+
+    def row(i, body):
+        return {"doc_id": i, "content": body, "repo": f"repo {i % 5} r{i % 3}"}
+
+    live = {i: row(i, _filler(i)) for i in range(1, 160)}
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(list(live.values())).repartition(3), idx, opts)
+    replaced = [row(i, f"zzlife replaced {_filler(i + 1)}")
+                for i in range(3, 160, 9)]
+    added = [row(i, f"zzlife added {_filler(i)}") for i in range(500, 530)]
+    for batch in (replaced, added):
+        update_index(idx, rd.from_items(batch))
+        live.update((r["doc_id"], r) for r in batch)
+    gone = [1, 2, 12, 503, 520]
+    delete_docs(idx, doc_ids=gone)
+    for i in gone:
+        del live[i]
+    man = force_merge(idx)
+    assert len(man["segments"]) == 1 and man["n_docs"] == len(live)
+
+    shutil.rmtree(fresh, ignore_errors=True)
+    build_index(rd.from_items(list(live.values())).repartition(3), fresh, opts)
+    got = _segment_postings(os.path.join(idx, man["segments"][0]), 16)
+    want = _segment_postings(fresh, 16)
+    assert got.keys() == want.keys()
+    for key, postings in want.items():
+        assert got[key] == postings, key
+    # both shards, field terms and multi-block lists are all covered
+    assert {s for _t, s in want} == {0, 1}
+    assert any(t.startswith("src\x1e") for t, _s in want)
+    assert max(len(p[3]) for p in want.values()) > 2
+
+
+def test_sort_blocks_follow_partial_rows(ray_session):
+    """The exchange uses no more sort blocks than the partial rows fill:
+    a 4-doc update segment gets one, a 120-doc build several, and that
+    build still merges runs that straddle sorted blocks."""
+    idx = _two_segment_index("blocks")
+    man = mf.read_manifest(idx)
+    upd = mf.read_manifest(os.path.join(idx, man["segments"][1]))
+    assert upd["metrics"]["sort_blocks"] == 1
+    assert man["metrics"]["sort_blocks"] > 1
+    assert man["metrics"]["boundary_rows"] > 0
+
+
+def test_force_merge_after_deleting_every_doc(ray_session):
+    """An index whose deletes left no postings merges into one empty
+    segment that searches to nothing; a later update is searchable."""
+    import ray.data as rd
+
+    idx = _two_segment_index("empty")
+    delete_docs(idx, predicate=lambda t: np.ones(t.num_rows, dtype=bool))
+    man = force_merge(idx)
+    assert man["segments"] == [f"merged-{man['import_counter']:05d}"]
+    assert man["n_docs"] == 0
+    assert Searcher(idx).search("zzmaint", k=10) == []
+    update_index(idx, rd.from_items(_items([60_000], lambda i: "zzrevived body")))
+    hits = Searcher(idx).search("zzrevived", k=10)
+    assert [h["doc_id"] for h in hits] == [60_000]
