@@ -22,6 +22,17 @@ Routes:
   (``ResultsWrapper.java:27-40``).
 * ``GET /index/stats`` — manifest stats (n_docs, avgdl, …).
 * ``GET /healthcheck`` — liveness.
+
+Connections are persistent HTTP/1.1, as the reference's Netty server
+keeps them: one handler thread serves a client's whole connection, and
+every reply carries ``Content-Length``.  The status line, headers and
+body are buffered and flushed once per reply, with Nagle's algorithm
+off, so a reply never waits on the client's delayed ACK.  A GET's body is read and
+dropped so it cannot be taken for the next request line; one longer
+than ``MAX_BODY_BYTES`` gets a 400 and the connection is closed.  A
+connection idle for ``IDLE_TIMEOUT_S`` is closed and its thread exits.
+``shutdown()`` closes the listener, and a kept-alive connection gets
+no further answer.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 _TRUE = {"1", "true", "yes", "on"}
+IDLE_TIMEOUT_S = 30.0  # an idle kept-alive connection is closed after this
+MAX_BODY_BYTES = 8192  # a GET body up to this size is read and dropped
 
 
 def _flag(qs: dict, name: str, default: bool = False) -> bool:
@@ -61,21 +74,54 @@ class SearchHTTPServer:
         if self._svc is None:
             self._searcher = Searcher(index_dir)
         self.default_use_prior = use_prior
+        self._closing = threading.Event()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+            wbufsize = -1  # one send per reply, at handle_one_request's flush
+            timeout = IDLE_TIMEOUT_S
+
             def log_message(self, *a):  # quiet
                 pass
 
-            def _reply(self, code: int, payload: dict):
-                body = json.dumps(payload, default=str).encode()
+            def parse_request(self) -> bool:
+                if outer._closing.is_set():  # read after shutdown: no answer
+                    self.close_connection = True
+                    return False
+                return super().parse_request()
+
+            def _reply(self, code: int, payload: dict, close: bool = False):
+                body = json.dumps(payload).encode()
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
+            def _drain_body(self) -> bool:
+                """Read and drop the request body, so the next request on
+                this connection starts where this one ends.  A body that
+                cannot be skipped that way gets a 400 and a close."""
+                try:
+                    n = int(self.headers.get("Content-Length", 0))
+                except ValueError:
+                    n = -1
+                if (0 <= n <= MAX_BODY_BYTES
+                        and "Transfer-Encoding" not in self.headers):
+                    self.rfile.read(n)
+                    return True
+                self._reply(400, {"result": "error",
+                                  "error": "request body not accepted"},
+                            close=True)
+                return False
+
             def do_GET(self):
+                if not self._drain_body():
+                    return
                 u = urlparse(self.path)
                 try:
                     if u.path == "/healthcheck":
@@ -184,7 +230,9 @@ class SearchHTTPServer:
         self.httpd.serve_forever()
 
     def shutdown(self):
+        self._closing.set()
         self.httpd.shutdown()
+        self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
         if self._svc is not None:

@@ -5,10 +5,15 @@ Drives the reference's es_queries scenario families through the HTTP
 adapter: prefix, city-street, city-street-hn, street-match,
 terms-filter — each issued as a real GET against a live server over a
 small gazetteer-analyzer index, responses compared to the in-process
-Searcher."""
+Searcher.  The keep-alive tests drive one ``http.client`` connection
+through many requests, errors and bad inputs."""
 
+import http.client
 import json
 import shutil
+import socket
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -18,6 +23,7 @@ import pytest
 from gazetteer_search_ray.functions.analyzer import AnalyzerConfig
 from gazetteer_search_ray.pipelines.build_index import BuildOptions, build_index
 from gazetteer_search_ray.pipelines.search import Searcher
+from gazetteer_search_ray.server import MAX_BODY_BYTES
 
 BASE = "/tmp/gsr_server"
 
@@ -107,6 +113,9 @@ def test_verbose_projection(server):
     r = _get(server, "/location/_search", q="portland", verbose="true")
     row = r["rows"][0]
     assert "dl" in row and "sha256" in row
+    for row in r["rows"]:
+        assert all(type(row[c]) is int for c in ("doc_id", "rank", "dl"))
+        assert type(row["score"]) is float
 
 
 def test_matched_queries_over_http(server):
@@ -146,3 +155,164 @@ def test_bad_numeric_params_400(server):
     with pytest.raises(urllib.error.HTTPError) as ei:
         _get(server, "/location/_search", q="main", size="-3.5")
     assert ei.value.code == 400
+
+
+# -- persistent connections --------------------------------------------------
+
+
+def _conn(srv) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection("127.0.0.1", srv.port, timeout=10)
+
+
+def _call(conn, path: str, method: str = "GET", body=None):
+    conn.request(method, path, body=body)
+    r = conn.getresponse()
+    return r, r.read()
+
+
+def _local_port(conn) -> int:
+    assert conn.sock is not None, "the server closed the connection"
+    return conn.sock.getsockname()[1]
+
+
+def _handler_threads() -> int:
+    return sum("process_request_thread" in t.name
+               for t in threading.enumerate())
+
+
+def test_keepalive_reuses_one_socket(server):
+    paths = ["/location/_search?q=main+street", "/healthcheck",
+             "/location/_search?q=springfield&prefix=true"]
+    conn = _conn(server)
+    try:
+        _call(conn, "/healthcheck")
+        port = _local_port(conn)
+        t0 = time.perf_counter()
+        for i in range(200):
+            r, body = _call(conn, paths[i % len(paths)])
+            assert r.status == 200, body
+            assert _local_port(conn) == port
+        # a Nagle / delayed-ACK stall costs ~40 ms a request (8 s here)
+        assert time.perf_counter() - t0 < 4.0
+    finally:
+        conn.close()
+
+
+def test_error_replies_keep_connection(server, monkeypatch):
+    def boom(qs):
+        raise RuntimeError("boom")
+
+    conn = _conn(server)
+    try:
+        _call(conn, "/healthcheck")
+        port = _local_port(conn)
+        for path, code in (("/location/_search?page=0", 400),
+                           ("/nope", 404), ("/location/_search?q=main", 500)):
+            with monkeypatch.context() as m:
+                if code == 500:
+                    m.setattr(server, "search_params", boom)
+                r, body = _call(conn, path)
+            assert r.status == code and json.loads(body)["result"] == "error"
+            r, body = _call(conn, "/location/_search?q=main")
+            assert r.status == 200 and json.loads(body)["rows"]
+            assert _local_port(conn) == port
+    finally:
+        conn.close()
+
+
+def test_post_is_501_and_server_keeps_serving(server):
+    conn = _conn(server)
+    try:
+        r, _ = _call(conn, "/location/_search?q=main", method="POST",
+                     body=b"q=main")
+        assert r.status == 501
+        r, body = _call(conn, "/healthcheck")  # reconnects
+        assert r.status == 200 and json.loads(body) == {"result": "ok"}
+    finally:
+        conn.close()
+
+
+def test_half_request_then_close_spares_next_client(server):
+    for partial in (b"GET /heal", b"GET /healthcheck HTTP/1.1\r\nHost: x"):
+        with socket.create_connection(("127.0.0.1", server.port)) as s:
+            s.sendall(partial)
+        conn = _conn(server)
+        try:
+            r, body = _call(conn, "/healthcheck")
+            assert r.status == 200 and json.loads(body) == {"result": "ok"}
+        finally:
+            conn.close()
+    assert server._thread.is_alive()
+
+
+def test_get_body_is_drained(server):
+    conn = _conn(server)
+    try:
+        r, _ = _call(conn, "/healthcheck", body=b"abc")  # Content-Length: 3
+        assert r.status == 200
+        port = _local_port(conn)
+        r, body = _call(conn, "/location/_search?q=main")
+        assert r.status == 200 and json.loads(body)["rows"]
+        assert _local_port(conn) == port
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("body, headers", [
+    (b"x" * (MAX_BODY_BYTES + 1), {}),
+    (iter([b"abc"]), {}),  # Transfer-Encoding: chunked
+    (None, {"Content-Length": "3x"}),
+], ids=["too-long", "chunked", "bad-length"])
+def test_undrainable_body_is_400_and_close(server, body, headers):
+    conn = _conn(server)
+    try:
+        conn.request("GET", "/healthcheck", body=body, headers=headers)
+        r = conn.getresponse()
+        body = r.read()
+        assert r.status == 400 and json.loads(body)["result"] == "error"
+        assert r.getheader("Connection") == "close"
+        assert conn.sock is None
+        r, _ = _call(conn, "/healthcheck")  # reconnects
+        assert r.status == 200
+    finally:
+        conn.close()
+
+
+def test_idle_connections_release_their_threads(server, monkeypatch):
+    from gazetteer_search_ray import server as server_mod
+
+    monkeypatch.setattr(server_mod, "IDLE_TIMEOUT_S", 0.2)
+    srv = server_mod.SearchHTTPServer(BASE, port=0, pool_size=1).start()
+    conns = [_conn(srv) for _ in range(5)]
+    try:
+        base = _handler_threads()
+        for c in conns:
+            assert _call(c, "/healthcheck")[0].status == 200
+        assert _handler_threads() >= base + 5
+        deadline = time.monotonic() + 5
+        while _handler_threads() > base and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _handler_threads() <= base
+        r, _ = _call(_conn(srv), "/healthcheck")
+        assert r.status == 200
+    finally:
+        for c in conns:
+            c.close()
+        srv.shutdown()
+
+
+def test_shutdown_stops_serving(server):
+    from gazetteer_search_ray.server import SearchHTTPServer
+
+    srv = SearchHTTPServer(BASE, port=0, pool_size=1).start()
+    conn = _conn(srv)
+    try:
+        assert _call(conn, "/healthcheck")[0].status == 200
+        _local_port(conn)  # kept alive
+        srv.shutdown()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", srv.port), timeout=2)
+        with pytest.raises((ConnectionError, http.client.HTTPException)):
+            _call(conn, "/healthcheck")
+    finally:
+        conn.close()
