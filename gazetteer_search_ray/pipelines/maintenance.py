@@ -133,6 +133,7 @@ def update_index(index_dir: str, ds, score_builder=None,
             [
                 t[id_col].to_numpy()
                 for t in ray.get(ds.select_columns([id_col]).to_arrow_refs())
+                if t.num_rows  # a read can yield an empty, schema-less block
             ]
             or [np.empty(0, np.int64)]
         )

@@ -631,65 +631,3 @@ def keyed_scan(ds, key_col: str, ts_col: str, id_col: str,
     return sorted_ds.map_batches(
         Rebase, batch_format="pyarrow", batch_size=None, concurrency=2
     )
-
-
-def ordered_group_concat(ds, group_cols: list[str], val_col: str,
-                         sep: str = ","):
-    """Per-group ordered string concatenation — the distributed
-    ``string_agg(val, sep ORDER BY val)`` (+ count) window/aggregate.
-    ``val_col`` must be unique within a group (it is the total order;
-    doc ids qualify) — uniqueness is what makes the partial-merge
-    order below deterministic.
-
-    Scale shape: ONE ``sort([*group, val])`` range exchange; each
-    sorted block reduces every group-run it holds to ONE partial row
-    (run-sliced ``sep.join`` over the block's already-ordered values
-    — O(block rows) total work, no per-row Python in the exchange
-    itself), keyed by the run's first value.  The driver merges
-    O(#groups × #blocks) partial rows — never sees an input row.
-    Returns a pandas frame ``(*group_cols, vals, n)`` sorted by group.
-    """
-    cols = group_cols + [val_col]
-
-    def partial(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        out_groups: dict[str, list] = {g: [] for g in group_cols}
-        firsts, joins, cnts = [], [], []
-        if n:
-            keys = [t[g].to_numpy(zero_copy_only=False)
-                    for g in group_cols]
-            change = np.zeros(n, dtype=bool)
-            change[0] = True
-            for kcol in keys:
-                change[1:] |= kcol[1:] != kcol[:-1]
-            heads = np.flatnonzero(change)
-            ends = np.concatenate((heads[1:], [n]))
-            vals = t[val_col].to_numpy(zero_copy_only=False)
-            sval = vals.astype(str)
-            for s, e in zip(heads, ends):
-                for g, kcol in zip(group_cols, keys):
-                    out_groups[g].append(kcol[s])
-                firsts.append(vals[s])
-                joins.append(sep.join(sval[s:e]))
-                cnts.append(e - s)
-        return pa.table({
-            **{g: pa.array(v) for g, v in out_groups.items()},
-            "__first": pa.array(np.asarray(firsts, dtype=np.int64)
-                                if firsts else [], pa.int64()),
-            "__part": pa.array(joins, pa.string()),
-            "__n": pa.array(np.asarray(cnts, dtype=np.int64)
-                            if cnts else [], pa.int64()),
-        })
-
-    parts = (
-        ds.select_columns(cols)
-        .sort(cols)
-        .map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
-    if parts.empty:
-        return pd.DataFrame(columns=group_cols + ["vals", "n"])
-    parts = parts.sort_values(group_cols + ["__first"], kind="mergesort")
-    out = parts.groupby(group_cols, as_index=False, sort=True).agg(
-        vals=("__part", sep.join), n=("__n", "sum"))
-    return out.reset_index(drop=True)

@@ -880,80 +880,6 @@ def lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     )
 
 
-def doc_term_freqs(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Distinct (doc, term, tf) rows per document — the corpus
-    term-frequency explode (same ``[^a-z0-9]+`` lowercase tokenizer as
-    :func:`token_stats`).  Pure ``map_batches``: Arrow regex split +
-    list flatten, one lexsort per batch to collapse duplicate
-    (doc, term) pairs; docs never span batches so the pairs are
-    globally distinct with exact tf."""
-    def explode(t: pa.Table) -> pa.Table:
-        schema = pa.schema([pa.field(id_col, pa.int64()),
-                            pa.field("term", pa.string()),
-                            pa.field("tf", pa.int64())])
-        if t.num_rows == 0:
-            return schema.empty_table()
-        lst = pc.split_pattern_regex(
-            pc.utf8_lower(t[text_col].combine_chunks()),
-            pattern="[^a-z0-9]+")
-        reps = pc.list_value_length(lst).to_numpy()
-        docs = np.repeat(t[id_col].to_numpy(), reps)
-        terms = pc.list_flatten(lst).to_numpy(zero_copy_only=False)
-        keep = terms != ""
-        docs, terms = docs[keep], terms[keep]
-        if docs.size == 0:
-            return schema.empty_table()
-        order = np.lexsort((terms, docs))
-        d, tm = docs[order], terms[order]
-        change = np.ones(d.size, dtype=bool)
-        change[1:] = (d[1:] != d[:-1]) | (tm[1:] != tm[:-1])
-        heads = np.flatnonzero(change)
-        tf = np.diff(np.concatenate((heads, [d.size])))
-        return pa.table([pa.array(d[heads]), pa.array(tm[heads]),
-                         pa.array(tf)], schema=schema)
-
-    return ds.select_columns([id_col, text_col]).map_batches(
-        explode, batch_format="pyarrow")
-
-
-def tfidf_top_terms(ds, k: int = 5, text_col: str = "text",
-                    id_col: str = "doc_id"):
-    """Per-document top-k terms by TF-IDF (keyword extraction, the
-    classic corpus-statistics scorer): ``score = tf * ln(N / df)``,
-    ties broken (score desc, term asc).  Returns a pandas frame
-    ``(doc_id, term, score)``.
-
-    Scale shape — a composition of three existing distributed
-    primitives, nothing new materializes on the driver:
-
-    1. :func:`doc_term_freqs` — map-only (doc, term, tf) explode;
-    2. df per term: ONE ``groupby(term)`` exchange counting the
-       distinct pairs (vocab-cardinality output);
-    3. ``relational.equi_join(tokens, df, on=term, strategy="auto")``
-       — broadcast while the vocab fits, declared hash-shuffle above;
-    4. ``relational.grouped_topk(doc, score, k)`` — per-batch
-       combiner, one range sort, O(#blocks) boundary rebase.
-    """
-    from ray.data.aggregate import Count
-
-    from .relational import equi_join, grouped_topk
-
-    n_docs = float(ds.count())
-    tokens = doc_term_freqs(ds, text_col=text_col, id_col=id_col)
-    df = tokens.groupby("term").aggregate(Count(alias_name="df"))
-    joined = equi_join(tokens, df, on="term", strategy="auto")
-
-    def score(t: pa.Table) -> pa.Table:
-        s = (t["tf"].to_numpy().astype(np.float64)
-             * np.log(n_docs / t["df"].to_numpy().astype(np.float64)))
-        return pa.table({id_col: t[id_col], "term": t["term"],
-                         "score": pa.array(s, pa.float64())})
-
-    scored = joined.map_batches(score, batch_format="pyarrow")
-    out = grouped_topk(scored, id_col, "score", k, id_col="term")
-    return out.reset_index(drop=True)  # (doc_id, term, score)
-
-
 def char_entropy(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Per-document character (codepoint) Shannon entropy — the
     classic binary-junk / low-diversity quality signal (low-entropy

@@ -46,6 +46,7 @@ from urllib.parse import parse_qs, urlparse
 _TRUE = {"1", "true", "yes", "on"}
 IDLE_TIMEOUT_S = 30.0  # an idle kept-alive connection is closed after this
 MAX_BODY_BYTES = 8192  # a GET body up to this size is read and dropped
+POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: bounds shutdown()
 
 
 def _flag(qs: dict, name: str, default: bool = False) -> bool:
@@ -221,13 +222,13 @@ class SearchHTTPServer:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "SearchHTTPServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self):
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(poll_interval=POLL_INTERVAL_S)
 
     def shutdown(self):
         self._closing.set()

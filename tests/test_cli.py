@@ -1,0 +1,62 @@
+"""CLI end to end: ``import``, ``import --update`` and ``search``.
+
+Each command runs in a subprocess because ``cli.main`` owns its Ray
+session and shuts it down on exit.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from gazetteer_search_ray.sources.corpus import CORPUS_COLUMNS
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _corpus(dirpath: Path, rows: list[dict]) -> str:
+    dirpath.mkdir(parents=True)
+    pq.write_table(pa.table({c: [r[c] for r in rows] for c in CORPUS_COLUMNS}),
+                   dirpath / "part-0.parquet")
+    return str(dirpath)
+
+
+def _cli(*args: str) -> list[dict]:
+    out = subprocess.run(
+        [sys.executable, "-m", "gazetteer_search_ray.cli", "--num-cpus", "1",
+         *args],
+        cwd=REPO, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    return [json.loads(line) for line in out.stdout.splitlines()
+            if line.startswith("{")]
+
+
+def test_import_update_search(tmp_path):
+    base = [
+        {"repo": "r", "path": f"src/f{i}.py", "commit": "c0", "lang": "python",
+         "content": f"def handler_{i}(request): return parse_body(request)"}
+        for i in range(8)
+    ]
+    planted = {"repo": "r", "path": "src/planted.py", "commit": "c1",
+               "lang": "python", "content": "def zebraquokka(): pass"}
+    index = str(tmp_path / "index")
+
+    (man,) = _cli("import", "--input", _corpus(tmp_path / "base", base),
+                  "--index", index)
+    assert man["n_docs"] == 8
+    assert _cli("search", "--index", index, "--q", "zebraquokka") == []
+
+    (man,) = _cli("import", "--update",
+                  "--input", _corpus(tmp_path / "upd", [planted]),
+                  "--index", index)
+    assert man["n_docs"] == 9
+
+    hits = _cli("search", "--index", index, "--q", "zebraquokka")
+    assert len(hits) == 1
+    assert hits[0]["path"] == "src/planted.py"

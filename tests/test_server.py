@@ -316,3 +316,13 @@ def test_shutdown_stops_serving(server):
             _call(conn, "/healthcheck")
     finally:
         conn.close()
+
+
+def test_shutdown_returns_within_a_poll(server):
+    from gazetteer_search_ray.server import SearchHTTPServer
+
+    srv = SearchHTTPServer(BASE, port=0, pool_size=1).start()
+    assert _get(srv, "/healthcheck")
+    t0 = time.monotonic()
+    srv.shutdown()
+    assert time.monotonic() - t0 < 0.25
