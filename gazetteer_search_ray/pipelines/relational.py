@@ -419,18 +419,6 @@ def grouped_topk(ds, group_col: str, val_col: str, k: int,
     )
 
 
-def keep_latest(ds, key_col: str, ts_col: str, id_col: str,
-                as_pandas: bool = True):
-    """Dedup-by-recency: keep each key's single most recent row — the
-    re-crawl/version dedup (``row_number() OVER (PARTITION BY key
-    ORDER BY ts DESC, id ASC) = 1``), as the k=1 specialization of
-    :func:`grouped_topk` (same per-batch combiner + single range
-    exchange; nothing key-cardinality-sized reaches the driver).
-    ``ts_col`` must be numeric — cast timestamps to epoch-us first."""
-    return grouped_topk(ds, key_col, ts_col, 1, id_col=id_col,
-                        as_pandas=as_pandas)
-
-
 def substring_overlap_flag(ds, col_a: str, col_b: str,
                            out_col: str = "street_has_loc",
                            analyzer=None):

@@ -23,6 +23,7 @@ query variants → first non-empty top-k → projection.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +131,9 @@ class Searcher:
         self.reader = IndexReader(index_dir, segments=segments)
         self.engine = QueryEngine(self.reader)
         self.aux_lookup = aux_lookup or {}
+        # one search at a time: the engine's scratch arrays, its leaf LRU
+        # and the reader's caches are shared by every calling thread
+        self._lock = threading.Lock()
 
     def search(
         self,
@@ -143,28 +147,29 @@ class Searcher:
         verbose: bool = False,
         with_matched: bool = False,
     ) -> list[dict]:
-        pq = analyze_query(q, self.reader.analyzer, prefix)
-        variants = build_cascade(pq, filters, use_prior)
-        if not variants:
-            return []
-        if self.aux_lookup:
-            variants = [self._with_aux_boost(v, pq) for v in variants]
-        if not coalesce:
-            variants = variants[-1:]
-        docs = scores = None
-        for plan in variants:  # first non-empty wins (ESCoalesce.java:30-64)
-            docs, scores = self.engine.top_k(plan, k)
-            if docs.size:
-                break
-        if docs is None or docs.size == 0:
-            return []
-        matched = None
-        if trim or with_matched:
-            matched = self._matched_parts(pq, docs)
-        if trim:
-            docs, scores, matched = self._trim(docs, scores, matched, pq)
-        return self.project(docs, scores, verbose,
-                            matched=matched if with_matched else None)
+        with self._lock:
+            pq = analyze_query(q, self.reader.analyzer, prefix)
+            variants = build_cascade(pq, filters, use_prior)
+            if not variants:
+                return []
+            if self.aux_lookup:
+                variants = [self._with_aux_boost(v, pq) for v in variants]
+            if not coalesce:
+                variants = variants[-1:]
+            docs = scores = None
+            for plan in variants:  # first non-empty wins (ESCoalesce.java:30-64)
+                docs, scores = self.engine.top_k(plan, k)
+                if docs.size:
+                    break
+            if docs is None or docs.size == 0:
+                return []
+            matched = None
+            if trim or with_matched:
+                matched = self._matched_parts(pq, docs)
+            if trim:
+                docs, scores, matched = self._trim(docs, scores, matched, pq)
+            return self.project(docs, scores, verbose,
+                                matched=matched if with_matched else None)
 
     def _matched_parts(self, pq: ParsedQuery, docs: np.ndarray) -> list[list[str]]:
         """Per-hit ``matched_queries`` (reference ``_name`` tags on query

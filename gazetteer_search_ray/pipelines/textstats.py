@@ -697,60 +697,6 @@ def ngram_counts(ds, n: int = 2, text_col: str = "text",
     return counts
 
 
-def pmi_collocations(ds, min_count: int = 5, top: int = 100,
-                     text_col: str = "text", nd: int = 6) -> pd.DataFrame:
-    """Top collocations by pointwise mutual information:
-    ``pmi(x,y) = ln( (c_xy / T_bg) / ((c_x/T_uni)·(c_y/T_uni)) )``
-    over corpus bigram/unigram counts — the classic collocation /
-    multi-word-expression detector (boilerplate phrases, code idioms).
-
-    Scale shape: both count tables come from :func:`ngram_counts`
-    (combiner + one ``groupby`` exchange each); the totals are two
-    scalar ``sum`` reductions over those tables.  Only bigrams
-    surviving ``min_count`` — a candidate-bounded set — reach the
-    driver, and the unigram table is SEMI-JOIN-filtered to the tokens
-    those candidates mention (broadcast token set, streamed filter)
-    before collection, so nothing vocabulary-sized lands anywhere.
-    Returns ``(ngram, cnt, pmi)`` sorted (pmi desc, ngram), ``top``
-    rows, pmi rounded to ``nd``.
-    """
-    import ray
-
-    bg = ngram_counts(ds, n=2, text_col=text_col).materialize()
-    uni = ngram_counts(ds, n=1, text_col=text_col).materialize()
-    t_bg = float(bg.sum("cnt") or 0)
-    t_uni = float(uni.sum("cnt") or 0)
-    cand = bg.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["cnt"], min_count)),
-        batch_format="pyarrow").to_pandas()
-    if cand.empty:
-        return pd.DataFrame(columns=["ngram", "cnt", "pmi"])
-    w12 = cand["ngram"].str.split(" ", n=1, expand=True)
-    toks = pa.array(pd.unique(pd.concat([w12[0], w12[1]], ignore_index=True)))
-    ref = ray.put(toks)
-
-    class TokFilter:
-        def __init__(self):
-            self.toks = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["ngram"], value_set=self.toks))
-
-    uf = uni.map_batches(TokFilter, batch_format="pyarrow",
-                         concurrency=(1, 8)).to_pandas()
-    c_of = dict(zip(uf["ngram"], uf["cnt"].astype(np.int64)))
-    c1 = w12[0].map(c_of).to_numpy(np.float64)
-    c2 = w12[1].map(c_of).to_numpy(np.float64)
-    cxy = cand["cnt"].to_numpy(np.float64)
-    pmi = (np.log(cxy) - np.log(t_bg) + 2.0 * np.log(t_uni)
-           - np.log(c1) - np.log(c2))
-    out = pd.DataFrame({"ngram": cand["ngram"],
-                        "cnt": cand["cnt"].astype(np.int64),
-                        "pmi": np.round(pmi, nd)})
-    return (out.sort_values(["pmi", "ngram"], ascending=[False, True])
-            .head(top).reset_index(drop=True))
-
-
 def lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
              min_count: int = 2):
     """Bigram language-model document scoring — the CCNet/KenLM
