@@ -8,8 +8,9 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
       └ emits packed partial postings          #   (materialized)
     → stats scan over docmeta (tiny)           # + doc_id collision check;
                                                #   sorted ids → ray.put
-    → write_postings: sort(skey) + per-block   # THE shuffle; doc ids →
-      encode + driver boundary merge           #   segment ordinals
+    → write_postings: repartition(n)           # the exchange, n set by
+      .sort(skey) + per-block encode           #   the partial rows; doc
+      + driver boundary merge                  #   ids → segment ordinals
     → manifest commit (atomic, LAST)
 
 The manifest is the commit point; :func:`build_index_partitioned` builds

@@ -289,7 +289,7 @@ def compact_postings_file(src: str, dst: str, new_ord: np.ndarray,
     writes the same file again.  Writes nothing when no posting is
     left.  Returns the rows written."""
     from ..functions.codec import encode_posting_groups
-    from ..stages.postings import _encoded_table
+    from ..stages.postings import _encoded_table, write_postings_file
 
     t = pq.read_table(src)
     if t.num_rows == 0:
@@ -310,7 +310,7 @@ def compact_postings_file(src: str, dst: str, new_ord: np.ndarray,
         kords, tfs[keep], _posting_dls(terms, new_off, kords, dl, field_dl),
         new_off, block_size)
     out = _encoded_table(terms, t["shard"].take(pa.array(nonempty)), enc)
-    mf.atomic_write_table(out, dst)
+    write_postings_file(out, dst)
     return out.num_rows
 
 

@@ -29,7 +29,9 @@ every reply carries ``Content-Length``.  The status line, headers and
 body are buffered and flushed once per reply, with Nagle's algorithm
 off, so a reply never waits on the client's delayed ACK.  A GET's body is read and
 dropped so it cannot be taken for the next request line; one longer
-than ``MAX_BODY_BYTES`` gets a 400 and the connection is closed.  A
+than ``MAX_BODY_BYTES`` gets a 400 and the connection is closed, after
+a bounded read of what the client still sends, so the close does not
+reset the connection before the client has the reply.  A
 connection idle for ``IDLE_TIMEOUT_S`` is closed and its thread exits.
 ``shutdown()`` closes the listener, and a kept-alive connection gets
 no further answer.
@@ -38,6 +40,7 @@ no further answer.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +49,10 @@ from urllib.parse import parse_qs, urlparse
 _TRUE = {"1", "true", "yes", "on"}
 IDLE_TIMEOUT_S = 30.0  # an idle kept-alive connection is closed after this
 MAX_BODY_BYTES = 8192  # a GET body up to this size is read and dropped
+# after a 400 + close, request bytes still arriving are read and dropped
+# up to this many bytes or seconds before the socket closes
+LINGER_BYTES = 64 * 1024
+LINGER_S = 1.0
 POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: bounds shutdown()
 
 
@@ -118,7 +125,31 @@ class SearchHTTPServer:
                 self._reply(400, {"result": "error",
                                   "error": "request body not accepted"},
                             close=True)
+                self._linger()
                 return False
+
+            def _linger(self):
+                """Send the reply, shut the write side, then read and
+                drop what the client still sends (bounded) before the
+                close.  Closing a socket with unread bytes makes the
+                kernel send a reset, which can reach the client before
+                it has read the reply, or break its send of the body."""
+                self.wfile.flush()
+                sock = self.connection
+                left, deadline = LINGER_BYTES, time.monotonic() + LINGER_S
+                try:
+                    sock.shutdown(socket.SHUT_WR)
+                    while left > 0:
+                        wait = deadline - time.monotonic()
+                        if wait <= 0:
+                            break
+                        sock.settimeout(wait)
+                        chunk = sock.recv(min(left, 8192))
+                        if not chunk:  # the client closed
+                            break
+                        left -= len(chunk)
+                except OSError:  # timed out, or the client reset
+                    pass
 
             def do_GET(self):
                 if not self._drain_body():

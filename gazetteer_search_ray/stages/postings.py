@@ -2,9 +2,10 @@
 
 Reference analog: Lucene's hidden segment merge inside ES, which sends a
 freshly flushed segment and a merged segment through the same codec
-writer; here :func:`write_postings` is that one writer, called by the
+writer; here :func:`write_postings` is that one exchange, called by the
 build (and so by ``update_index``) and by ``force_merge`` (SURVEY.md
-§3.1).
+§3.1), and :func:`write_postings_file` the one postings file writer,
+which ``delete_docs``' compaction uses too.
 
 The naive realization — ``groupby(term).map_groups(encode)`` — costs one
 Python call per vocabulary term (~10ms/group in Ray), which is fatal at
@@ -12,18 +13,26 @@ real vocabulary sizes.  :func:`write_postings` therefore performs the
 same sort-based group-aggregate explicitly, keeping the encode
 vectorized:
 
-1. ``sort("skey")`` — the range-partitioned all-to-all exchange
-   (identical data movement to a groupby) over the fused
-   (term, shard) key of the partial rows (``tokenize.pack_partials``);
+1. ``repartition(n).sort("skey")`` — the range-partitioned all-to-all
+   exchange (identical data movement to a groupby) over the fused
+   (term, shard) key of the partial rows (``tokenize.pack_partials``).
+   The partial row count sets ``n`` (one block per
+   ``MIN_PARTITION_ROWS``, at most 4 per CPU): every block costs a
+   fixed share of Ray tasks, so small inputs get one block;
 2. :class:`SortedBlockEncoder` (``map_batches``) — every sorted block
    encodes ALL its *complete* key-runs in one numpy pass
    (``codec.encode_posting_groups``) and side-writes them as a postings
-   parquet segment (temp+rename, content-derived name → idempotent under
+   parquet file (temp+rename, content-derived name → idempotent under
    task retry); only the block's first/last runs — the ones that may
    straddle block boundaries — are passed through;
 3. the boundary stream (≤ 2 runs per sorted block) merges on the driver
    in one vectorized pass (:func:`encode_partials_table`) into
    ``postings-boundary.parquet``.
+
+Every postings file is written in row groups of at most
+``ROW_GROUP_TERMS`` rows with ``term`` statistics, which the reader
+prunes on: a term lookup scans one row group however large the file,
+so the block count trades Ray task overhead only, not lookup cost.
 
 Partials carry doc ids (63-bit hashes); every encoder maps them to the
 segment's doc ordinals (``codec`` format v3) with one ``searchsorted``
@@ -72,6 +81,16 @@ def _terms_shards_from_skeys(skey_arr) -> tuple[pa.Array, pa.Array]:
     shards = pc.cast(pc.list_element(parts, 1), pa.int32())
     return terms, shards
 
+
+# A postings row group holds at most this many (term, shard) rows.  A
+# cold term lookup reads and scans one row group, so this bounds its
+# cost however few sort blocks, and hence files, an exchange writes.
+ROW_GROUP_TERMS = 4096
+# Partial rows per sort block.  Each block costs ~35-40 ms of Ray tasks
+# (sample, map, reduce, encode) whatever its size, so data volume sets
+# the block count: one block up to 2 × this many rows.
+MIN_PARTITION_ROWS = 2**17
+
 POSTINGS_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
@@ -91,7 +110,7 @@ POSTINGS_SCHEMA = pa.schema(
 def _encoded_table(term_arr, shard_arr, enc: dict) -> pa.Table:
     if isinstance(term_arr, pa.ChunkedArray):
         term_arr = term_arr.combine_chunks()
-    term_arr = pc.cast(term_arr, pa.string())  # large_string after polars sort
+    term_arr = pc.cast(term_arr, pa.string())  # a polars sort emits large_string
     return pa.table(
         {
             "term": term_arr,
@@ -107,6 +126,15 @@ def _encoded_table(term_arr, shard_arr, enc: dict) -> pa.Table:
         },
         schema=POSTINGS_SCHEMA,
     )
+
+
+def write_postings_file(table: pa.Table, path: str) -> None:
+    """Write one postings file, atomically: row groups of at most
+    ``ROW_GROUP_TERMS`` rows, with statistics on ``term`` only — the
+    reader prunes row groups by their term range and reads no other
+    statistics."""
+    atomic_write_table(table, path, row_group_size=ROW_GROUP_TERMS,
+                       write_statistics=["term"])
 
 
 def segment_doc_ids(docmeta_dir: str) -> np.ndarray:
@@ -194,9 +222,8 @@ class SortedBlockEncoder:
             + out["df"].to_numpy().tobytes(),
             digest_size=8,
         ).hexdigest()
-        atomic_write_table(
-            out, os.path.join(self.postings_dir, f"postings-{digest}.parquet")
-        )
+        write_postings_file(
+            out, os.path.join(self.postings_dir, f"postings-{digest}.parquet"))
         # pass through only the boundary runs
         return pa.concat_tables(
             [t.slice(0, lo), t.slice(hi)]).cast(PARTIAL_SCHEMA)
@@ -230,8 +257,8 @@ def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,
 def write_postings(partials, postings_dir: str, doc_ids,
                    block_size: int = BLOCK_SIZE) -> dict:
     """The exchange from partial rows to a segment's postings files:
-    ``sort("skey")``, :class:`SortedBlockEncoder` over each sorted block,
-    then the driver merge of the boundary runs into
+    ``repartition(n).sort("skey")``, :class:`SortedBlockEncoder` over
+    each sorted block, then the driver merge of the boundary runs into
     ``postings-boundary.parquet``.
 
     ``partials`` is a Dataset of ``PARTIAL_SCHEMA`` rows and ``doc_ids``
@@ -239,21 +266,14 @@ def write_postings(partials, postings_dir: str, doc_ids,
     exchange metrics: ``sort_blocks``, ``boundary_rows``,
     ``exchange_sec`` and ``boundary_merge_sec``."""
     import ray
-    from ray.data import DataContext
 
     t0 = time.monotonic()
     partials = partials.materialize()
-    rows = partials.count()
-    # polars-backed block sorting is ~20× faster than the default on
-    # string keys.  ~4 blocks per CPU: smaller blocks let each worker
-    # re-use its already-faulted heap pages across blocks (first-touch
-    # page faults are ~100× slower than warm memory on ballooned VMs);
-    # coalescing to them matters, since Ray's range sort degrades ~30×
-    # when fed many small blocks (measured).  A block gets ≥ 64 rows:
-    # emptier ones would leave Ray empty, column-less blocks.
-    DataContext.get_current().use_polars_sort = True
-    cpu_blocks = max(8, min(512, 4 * int(ray.cluster_resources().get("CPU", 8))))
-    n_blocks = max(1, min(cpu_blocks, rows // 64))
+    # one block per MIN_PARTITION_ROWS partial rows, at most 4 per CPU;
+    # the repartition fixes the count, which a bare sort would inherit
+    # from whatever block count the input happens to have
+    n_blocks = max(1, min(4 * int(ray.cluster_resources().get("CPU", 1)),
+                          512, partials.count() // MIN_PARTITION_ROWS))
     boundary = (
         partials.repartition(n_blocks).sort("skey")
         .map_batches(SortedBlockEncoder(postings_dir, block_size,
@@ -265,7 +285,7 @@ def write_postings(partials, postings_dir: str, doc_ids,
     tbl = boundary_table(ray.get(boundary.to_arrow_refs()))
     rest = encode_partials_table(tbl, block_size, doc_ids)
     if rest.num_rows:
-        atomic_write_table(
+        write_postings_file(
             rest, os.path.join(postings_dir, "postings-boundary.parquet"))
     return {
         "sort_blocks": n_blocks,

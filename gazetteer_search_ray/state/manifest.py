@@ -31,14 +31,15 @@ def atomic_write_json(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_table(table, path: str) -> None:
-    """Parquet write via temp+rename — idempotent under Ray task retry."""
+def atomic_write_table(table, path: str, **write_options) -> None:
+    """Parquet write via temp+rename — idempotent under Ray task retry.
+    ``write_options`` go to ``pyarrow.parquet.write_table``."""
     import pyarrow.parquet as pq
 
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{uuid.uuid4().hex[:8]}")
-    pq.write_table(table, tmp)
+    pq.write_table(table, tmp, **write_options)
     os.replace(tmp, path)
 
 

@@ -2,10 +2,13 @@
 
 Loads once per query actor (``QueryScorer.__init__``): the manifest,
 doc-store arrays, and a (file, row-group) → term-range pruning index
-over the postings segments.  Term lookups then read ONLY the parquet
+over the postings files.  Term lookups then read ONLY the parquet
 row groups whose [min_term, max_term] statistics cover the term — the
 on-disk analog of a term dictionary — so a query touches a few row
-groups, not the index (SURVEY.md §3.2).
+groups, not the index (SURVEY.md §3.2).  Every postings writer caps a
+row group at ``stages.postings.ROW_GROUP_TERMS`` rows, so the scan of
+one row group for a term costs the same however many files the
+build's exchange wrote.
 
 Docs are addressed by GLOBAL ordinal: the position of a doc in the
 sorted ``doc_ids`` array.  Each segment's postings hold segment-local

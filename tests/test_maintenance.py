@@ -173,7 +173,11 @@ def test_delete_renumbers_every_postings_file(ray_session):
 
     idx, fresh = f"{BASE}/del", f"{BASE}/del_fresh"
     opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=16)
-    docs = _items(range(10, 90), _filler) + _items([3], lambda i: "zzgone only")
+    # doc 90's term sorts after zzgone, so the boundary file holds the
+    # first and last term runs, neither of them doc 3's
+    docs = (_items(range(10, 90), _filler)
+            + _items([90], lambda i: "zzzlast block")
+            + _items([3], lambda i: "zzgone only"))
     shutil.rmtree(idx, ignore_errors=True)
     build_index(rd.from_items(docs).repartition(3), idx, opts)
     pdir = os.path.join(idx, "postings")
@@ -392,15 +396,140 @@ def test_force_merge_equals_fresh_build(ray_session):
 
 
 def test_sort_blocks_follow_partial_rows(ray_session):
-    """The exchange uses no more sort blocks than the partial rows fill:
-    a 4-doc update segment gets one, a 120-doc build several, and that
-    build still merges runs that straddle sorted blocks."""
+    """The exchange gets one sort block per MIN_PARTITION_ROWS partial
+    rows: a 4-doc update segment and a 120-doc build get one each.  An
+    input of over twice that many rows gets several blocks, and its
+    runs that straddle sorted blocks merge into the same postings as
+    one pass over all rows on the driver."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gazetteer_search_ray.stages.postings import (
+        MIN_PARTITION_ROWS,
+        encode_partials_table,
+        write_postings,
+    )
+    from gazetteer_search_ray.stages.tokenize import pack_partials
+
     idx = _two_segment_index("blocks")
     man = mf.read_manifest(idx)
     upd = mf.read_manifest(os.path.join(idx, man["segments"][1]))
     assert upd["metrics"]["sort_blocks"] == 1
-    assert man["metrics"]["sort_blocks"] > 1
-    assert man["metrics"]["boundary_rows"] > 0
+    assert man["metrics"]["sort_blocks"] == 1
+
+    # one partial row per posting: 1,000 terms × 264 docs
+    n_terms, n_docs = 1000, 264
+    assert n_terms * n_docs > 2 * MIN_PARTITION_ROWS
+    docs = np.tile(np.arange(n_docs), n_terms)
+    partials = pack_partials(
+        pa.array([f"t{i:04d}" for i in range(n_terms)]),
+        np.zeros(n_terms, np.int32), docs, 1 + docs % 3, 5 + docs % 7,
+        np.arange(n_terms + 1) * n_docs, 1, cap=1)
+    rows = partials.take(np.random.default_rng(0).permutation(
+        partials.num_rows))
+    ids = np.arange(n_docs, dtype=np.int64)
+    pdir = f"{BASE}/blocks_synthetic"
+    shutil.rmtree(pdir, ignore_errors=True)
+    os.makedirs(pdir)
+    metrics = write_postings(
+        rd.from_arrow([rows.slice(i, 50_000)
+                       for i in range(0, rows.num_rows, 50_000)]),
+        pdir, ids)
+    assert metrics["sort_blocks"] >= 2 and metrics["boundary_rows"] > 0
+    got = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
+                            for f in sorted(os.listdir(pdir))])
+    want = encode_partials_table(rows, doc_ids=ids)
+    assert got.sort_by("term").to_pylist() == want.to_pylist()
+
+
+def test_exchange_leaves_the_process_data_context_alone(ray_session,
+                                                      monkeypatch):
+    """A build changes no setting of the process's DataContext, so Ray
+    Data work that the caller creates afterwards runs as configured."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "use_polars_sort", False)
+
+    def settings():
+        return {k: repr(v) for k, v in vars(ctx).items()}
+
+    before = settings()
+    idx = f"{BASE}/ctx"
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(_items(range(1, 40), _filler)), idx,
+                BuildOptions(analyzer_config=AnalyzerConfig.code()))
+    assert DataContext.get_current() is ctx
+    assert settings() == before
+
+
+def test_postings_row_groups_are_capped_through_the_lifecycle(ray_session):
+    """Build, update_index, delete_docs and force_merge each leave every
+    postings file in row groups of at most ROW_GROUP_TERMS rows, with
+    statistics on ``term`` only, and searches still equal the oracle."""
+    import sys
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gazetteer_search_ray.functions.analyzer import Analyzer
+    from gazetteer_search_ray.pipelines.query import Bool, Term
+    from gazetteer_search_ray.stages.postings import ROW_GROUP_TERMS
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    from oracle import BruteIndex
+
+    def body(i: int) -> str:  # 24 terms of its own: > 4,096 terms in all
+        return _filler(i) + " " + " ".join(f"u{i}v{j}" for j in range(24))
+
+    config = AnalyzerConfig.code()
+    tokens = Analyzer(AnalyzerConfig(**{**config.__dict__, "dedup": False}))
+    idx = f"{BASE}/rowgroups"
+    live = {i: body(i) for i in range(1, 260)}
+
+    def check(step: str) -> None:
+        groups = []
+        for seg in mf.read_manifest(idx).get("segments") or ["."]:
+            pdir = os.path.join(idx, seg, "postings")
+            for f in os.listdir(pdir):
+                meta = pq.ParquetFile(os.path.join(pdir, f)).metadata
+                groups.append(meta.num_row_groups)
+                for rg in range(meta.num_row_groups):
+                    g = meta.row_group(rg)
+                    assert g.num_rows <= ROW_GROUP_TERMS, (step, f)
+                    stats = [g.column(c).path_in_schema
+                             for c in range(g.num_columns)
+                             if g.column(c).is_stats_set]
+                    assert stats == ["term"], (step, f, stats)
+        assert max(groups) >= 2, step  # the cap split some file
+        brute = BruteIndex({d: [t for t, _ in tokens.tokens(c)]
+                            for d, c in live.items()})
+        s = Searcher(idx)
+        terms = sorted(brute.df)
+        for q in (["sort", "merge"], ["zzlayout"], ["w3", "u17v3"],
+                  terms[::997], terms[-3:]):
+            docs, scores = s.engine.top_k(
+                Bool(should=tuple(Term(t) for t in q)), 20)
+            want_d, want_s = brute.topk(brute.matches_or(q), 20)
+            np.testing.assert_array_equal(s.reader.doc_ids[docs], want_d)
+            np.testing.assert_allclose(scores, want_s, rtol=0, atol=1e-9)
+
+    shutil.rmtree(idx, ignore_errors=True)
+    build_index(rd.from_items(_items(live, live.get)), idx,
+                BuildOptions(analyzer_config=config))
+    check("build")
+    batch = {i: "zzlayout " + body(i + 1000) for i in range(5, 300, 10)}
+    update_index(idx, rd.from_items(_items(batch, batch.get)))
+    live.update(batch)
+    check("update")
+    delete_docs(idx, doc_ids=[1, 2, 15])
+    for i in (1, 2, 15):
+        del live[i]
+    check("delete")
+    force_merge(idx)
+    check("force_merge")
 
 
 def test_force_merge_after_deleting_every_doc(ray_session):

@@ -278,6 +278,25 @@ def test_undrainable_body_is_400_and_close(server, body, headers):
         conn.close()
 
 
+def test_undrainable_body_400_is_never_a_reset(server):
+    """Fresh connections each send a chunked GET body: the server's
+    400 + close reads what the client still sends before it closes, so
+    no client sees a broken pipe or reset in place of the 400."""
+    n, errors, codes = 300, [], []
+    for _ in range(n):
+        conn = _conn(server)
+        try:
+            conn.request("GET", "/healthcheck", body=iter([b"abc"]))
+            r = conn.getresponse()
+            r.read()
+            codes.append(r.status)
+        except OSError as e:
+            errors.append(repr(e))
+        finally:
+            conn.close()
+    assert errors == [] and codes == [400] * n
+
+
 def test_idle_connections_release_their_threads(server, monkeypatch):
     from gazetteer_search_ray import server as server_mod
 
