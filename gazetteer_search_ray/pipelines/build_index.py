@@ -9,8 +9,8 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
     → stats scan over docmeta (tiny)           # + doc_id collision check;
                                                #   sorted ids → ray.put
     → write_postings: repartition(n)           # the exchange, n set by
-      .sort(skey) + per-block encode           #   the partial rows; doc
-      + driver boundary merge                  #   ids → segment ordinals
+      .sort(skey) + per-block encode           #   CPUs and partial bytes;
+      + driver boundary merge                  #   doc ids → ordinals
     → manifest commit (atomic, LAST)
 
 The manifest is the commit point; :func:`build_index_partitioned` builds

@@ -16,9 +16,11 @@ vectorized:
 1. ``repartition(n).sort("skey")`` — the range-partitioned all-to-all
    exchange (identical data movement to a groupby) over the fused
    (term, shard) key of the partial rows (``tokenize.pack_partials``).
-   The partial row count sets ``n`` (one block per
-   ``MIN_PARTITION_ROWS``, at most 4 per CPU): every block costs a
-   fixed share of Ray tasks, so small inputs get one block;
+   ``n`` is one block per CPU, so that every CPU sorts and encodes,
+   or one per ``MIN_PARTITION_BYTES`` of partial rows if that is
+   more: every block costs a fixed share of Ray tasks, so on one CPU a
+   small input gets one block, but a large block sorts slower per
+   byte;
 2. :class:`SortedBlockEncoder` (``map_batches``) — every sorted block
    encodes ALL its *complete* key-runs in one numpy pass
    (``codec.encode_posting_groups``) and side-writes them as a postings
@@ -86,10 +88,15 @@ def _terms_shards_from_skeys(skey_arr) -> tuple[pa.Array, pa.Array]:
 # cold term lookup reads and scans one row group, so this bounds its
 # cost however few sort blocks, and hence files, an exchange writes.
 ROW_GROUP_TERMS = 4096
-# Partial rows per sort block.  Each block costs ~35-40 ms of Ray tasks
-# (sample, map, reduce, encode) whatever its size, so data volume sets
-# the block count: one block up to 2 × this many rows.
-MIN_PARTITION_ROWS = 2**17
+# Partial-row bytes per sort block beyond one block per CPU.  Each
+# block costs ~35-40 ms of Ray tasks (sample, map, reduce, encode)
+# whatever its size, yet a large block sorts slower per byte.  On one
+# CPU, a 320k-doc force_merge exchange (390 MB) took 11.2 s in 2
+# blocks, 10.0 s in 8 and 8.6 s in 24, while a 320k-doc build (450 MB)
+# lost ~1 s going from 8 blocks to 26 and none at 13.  Bytes, not rows,
+# measure the volume: a merge's packed partial rows are ~1.4 KB each, a
+# build's 60-150 B.
+MIN_PARTITION_BYTES = 2**25
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -269,11 +276,13 @@ def write_postings(partials, postings_dir: str, doc_ids,
 
     t0 = time.monotonic()
     partials = partials.materialize()
-    # one block per MIN_PARTITION_ROWS partial rows, at most 4 per CPU;
-    # the repartition fixes the count, which a bare sort would inherit
-    # from whatever block count the input happens to have
-    n_blocks = max(1, min(4 * int(ray.cluster_resources().get("CPU", 1)),
-                          512, partials.count() // MIN_PARTITION_ROWS))
+    # one block per CPU, so the blocks run side by side on every CPU, or
+    # one per MIN_PARTITION_BYTES if that is more; the repartition fixes
+    # the count, which a bare sort would inherit from whatever block
+    # count the input happens to have
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    n_blocks = min(512, max(cpus,
+                            partials.size_bytes() // MIN_PARTITION_BYTES))
     boundary = (
         partials.repartition(n_blocks).sort("skey")
         .map_batches(SortedBlockEncoder(postings_dir, block_size,

@@ -395,32 +395,34 @@ def test_force_merge_equals_fresh_build(ray_session):
     assert max(len(p[3]) for p in want.values()) > 2
 
 
-def test_sort_blocks_follow_partial_rows(ray_session):
-    """The exchange gets one sort block per MIN_PARTITION_ROWS partial
-    rows: a 4-doc update segment and a 120-doc build get one each.  An
-    input of over twice that many rows gets several blocks, and its
-    runs that straddle sorted blocks merge into the same postings as
-    one pass over all rows on the driver."""
+def test_sort_blocks_follow_partial_rows(ray_session, monkeypatch):
+    """The exchange gets one sort block per CPU, or one per
+    MIN_PARTITION_BYTES of partial rows if that is more: on the
+    session's 4 CPUs a 4-doc update segment and a 120-doc build get 4
+    each, and an input of 8 × MIN_PARTITION_BYTES gets 8.  Its runs
+    that straddle sorted blocks merge into the same postings as one
+    pass over all rows on the driver."""
     import pyarrow as pa
     import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
 
+    from gazetteer_search_ray.stages import postings
     from gazetteer_search_ray.stages.postings import (
-        MIN_PARTITION_ROWS,
         encode_partials_table,
         write_postings,
     )
     from gazetteer_search_ray.stages.tokenize import pack_partials
 
+    assert ray.cluster_resources()["CPU"] == 4
     idx = _two_segment_index("blocks")
     man = mf.read_manifest(idx)
     upd = mf.read_manifest(os.path.join(idx, man["segments"][1]))
-    assert upd["metrics"]["sort_blocks"] == 1
-    assert man["metrics"]["sort_blocks"] == 1
+    assert upd["metrics"]["sort_blocks"] == 4
+    assert man["metrics"]["sort_blocks"] == 4
 
     # one partial row per posting: 1,000 terms × 264 docs
     n_terms, n_docs = 1000, 264
-    assert n_terms * n_docs > 2 * MIN_PARTITION_ROWS
     docs = np.tile(np.arange(n_docs), n_terms)
     partials = pack_partials(
         pa.array([f"t{i:04d}" for i in range(n_terms)]),
@@ -432,11 +434,14 @@ def test_sort_blocks_follow_partial_rows(ray_session):
     pdir = f"{BASE}/blocks_synthetic"
     shutil.rmtree(pdir, ignore_errors=True)
     os.makedirs(pdir)
-    metrics = write_postings(
-        rd.from_arrow([rows.slice(i, 50_000)
-                       for i in range(0, rows.num_rows, 50_000)]),
-        pdir, ids)
-    assert metrics["sort_blocks"] >= 2 and metrics["boundary_rows"] > 0
+    ds = rd.from_arrow([rows.slice(i, 50_000)
+                        for i in range(0, rows.num_rows, 50_000)])
+    # the input is 8 × MIN_PARTITION_BYTES, so that its bytes, not the
+    # CPUs, set the count without a test input of hundreds of MB
+    monkeypatch.setattr(postings, "MIN_PARTITION_BYTES",
+                        ds.size_bytes() // 8)
+    metrics = write_postings(ds, pdir, ids)
+    assert metrics["sort_blocks"] == 8 and metrics["boundary_rows"] > 0
     got = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
                             for f in sorted(os.listdir(pdir))])
     want = encode_partials_table(rows, doc_ids=ids)
@@ -481,8 +486,8 @@ def test_postings_row_groups_are_capped_through_the_lifecycle(ray_session):
     sys.path.insert(0, os.path.dirname(__file__))
     from oracle import BruteIndex
 
-    def body(i: int) -> str:  # 24 terms of its own: > 4,096 terms in all
-        return _filler(i) + " " + " ".join(f"u{i}v{j}" for j in range(24))
+    def body(i: int) -> str:  # 96 terms of its own: > 6 × 4,096 in all
+        return _filler(i) + " " + " ".join(f"u{i}v{j}" for j in range(96))
 
     config = AnalyzerConfig.code()
     tokens = Analyzer(AnalyzerConfig(**{**config.__dict__, "dedup": False}))
