@@ -1,6 +1,8 @@
 """Analyzer goldens — pin the tokenizer before any indexing exists
 (FIXTURES.md §4; reference rules: IndexAnalyzer.java:33-160)."""
 
+import pytest
+
 from gazetteer_search_ray.functions.analyzer import Analyzer, AnalyzerConfig
 
 simple = Analyzer(AnalyzerConfig.simple())
@@ -191,6 +193,78 @@ def test_pack_cap_split_preserves_postings():
         part = TokenizeStage(cfg, docmeta_dir=meta, pack_cap=3)(t)
     keys = part["skey"].to_pylist()
     assert len(keys) > len(set(keys))
+
+
+@pytest.mark.parametrize("preset", ["simple", "code"])
+@pytest.mark.parametrize("num_doc_shards", [1, 3])
+def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
+    """``TokenizeStage`` partials equal a dict built from
+    ``Analyzer.tokens`` (dedup off): (term, shard) -> {doc: (tf, dl)},
+    for the content field and one ``<field>\\x1e``-prefixed extra field,
+    with a score builder that drops every third doc and ``pack_cap=3``.
+    Every partial row lists its docs ascending."""
+    import tempfile
+    from collections import Counter
+
+    import numpy as np
+
+    from gazetteer_search_ray.sources.corpus import (
+        _assign_doc_ids,
+        synthetic_corpus,
+    )
+    from gazetteer_search_ray.stages.tokenize import (
+        FIELD_SEP,
+        SHARD_SEP,
+        TokenizeStage,
+        flat_from_binary_col,
+        varbyte_flat_from_binary_col,
+    )
+
+    t = _assign_doc_ids(synthetic_corpus(300))
+    cfg = getattr(AnalyzerConfig, preset)()
+    nodedup = Analyzer(AnalyzerConfig(**{**cfg.__dict__, "dedup": False}))
+
+    def drop_every_third(batch):
+        return np.where(np.arange(batch.num_rows) % 3 == 0, 0.0, 2.0)
+
+    expected: dict = {}
+    for i, row in enumerate(t.to_pylist()):
+        if i % 3 == 0:
+            continue
+        d = row["doc_id"]
+        for prefix, text in (("", row["content"]),
+                             ("src" + FIELD_SEP, row["repo"])):
+            toks = [tok for tok, _opt in nodedup.tokens(text or "")]
+            for term, tf in Counter(toks).items():
+                key = (prefix + term, d % num_doc_shards)
+                expected.setdefault(key, {})[d] = (tf, len(toks))
+
+    with tempfile.TemporaryDirectory() as meta:
+        part = TokenizeStage(cfg, docmeta_dir=meta,
+                             num_doc_shards=num_doc_shards,
+                             score_builder=drop_every_third,
+                             extra_fields=(("src", "repo"),),
+                             pack_cap=3)(t)
+    docs, rl = flat_from_binary_col(part["docs"], np.dtype("<i8"))
+    tfs, _ = varbyte_flat_from_binary_col(part["tfs"])
+    dls, _ = varbyte_flat_from_binary_col(part["dls"])
+    off = np.concatenate(([0], np.cumsum(rl)))
+    got: dict = {}
+    for i, skey in enumerate(part["skey"].to_pylist()):
+        seg = slice(int(off[i]), int(off[i + 1]))
+        assert np.all(np.diff(docs[seg]) > 0), "docs not ascending in a row"
+        if num_doc_shards > 1:
+            term, shard = skey.split(SHARD_SEP)
+            key = (term, int(shard))
+        else:
+            key = (skey, 0)
+        grp = got.setdefault(key, {})
+        for d, f, l in zip(docs[seg].tolist(), tfs[seg].tolist(),
+                           dls[seg].tolist()):
+            assert d not in grp, "duplicate doc within a term"
+            grp[d] = (f, l)
+    assert got == expected
+    assert any(k[0].startswith("src" + FIELD_SEP) for k in got)
 
 
 def test_pack_partials_keys_and_cap_split():
