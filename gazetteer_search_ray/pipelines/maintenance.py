@@ -282,14 +282,13 @@ def compact_postings_file(src: str, dst: str, new_ord: np.ndarray,
     all its rows in one vectorized pass, drop the deleted postings,
     renumber the rest through ``new_ord`` (old ordinal → new ordinal, -1
     for a deleted doc), gather TRUE doc lengths (``dl``/``field_dl`` in
-    new-ordinal order) and re-encode through ``encode_posting_groups``
+    new-ordinal order) and re-encode through ``postings_table``
     — so ``block_min_dl`` (hence block-max bounds) stays exact.
 
     ``src`` is only read and ``dst`` is a new path, so a retried call
     writes the same file again.  Writes nothing when no posting is
     left.  Returns the rows written."""
-    from ..functions.codec import encode_posting_groups
-    from ..stages.postings import _encoded_table, write_postings_file
+    from ..stages.postings import postings_table, write_postings_file
 
     t = pq.read_table(src)
     if t.num_rows == 0:
@@ -306,10 +305,10 @@ def compact_postings_file(src: str, dst: str, new_ord: np.ndarray,
     terms = t["term"].take(pa.array(nonempty))
     new_off = np.concatenate(([0], np.cumsum(new_lens[nonempty])))
     kords = nords[keep]
-    enc = encode_posting_groups(
-        kords, tfs[keep], _posting_dls(terms, new_off, kords, dl, field_dl),
-        new_off, block_size)
-    out = _encoded_table(terms, t["shard"].take(pa.array(nonempty)), enc)
+    out = postings_table(
+        terms, t["shard"].take(pa.array(nonempty)), kords, tfs[keep],
+        _posting_dls(terms, new_off, kords, dl, field_dl), new_off,
+        block_size)
     write_postings_file(out, dst)
     return out.num_rows
 

@@ -372,13 +372,17 @@ class QueryService:
                 return len(shared)
 
             def search_batch(self, rows: list[dict], summarize: bool = False) -> list[dict]:
+                """Answer ``rows`` of ``q`` with optional ``k``,
+                ``prefix``, ``filters``, ``coalesce`` and ``use_prior``
+                (default: the pool's ``use_prior``)."""
                 out = []
                 for q in rows:
                     hits = self.searcher.search(
                         q["q"], k=int(q.get("k", 20)),
                         prefix=bool(q.get("prefix", False)),
                         filters=q.get("filters"),
-                        use_prior=self.use_prior,
+                        coalesce=bool(q.get("coalesce", True)),
+                        use_prior=bool(q.get("use_prior", self.use_prior)),
                     )
                     if summarize:
                         # serving benches must not funnel full hit

@@ -224,7 +224,8 @@ class SearchHTTPServer:
                 [
                     {
                         "qid": 0, "q": q, "k": k, "prefix": prefix,
-                        "filters": filters or None,
+                        "filters": filters or None, "coalesce": coalesce,
+                        "use_prior": use_prior,
                     }
                 ],
                 batch_size=1,

@@ -23,9 +23,11 @@ vectorized:
    byte;
 2. :class:`SortedBlockEncoder` (``map_batches``) — every sorted block
    encodes ALL its *complete* key-runs in one numpy pass
-   (``codec.encode_posting_groups``) and side-writes them as a postings
-   parquet file (temp+rename, content-derived name → idempotent under
-   task retry); only the block's first/last runs — the ones that may
+   (:func:`postings_table` over ``codec.encode_posting_groups``, whose
+   Arrow columns are built over the pass's own buffers, with no
+   per-run Python objects) and side-writes them as a postings parquet
+   file (temp+rename, content-derived name → idempotent under task
+   retry); only the block's first/last runs — the ones that may
    straddle block boundaries — are passed through;
 3. the boundary stream (≤ 2 runs per sorted block) merges on the driver
    in one vectorized pass (:func:`encode_partials_table`) into
@@ -114,22 +116,22 @@ POSTINGS_SCHEMA = pa.schema(
 )
 
 
-def _encoded_table(term_arr, shard_arr, enc: dict) -> pa.Table:
-    if isinstance(term_arr, pa.ChunkedArray):
-        term_arr = term_arr.combine_chunks()
-    term_arr = pc.cast(term_arr, pa.string())  # a polars sort emits large_string
+def postings_table(terms, shards, docs: np.ndarray, tfs: np.ndarray,
+                   dls: np.ndarray, offsets: np.ndarray,
+                   block_size: int = BLOCK_SIZE) -> pa.Table:
+    """Encode posting lists into ``POSTINGS_SCHEMA`` rows: row i is
+    (``terms[i]``, ``shards[i]``) with postings
+    ``docs/tfs/dls[offsets[i]:offsets[i+1]]`` (doc ordinals, any order
+    within a row).  The one encode entry point of the build, its
+    updates and merges, and ``delete_docs``' compaction."""
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    enc = encode_posting_groups(docs, tfs, dls, offsets, block_size)
     return pa.table(
         {
-            "term": term_arr,
-            "shard": shard_arr,
-            "df": pa.array(enc["df"], pa.int64()),
-            "docs": pa.array(enc["docs"], pa.binary()),
-            "tfs": pa.array(enc["tfs"], pa.binary()),
-            "block_last_doc": pa.array(enc["block_last_doc"], pa.list_(pa.int32())),
-            "block_max_tf": pa.array(enc["block_max_tf"], pa.list_(pa.int32())),
-            "block_min_dl": pa.array(enc["block_min_dl"], pa.list_(pa.int32())),
-            "block_docs_off": pa.array(enc["block_docs_off"], pa.list_(pa.int64())),
-            "block_tfs_off": pa.array(enc["block_tfs_off"], pa.list_(pa.int64())),
+            "term": pc.cast(terms, pa.string()),  # a polars sort emits large_string
+            "shard": shards,
+            **enc,
         },
         schema=POSTINGS_SCHEMA,
     )
@@ -187,9 +189,9 @@ def _encode_runs(t: pa.Table, heads: np.ndarray, block_size: int,
     dls, _ = varbyte_flat_from_binary_col(t["dls"])
     row_off = np.concatenate(([0], np.cumsum(row_lens)))
     group_offsets = np.append(row_off[heads], row_off[-1])
-    enc = encode_posting_groups(docs, tfs, dls, group_offsets, block_size)
     terms, shards = _terms_shards_from_skeys(t["skey"].take(pa.array(heads)))
-    return _encoded_table(terms, shards, enc)
+    return postings_table(terms, shards, docs, tfs, dls, group_offsets,
+                          block_size)
 
 
 class SortedBlockEncoder:

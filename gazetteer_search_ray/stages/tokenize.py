@@ -21,7 +21,9 @@ Reference analog: the whole single-threaded import loop body
 5. emits *packed partial postings* (:func:`pack_partials`): one row
    per (term, shard) run per batch with binary payloads (docs, tfs,
    dls) — the pre-aggregation that cuts the exchange volume (SURVEY.md
-   §4 'Memory pressure').
+   §4 'Memory pressure').  The batch's term stream is dictionary-encoded
+   once; tf counting and the (term, shard, doc) order are one integer
+   sort, and term strings are taken only at the run heads.
 
 ``shard`` = ``doc_id % num_doc_shards`` splits heavy-hitter terms
 (stopword-like code tokens) into bounded sub-runs so no single run
@@ -40,6 +42,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.analyzer import Analyzer, AnalyzerConfig
+from ..functions.codec import (_varbyte_encode_starts, binary_rows,
+                               varbyte_decode)
 from ..state.manifest import atomic_write_table
 
 # Packed partial postings. docs/tfs/dls are BINARY payloads (docs raw
@@ -79,17 +83,6 @@ SHARD_SEP = "\x1f"
 PACK_CAP = 128
 
 
-def binary_rows_from_flat(flat: np.ndarray, row_offsets: np.ndarray) -> pa.Array:
-    """Zero-copy BinaryArray: row i = flat[row_offsets[i]:row_offsets[i+1]]."""
-    itemsize = flat.dtype.itemsize
-    byte_off = (row_offsets.astype(np.int64) * itemsize).astype(np.int32)
-    return pa.Array.from_buffers(
-        pa.binary(),
-        len(row_offsets) - 1,
-        [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(flat.tobytes())],
-    )
-
-
 def varbyte_rows(flat: np.ndarray, row_offsets: np.ndarray,
                  delta: bool = False) -> pa.Array:
     """Varbyte-encode a flat non-negative int array into per-row binary
@@ -97,8 +90,6 @@ def varbyte_rows(flat: np.ndarray, row_offsets: np.ndarray,
     vectorized pass over ALL rows.  ``delta=True`` stores per-row deltas
     with an absolute first value — rows must then be strictly increasing
     (posting doc ids are)."""
-    from ..functions.codec import _varbyte_encode_starts
-
     off = np.asarray(row_offsets, dtype=np.int64)
     vals = np.asarray(flat, dtype=np.int64)
     if delta and vals.size:
@@ -108,15 +99,7 @@ def varbyte_rows(flat: np.ndarray, row_offsets: np.ndarray,
         d[heads] = vals[heads]
         vals = d
     buf, starts = _varbyte_encode_starts(vals)
-    starts_end = np.append(starts, len(buf)).astype(np.int64)
-    if len(buf) >= 2**31:
-        raise ValueError("partial payload exceeds int32 binary offsets")
-    byte_off = starts_end[off].astype(np.int32)
-    return pa.Array.from_buffers(
-        pa.binary(),
-        len(off) - 1,
-        [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(buf.tobytes())],
-    )
+    return binary_rows(buf, np.append(starts, len(buf))[off])
 
 
 def varbyte_flat_from_binary_col(col, delta: bool = False
@@ -125,8 +108,6 @@ def varbyte_flat_from_binary_col(col, delta: bool = False
     (concatenated int64 values, per-row value counts).  Row payloads are
     contiguous in the Arrow data buffer, so the decode is ONE vectorized
     varbyte pass + a cumsum-indexed count per row."""
-    from ..functions.codec import varbyte_decode
-
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
     off = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
@@ -201,8 +182,8 @@ def pack_partials(terms, shards, docs, tfs, dls, offsets,
     return pa.table(
         {
             "skey": skey,
-            "docs": binary_rows_from_flat(
-                np.asarray(docs).astype("<i8"), offsets),
+            "docs": binary_rows(
+                np.asarray(docs).astype("<i8").view(np.uint8), offsets * 8),
             "tfs": varbyte_rows(tfs, offsets),
             "dls": varbyte_rows(dls, offsets),
         },
@@ -376,34 +357,6 @@ class TokenizeStage:
             return self._tokenize_vectorized(content)
         return self._tokenize_python(content)
 
-    def _field_entries(self, flat, parent, dl, doc_ids, prefix: str):
-        """(term, shard, doc, tf, dl) rows of one field's token stream —
-        term prefixed with ``<field>\\x1e`` for extra fields, dl = the
-        FIELD's per-doc length (its own BM25 norm)."""
-        tf_tbl = (
-            pa.table({"term": flat, "row": pa.array(parent, pa.int64())})
-            .group_by(["term", "row"], use_threads=False)
-            .aggregate([("term", "count")])
-        )
-        rows = tf_tbl["row"].to_numpy()
-        term = tf_tbl["term"]
-        if prefix:
-            term = pc.binary_join_element_wise(
-                pa.scalar(prefix), pc.cast(term, pa.string()), "")
-        return pa.table(
-            {
-                "term": term,
-                "shard": pa.array(
-                    (doc_ids[rows] % self.num_doc_shards).astype(np.int32)
-                    if self.num_doc_shards > 1
-                    else np.zeros(len(rows), dtype=np.int32)
-                ),
-                "doc": pa.array(doc_ids[rows], pa.int64()),
-                "tf": pc.cast(tf_tbl["term_count"], pa.int32()),
-                "dl": pa.array(dl[rows].astype(np.int32)),
-            }
-        )
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if n == 0:
@@ -411,13 +364,16 @@ class TokenizeStage:
         doc_ids = batch["doc_id"].to_numpy().astype(np.int64)
         flat, parent = self._tokenize(batch["content"])
         dl = np.bincount(parent, minlength=n).astype(np.int64)
-        fields = []  # (prefix, flat, parent, field dl)
-        field_dls: dict[str, np.ndarray] = {}
+        # one term stream: content tokens, then each extra field's
+        # "<field>\x1e"-prefixed tokens; field_dl[f] is field f's
+        # per-doc length (its own BM25 norm), f = 0 the content
+        streams, parents, field_dl = [flat], [parent], [dl]
         for fname, colname in self.extra_fields:
             ff, fp = self._tokenize(batch[colname])
-            fdl = np.bincount(fp, minlength=n).astype(np.int64)
-            fields.append((fname + FIELD_SEP, ff, fp, fdl))
-            field_dls[fname] = fdl
+            streams.append(pc.binary_join_element_wise(
+                pa.scalar(fname + FIELD_SEP), pc.cast(ff, pa.string()), ""))
+            parents.append(fp)
+            field_dl.append(np.bincount(fp, minlength=n).astype(np.int64))
 
         # prior score + row drop (reference M12: score==0 ⇒ drop row)
         if self.score_builder is not None:
@@ -427,41 +383,44 @@ class TokenizeStage:
         keep = base_score != 0.0
 
         if self.docmeta_dir is not None:
-            self._write_docmeta(batch, doc_ids, dl, base_score, keep,
-                                field_dls)
+            self._write_docmeta(
+                batch, doc_ids, dl, base_score, keep,
+                {f: fdl for (f, _c), fdl in zip(self.extra_fields, field_dl[1:])})
 
-        if not keep.all():
-            row_mask = keep[parent]
-            flat = flat.filter(pa.array(row_mask))
-            parent = parent[row_mask]
-            fields = [
-                (pfx, ff.filter(pa.array(keep[fp])), fp[keep[fp]], fdl)
-                for pfx, ff, fp, fdl in fields
-            ]
-
-        # tf per (term, doc) — C++ hash aggregation, no Python loop
-        entry_parts = [self._field_entries(flat, parent, dl, doc_ids, "")]
-        for pfx, ff, fp, fdl in fields:
-            entry_parts.append(
-                self._field_entries(ff, fp, fdl, doc_ids, pfx))
-        # doc ascending within each (term, shard) run so the final
-        # encoder's duplicate check and block metadata see sorted ids
-        entries = (
-            entry_parts[0] if len(entry_parts) == 1
-            else pa.concat_tables(entry_parts, promote_options="default")
-        ).sort_by([("term", "ascending"), ("shard", "ascending"),
-                   ("doc", "ascending")])
+        # the stream as integer codes: each distinct term's rank in byte
+        # order, and each row's rank in (shard, doc) order, so that ONE
+        # sort of the fused key term rank * n + row rank both counts tf
+        # per (term, row) and puts the entries in (term, shard, doc)
+        # order; strings are taken only at the run heads
+        d = pc.dictionary_encode(pa.concat_arrays(
+            [pc.cast(x, pa.string()) for x in streams]))
+        codes = d.indices.to_numpy()
+        by_rank = pc.sort_indices(d.dictionary).to_numpy().astype(np.int64)
+        term_rank = np.empty_like(by_rank)
+        term_rank[by_rank] = np.arange(by_rank.size)
+        field_of = np.zeros(by_rank.size, np.int64)  # term code → field
+        ends = np.cumsum([len(p) for p in parents])
+        for f in range(1, len(parents)):
+            field_of[codes[ends[f - 1]:ends[f]]] = f
+        rows = np.concatenate(parents)
+        shards = (doc_ids % self.num_doc_shards).astype(np.int32)
+        row_order = np.lexsort((doc_ids, shards))
+        row_rank = np.empty(n, np.int64)
+        row_rank[row_order] = np.arange(n)
+        live = keep[rows]
+        key, tf = np.unique(term_rank[codes[live]] * n + row_rank[rows[live]],
+                            return_counts=True)
+        code = by_rank[key // n]
+        row = row_order[key % n]
 
         # one packed row per run of equal (term, shard)
-        codes = pc.dictionary_encode(entries["term"]).combine_chunks().indices.to_numpy()
-        shards = entries["shard"].to_numpy()
-        heads = np.flatnonzero((np.diff(codes, prepend=-1) != 0)
-                               | (np.diff(shards, prepend=-1) != 0))
-        offsets = np.append(heads, len(codes))
+        shard = shards[row]
+        heads = np.flatnonzero((np.diff(code, prepend=-1) != 0)
+                               | (np.diff(shard, prepend=-1) != 0))
         return pack_partials(
-            entries["term"].take(pa.array(heads)), shards[heads],
-            entries["doc"].to_numpy(), entries["tf"].to_numpy(),
-            entries["dl"].to_numpy(), offsets, self.num_doc_shards,
+            d.dictionary.take(pa.array(code[heads])), shard[heads],
+            doc_ids[row], tf, np.stack(field_dl)[field_of[code], row],
+            np.append(heads, code.size), self.num_doc_shards,
             self.pack_cap)
 
     # -- doc store -------------------------------------------------------

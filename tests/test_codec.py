@@ -124,12 +124,12 @@ def test_encode_posting_groups_differential():
     )
     for g, L in enumerate(lens):
         exp = encode_posting(docs_l[g], tfs_l[g], dls_l[g])
-        assert out["df"][g] == exp["df"] == L
-        assert out["docs"][g] == exp["docs"]
-        assert out["tfs"][g] == exp["tfs"]
+        assert out["df"][g].as_py() == exp["df"] == L
+        assert out["docs"][g].as_py() == exp["docs"]
+        assert out["tfs"][g].as_py() == exp["tfs"]
         for k in ("block_last_doc", "block_max_tf", "block_min_dl",
                   "block_docs_off", "block_tfs_off"):
-            np.testing.assert_array_equal(out[k][g], np.asarray(exp[k]))
+            np.testing.assert_array_equal(out[k][g].as_py(), np.asarray(exp[k]))
 
 
 def test_encode_posting_groups_rejects_dup():
@@ -296,16 +296,18 @@ def test_v3_groups_differential_and_flat_decode():
         np.concatenate([d[p] for d, p in zip(dls_l, perms)]), off)
     for g, L in enumerate(lens):
         exp = encode_posting(groups[g], tfs_l[g], dls_l[g])
-        assert out["df"][g] == exp["df"] == L
-        assert out["docs"][g] == exp["docs"]
-        assert out["tfs"][g] == exp["tfs"]
+        assert out["df"][g].as_py() == exp["df"] == L
+        assert out["docs"][g].as_py() == exp["docs"]
+        assert out["tfs"][g].as_py() == exp["tfs"]
         for k in ("block_last_doc", "block_max_tf", "block_min_dl",
                   "block_docs_off", "block_tfs_off"):
-            np.testing.assert_array_equal(out[k][g], np.asarray(exp[k]))
+            np.testing.assert_array_equal(out[k][g].as_py(), np.asarray(exp[k]))
+    docs_rows = out["docs"].to_pylist()
     flat = decode_docs_many(
-        np.frombuffer(b"".join(out["docs"]), np.uint8), lens,
-        [len(b) for b in out["docs"]],
-        np.concatenate([np.asarray(o, np.int64) for o in out["block_docs_off"]]))
+        np.frombuffer(b"".join(docs_rows), np.uint8), lens,
+        [len(b) for b in docs_rows],
+        np.concatenate([np.asarray(o, np.int64)
+                        for o in out["block_docs_off"].to_pylist()]))
     np.testing.assert_array_equal(flat, np.concatenate(groups))
 
 

@@ -136,7 +136,17 @@ def test_unknown_route_404(server):
     assert ei.value.code == 404
 
 
+PRIOR_BASE = "/tmp/gsr_server_prior"
+DOC_PRIOR = {0: 1.0, 1: 1.0, 2: 0.2, 3: 1.0, 4: 5.0, 5: 3.0}
+
+
 def test_pool_backend_matches_local(server, ray_session):
+    """The pool answers like the in-process backend for every ``prior``
+    x ``coallesce`` setting, on an index whose docs have unequal priors
+    (each setting changes the local answer, so none can be ignored)."""
+    import numpy as np
+    import ray.data as rd
+
     from gazetteer_search_ray.server import SearchHTTPServer
 
     pooled = SearchHTTPServer(BASE, port=0, pool_size=2).start()
@@ -146,6 +156,31 @@ def test_pool_backend_matches_local(server, ray_session):
         assert [r["doc_id"] for r in a["rows"]] == [r["doc_id"] for r in b["rows"]]
     finally:
         pooled.shutdown()
+
+    def prior(batch):
+        return np.array([DOC_PRIOR[d] for d in batch["doc_id"].to_pylist()])
+
+    shutil.rmtree(PRIOR_BASE, ignore_errors=True)
+    build_index(rd.from_items(DOCS), PRIOR_BASE,
+                BuildOptions(analyzer_config=AnalyzerConfig.gazetteer(),
+                             score_builder=prior))
+    local = SearchHTTPServer(PRIOR_BASE, port=0, pool_size=1).start()
+    pooled = SearchHTTPServer(PRIOR_BASE, port=0, pool_size=2).start()
+    try:
+        answers = set()
+        for p in ("0", "1"):
+            for c in ("0", "1"):
+                params = {"q": "main street springfield", "prior": p,
+                          "coallesce": c}
+                a = _get(local, "/location/_search", **params)
+                b = _get(pooled, "/location/_search", **params)
+                ids = [r["doc_id"] for r in a["rows"]]
+                assert ids == [r["doc_id"] for r in b["rows"]], params
+                answers.add(tuple(ids))
+        assert len(answers) == 4
+    finally:
+        pooled.shutdown()
+        local.shutdown()
 
 
 def test_bad_numeric_params_400(server):
