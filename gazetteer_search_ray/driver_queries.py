@@ -547,10 +547,23 @@ top{i} AS (
 # ---------------------------------------------------------------------------
 
 
-def _docs(sf_dir: str):
+def _read_testdata(sf_dir: str, table: str, columns=None):
+    """A testdata table, read with its schema minus the metadata.  The
+    files carry pandas metadata, a dict, which makes a ``pa.Schema``
+    unhashable: Ray's read and exchange then log "Failed to hash the
+    schemas" per task."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
+
+
+def _docs(sf_dir: str):
+    return _read_testdata(sf_dir, "documents")
 
 
 def q_distinct_first(sf_dir):
@@ -568,16 +581,10 @@ def q_distinct_first(sf_dir):
 
 def q_join_agg(sf_dir):
     """G2 street-usage analog: lineitem count per order, joined back."""
-    import ray.data as rd
-
     from .pipelines.relational import join_aggregate_counts
 
-    fact = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey"]
-    )
-    dim = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey"]
-    )
+    fact = _read_testdata(sf_dir, "lineitem", ["l_orderkey"])
+    dim = _read_testdata(sf_dir, "orders", ["o_orderkey"])
     out = join_aggregate_counts(fact, "l_orderkey", dim, "o_orderkey").to_pandas()
     out["ref_count"] = out["ref_count"].astype(np.int64)
     return out[["o_orderkey", "ref_count"]]

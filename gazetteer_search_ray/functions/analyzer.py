@@ -233,14 +233,16 @@ class Analyzer:
         # The default separator class (complement of [0-9a-z]) gets a fast
         # finditer path; custom separator sets fall back to re.split.
         if c.split_pattern == r"[^a-z0-9]+":
-            if c.split_compounds:
+            if c.split_compounds or not c.ascii_only:
+                # words are cut from the case-preserved text and lowered
+                # one at a time (emit): str.lower() of a whole text picks
+                # Greek final sigma from the neighbouring words
                 tok_re = r"[0-9a-zA-Z]+" if c.ascii_only else r"[^\W_]+"
                 for m in re.finditer(tok_re, text):
                     emit(m.group(0), m.start())
             else:
                 src = text.lower() if c.lowercase else text
-                tok_re = r"[0-9a-z]+" if c.ascii_only else r"[^\W_]+"
-                for m in re.finditer(tok_re, src):
+                for m in re.finditer(r"[0-9a-z]+", src):
                     emit(m.group(0), m.start())
         else:
             src = text.lower() if c.lowercase else text

@@ -7,9 +7,14 @@ Reference analog: the whole single-threaded import loop body
 ``map_batches`` stage over zero-copy Arrow batches that
 
 1. assigns/validates ``doc_id``;
-2. tokenizes ``content`` (Arrow-kernel fast path for the SQL-expressible
-   simple analyzer: ``utf8_lower`` → ``split_pattern_regex`` →
-   ``list_flatten``; Python analyzer loop otherwise);
+2. tokenizes ``content`` into integer codes: every tokenizer returns the
+   batch's term dictionary, each occurrence's term code and its row
+   (Arrow kernels for the SQL-expressible simple analyzer:
+   ``utf8_lower`` → ``split_pattern_regex`` → ``dictionary_encode``;
+   for the code analyzer, an Arrow split and encode of the raw tokens,
+   whole-array expansion of the ASCII distinct tokens, the analyzer
+   itself for the others, and a numpy gather of codes per occurrence; a Python
+   analyzer loop for custom separator classes);
 3. computes per-doc stats: ``dl`` (BM25 field length = total token
    count), ``sha256(content)`` (the end-to-end invariant), ``base_score``
    (pluggable ScoreBuilder, reference ``imp/DefaultScoreBuilder.java``;
@@ -21,9 +26,9 @@ Reference analog: the whole single-threaded import loop body
 5. emits *packed partial postings* (:func:`pack_partials`): one row
    per (term, shard) run per batch with binary payloads (docs, tfs,
    dls) — the pre-aggregation that cuts the exchange volume (SURVEY.md
-   §4 'Memory pressure').  The batch's term stream is dictionary-encoded
-   once; tf counting and the (term, shard, doc) order are one integer
-   sort, and term strings are taken only at the run heads.
+   §4 'Memory pressure').  tf counting and the (term, shard, doc) order
+   are one integer sort of the codes, and term strings are taken only
+   at the run heads.
 
 ``shard`` = ``doc_id % num_doc_shards`` splits heavy-hitter terms
 (stopword-like code tokens) into bounded sub-runs so no single run
@@ -83,6 +88,14 @@ SHARD_SEP = "\x1f"
 PACK_CAP = 128
 
 
+def _value_offsets(arr: pa.Array) -> np.ndarray:
+    """int64 value offsets of a string or binary array (int64 for the
+    large_ types, which the polars-backed sort returns), slice-aware."""
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    return np.frombuffer(arr.buffers()[1], dtype=np.int64 if large else np.int32)[
+        arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
+
+
 def varbyte_rows(flat: np.ndarray, row_offsets: np.ndarray,
                  delta: bool = False) -> pa.Array:
     """Varbyte-encode a flat non-negative int array into per-row binary
@@ -109,10 +122,7 @@ def varbyte_flat_from_binary_col(col, delta: bool = False
     contiguous in the Arrow data buffer, so the decode is ONE vectorized
     varbyte pass + a cumsum-indexed count per row."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    off = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset : arr.offset + len(arr) + 1
-    ].astype(np.int64)
+    off = _value_offsets(arr)
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     seg = data[off[0] : off[-1]]
     # view, not astype: varbyte payloads are <2^63 so the uint64→int64
@@ -139,11 +149,7 @@ def flat_from_binary_col(col, dtype) -> tuple[np.ndarray, np.ndarray]:
     are contiguous in the data buffer.
     """
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    # polars-backed sort returns large_binary (int64 offsets)
-    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    off = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset : arr.offset + len(arr) + 1
-    ]
+    off = _value_offsets(arr)
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     itemsize = np.dtype(dtype).itemsize
     seg = data[off[0] : off[-1]].copy()  # copy for alignment
@@ -216,13 +222,80 @@ def _is_arrow_fast_path(c: AnalyzerConfig) -> bool:
     )
 
 
+def _encode(arr: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """(distinct strings, int64 code of each element)."""
+    d = pc.dictionary_encode(arr)
+    if isinstance(d, pa.ChunkedArray):
+        d = d.combine_chunks()
+    return d.dictionary, d.indices.to_numpy().astype(np.int64)
+
+
+def _split(content, pattern: str) -> tuple[pa.Array, pa.Array]:
+    """Non-empty pieces of ``content`` split at ``pattern``, and each
+    piece's row."""
+    if isinstance(content, pa.ChunkedArray):
+        content = content.combine_chunks()
+    lst = pc.split_pattern_regex(content, pattern=pattern)
+    flat = pc.list_flatten(lst)
+    mask = pc.not_equal(flat, "")
+    return flat.filter(mask), pc.list_parent_indices(lst).filter(mask)
+
+
+def _within(counts: np.ndarray) -> np.ndarray:
+    """Each element's index inside its run, for runs of ``counts``."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _expand_ascii(tokens: pa.Array, split_compounds: bool):
+    """The code analyzer's expansion of ASCII ``[0-9A-Za-z]+`` tokens in
+    whole-array ops: the lowered token, then, when ``_CAMEL_RE`` cuts it
+    into more than one part, its lowered parts.  Returns (expansion
+    strings, owning token of each, slot in its token's expansion).
+
+    ``_CAMEL_RE``'s parts tile an ASCII alnum token: a part starts at a
+    digit/non-digit change, at lower→upper, and before the last letter
+    of an uppercase run that a lowercase letter or a digit follows."""
+    n = len(tokens)
+    owner = np.arange(n, dtype=np.int64)
+    if not n:
+        return pa.array([], pa.string()), owner, owner
+    off = _value_offsets(tokens)
+    seg = np.frombuffer(tokens.buffers()[2], dtype=np.uint8)[off[0]:off[-1]]
+    off -= off[0]
+    up = (seg >= 65) & (seg <= 90)
+    low = seg + (up.astype(np.uint8) << 5)
+    base = binary_rows(low, off).view(pa.string())
+    if not split_compounds:
+        return base, owner, np.zeros(n, dtype=np.int64)
+    dig = (seg >= 48) & (seg <= 57)
+    lo = (seg >= 97) & (seg <= 122)
+    start = np.zeros(seg.size, dtype=bool)
+    start[off[:-1]] = True
+    start[1:-1] |= (up[:-2] & up[1:-1] & (lo[2:] | dig[2:])
+                    & ~start[2:])  # the lookahead stays in the token
+    start[1:] |= (dig[1:] != dig[:-1]) | (lo[:-1] & up[1:])
+    pstart = np.flatnonzero(start)
+    nparts = np.diff(np.searchsorted(pstart, off))
+    pown = np.repeat(owner, nparts)
+    keep = (nparts > 1)[pown]
+    parts = binary_rows(low, np.append(pstart, seg.size)).view(pa.string())
+    return (pa.concat_arrays([base, parts.filter(pa.array(keep))]),
+            np.concatenate([owner, pown[keep]]),
+            np.concatenate([np.zeros(n, dtype=np.int64),
+                            (1 + _within(nparts))[keep]]))
+
+
 class TokenizeStage:
     """Per-batch callable for ``map_batches(TokenizeStage(...))``.
 
     Analyzer construction and regex compilation happen once, in
     ``__init__`` (reference analog: the singleton compiled replacers,
-    ``ReplacersCompiler.java:20-38``); the distinct-token expansion
-    cache persists across the batches one worker runs.
+    ``ReplacersCompiler.java:20-38``).  Every tokenizer returns the
+    batch's term dictionary, each occurrence's term code and its row.
+    ``map_batches`` unpickles a fresh stage per task, so no state is
+    relied on across tasks; the terms cache only spares the analyzer
+    calls for non-ASCII tokens repeated within one task.
     """
 
     def __init__(
@@ -239,7 +312,6 @@ class TokenizeStage:
         # per-doc length column (dl__<field>) for per-field BM25 norms
         self.extra_fields = tuple(extra_fields)
         self.config = analyzer_config or AnalyzerConfig.simple()
-        self.analyzer = Analyzer(self.config)
         # tf counting must see the raw (non-deduped) token stream
         nodedup = AnalyzerConfig(**{**self.config.__dict__, "dedup": False})
         self._nodedup = Analyzer(nodedup)
@@ -248,105 +320,85 @@ class TokenizeStage:
         self.pack_cap = int(pack_cap)
         self.score_builder = score_builder
         self._fast = _is_arrow_fast_path(self.config)
-        # distinct-token → expansion cache (persists across batches)
+        # distinct-token → terms cache for the tokens that go through
+        # the analyzer itself
         self._exp_cache: dict[str, list[str]] = {}
         # the semi-vectorized path assumes the default separator class
         self._vectorizable = self.config.split_pattern == r"[^a-z0-9]+"
+        # ASCII tokens expand with array ops unless a rule could map them
+        # to something other than their lowered _CAMEL_RE parts
+        c = self.config
+        self._ascii_arrays = (
+            c.lowercase and not c.synonyms and not c.stop_terms
+            and not c.replacer_files
+            and not any(src.isascii() for src, _dst in c.char_replaces))
 
     # -- tokenization ----------------------------------------------------
 
     def _tokenize_arrow(self, content: pa.ChunkedArray | pa.Array):
         """Vectorized simple-analyzer path: all-Arrow, zero Python loops."""
-        arr = content.combine_chunks() if isinstance(content, pa.ChunkedArray) else content
-        lst = pc.split_pattern_regex(pc.utf8_lower(arr), pattern="[^a-z0-9]+")
-        flat = pc.list_flatten(lst)
-        parent = pc.list_parent_indices(lst)
-        mask = pc.not_equal(flat, "")
-        return flat.filter(mask), parent.filter(mask).to_numpy()
+        # str.lower() maps "İ" to "i" + U+0307, which ends the token;
+        # utf8_lower maps it to a bare "i" that joins the next letters
+        low = pc.utf8_lower(pc.replace_substring(content, "\u0130", "i\u0307"))
+        flat, parent = _split(low, "[^a-z0-9]+")
+        return (*_encode(flat), parent.to_numpy())
+
+    def _terms(self, text: str | None) -> list[str]:
+        """The analyzer's term stream of ``text`` (dedup off)."""
+        return [tok for tok, _opt in self._nodedup.tokens(text or "")]
 
     def _tokenize_python(self, content):
         toks: list[str] = []
         rows: list[int] = []
-        an = self._nodedup
         for i, text in enumerate(content.to_pylist()):
-            t = [tok for tok, _opt in an.tokens(text or "")]
+            t = self._terms(text)
             toks.extend(t)
             rows.extend([i] * len(t))
-        return pa.array(toks, pa.string()), np.asarray(rows, dtype=np.int64)
-
-    def _expand_token(self, raw: str) -> list[str]:
-        """Full normalization chain for ONE raw (case-preserved) token —
-        called once per DISTINCT token per actor (cached)."""
-        from ..functions.analyzer import _CAMEL_RE, Analyzer
-
-        c = self.config
-        t = raw
-        if c.char_replaces:
-            t = t.translate(self.analyzer._char_map)
-        if c.fold_diacritics and not t.isascii():
-            t = Analyzer.fold(t)
-        base = t.lower() if c.lowercase else t
-        subs: list[str] = []
-        if c.split_compounds:
-            parts = _CAMEL_RE.findall(t)
-            if len(parts) > 1:
-                subs = [p.lower() for p in parts]
-        out = []
-        for tok in [base, *subs]:
-            if self.analyzer._syn:
-                tok = self.analyzer._synonym(tok)
-            if not tok or tok in c.stop_terms:
-                continue
-            out.append(tok)
-            if self.analyzer._replacers is not None:
-                # replacer variants follow the original token (reference
-                # IndexAnalyzer.java:99-100); multi-word templates split
-                for variant in self.analyzer._replacers.expand(tok):
-                    out.extend(
-                        v for v in variant.split()
-                        if v and v not in c.stop_terms
-                    )
-        return out
+        return (*_encode(pa.array(toks, pa.string())),
+                np.asarray(rows, dtype=np.int64))
 
     def _tokenize_vectorized(self, content):
-        """Code-analyzer fast path: Arrow split (case-preserving), then
-        the Python normalization chain runs only on DISTINCT tokens
-        (cached across batches in the actor); the per-occurrence
-        expansion is a pure numpy gather.  ~10× over the per-row loop
-        at code-corpus shapes."""
-        arr = content.combine_chunks() if isinstance(content, pa.ChunkedArray) else content
-        pat = r"[^0-9a-zA-Z]+" if self.config.ascii_only else r"[^\p{L}\p{N}]+"
-        lst = pc.split_pattern_regex(arr, pattern=pat)
-        flat = pc.list_flatten(lst)
-        parent = pc.list_parent_indices(lst)
-        mask = pc.not_equal(flat, "")
-        flat = flat.filter(mask)
-        parent = parent.filter(mask).to_numpy()
-        d = pc.dictionary_encode(flat)
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        codes = d.indices.to_numpy()
-        uniq = d.dictionary.to_pylist()
+        """Code-analyzer fast path: Arrow split (case-preserving) and one
+        dictionary encode of the raw tokens; ASCII distinct tokens expand
+        in whole-array ops (:func:`_expand_ascii`), the rest through the
+        analyzer (cached); the expansions are encoded once and each
+        occurrence maps to its terms' codes with a numpy gather."""
+        c = self.config
+        # Unicode words, also under ascii_only: the analyzer sees non-ASCII
+        # tokens whole.  It folds before it splits, so a combining mark
+        # does not end a token; its fold drops it
+        flat, parent = _split(content, r"[^\p{L}\p{N}\p{Mn}]+"
+                              if c.fold_diacritics else r"[^\p{L}\p{N}]+")
+        uniq, codes = _encode(flat)
+        if self._ascii_arrays:
+            asc = pc.string_is_ascii(uniq).to_numpy(zero_copy_only=False)
+        else:
+            asc = np.zeros(len(uniq), dtype=bool)
+        asc_idx, other_idx = np.flatnonzero(asc), np.flatnonzero(~asc)
+        exp, owner, slot = _expand_ascii(uniq.take(pa.array(asc_idx)),
+                                         c.split_compounds)
         cache = self._exp_cache
-        exp_lists = []
-        for tok in uniq:
+        other: list[str] = []
+        other_counts = np.empty(other_idx.size, dtype=np.int64)
+        for j, tok in enumerate(uniq.take(pa.array(other_idx)).to_pylist()):
             e = cache.get(tok)
             if e is None:
-                e = self._expand_token(tok)
-                cache[tok] = e
-            exp_lists.append(e)
-        exp_counts = np.array([len(e) for e in exp_lists], dtype=np.int64)
-        exp_off = np.concatenate(([0], np.cumsum(exp_counts)))
-        exp_flat = pa.array([x for e in exp_lists for x in e], pa.string())
+                e = cache[tok] = self._terms(tok)
+            other.extend(e)
+            other_counts[j] = len(e)
+        terms, term_codes = _encode(pa.chunked_array(
+            [exp, pa.array(other, pa.string())], pa.string()))
+        # each distinct token's term codes, contiguous in expansion order
+        owner = np.concatenate([asc_idx[owner],
+                                np.repeat(other_idx, other_counts)])
+        slot = np.concatenate([slot, _within(other_counts)])
+        exp_counts = np.bincount(owner, minlength=len(uniq))
+        exp_off = np.cumsum(exp_counts) - exp_counts
+        exp_codes = np.empty(owner.size, dtype=np.int64)
+        exp_codes[exp_off[owner] + slot] = term_codes
         counts = exp_counts[codes]
-        total = int(counts.sum())
-        if total == 0:
-            return pa.array([], pa.string()), np.empty(0, dtype=np.int64)
-        rep_parent = np.repeat(parent, counts)
-        seg_off = np.concatenate(([0], np.cumsum(counts)))
-        within = np.arange(total, dtype=np.int64) - np.repeat(seg_off[:-1], counts)
-        pos = np.repeat(exp_off[codes], counts) + within
-        return exp_flat.take(pa.array(pos)), rep_parent
+        pos = np.repeat(exp_off[codes], counts) + _within(counts)
+        return terms, exp_codes[pos], np.repeat(parent.to_numpy(), counts)
 
     # -- main ------------------------------------------------------------
 
@@ -362,16 +414,22 @@ class TokenizeStage:
         if n == 0:
             return PARTIAL_SCHEMA.empty_table()
         doc_ids = batch["doc_id"].to_numpy().astype(np.int64)
-        flat, parent = self._tokenize(batch["content"])
+        terms, codes, parent = self._tokenize(batch["content"])
         dl = np.bincount(parent, minlength=n).astype(np.int64)
-        # one term stream: content tokens, then each extra field's
-        # "<field>\x1e"-prefixed tokens; field_dl[f] is field f's
-        # per-doc length (its own BM25 norm), f = 0 the content
-        streams, parents, field_dl = [flat], [parent], [dl]
+        # one term stream: content terms, then each extra field's
+        # "<field>\x1e"-prefixed terms, whose dictionaries are disjoint
+        # by the prefix, so they concatenate with offset codes;
+        # field_dl[f] is field f's per-doc length (its own BM25 norm),
+        # f = 0 the content
+        dicts, code_parts = [pc.cast(terms, pa.string())], [codes]
+        parents, field_dl = [parent], [dl]
+        base = len(terms)
         for fname, colname in self.extra_fields:
-            ff, fp = self._tokenize(batch[colname])
-            streams.append(pc.binary_join_element_wise(
-                pa.scalar(fname + FIELD_SEP), pc.cast(ff, pa.string()), ""))
+            ft, fc, fp = self._tokenize(batch[colname])
+            dicts.append(pc.binary_join_element_wise(
+                pa.scalar(fname + FIELD_SEP), pc.cast(ft, pa.string()), ""))
+            code_parts.append(fc + base)
+            base += len(ft)
             parents.append(fp)
             field_dl.append(np.bincount(fp, minlength=n).astype(np.int64))
 
@@ -392,16 +450,12 @@ class TokenizeStage:
         # sort of the fused key term rank * n + row rank both counts tf
         # per (term, row) and puts the entries in (term, shard, doc)
         # order; strings are taken only at the run heads
-        d = pc.dictionary_encode(pa.concat_arrays(
-            [pc.cast(x, pa.string()) for x in streams]))
-        codes = d.indices.to_numpy()
-        by_rank = pc.sort_indices(d.dictionary).to_numpy().astype(np.int64)
+        dictionary = pa.concat_arrays(dicts)
+        codes = np.concatenate(code_parts)
+        by_rank = pc.sort_indices(dictionary).to_numpy().astype(np.int64)
         term_rank = np.empty_like(by_rank)
         term_rank[by_rank] = np.arange(by_rank.size)
-        field_of = np.zeros(by_rank.size, np.int64)  # term code → field
-        ends = np.cumsum([len(p) for p in parents])
-        for f in range(1, len(parents)):
-            field_of[codes[ends[f - 1]:ends[f]]] = f
+        field_of = np.repeat(np.arange(len(dicts)), [len(x) for x in dicts])
         rows = np.concatenate(parents)
         shards = (doc_ids % self.num_doc_shards).astype(np.int32)
         row_order = np.lexsort((doc_ids, shards))
@@ -418,7 +472,7 @@ class TokenizeStage:
         heads = np.flatnonzero((np.diff(code, prepend=-1) != 0)
                                | (np.diff(shard, prepend=-1) != 0))
         return pack_partials(
-            d.dictionary.take(pa.array(code[heads])), shard[heads],
+            dictionary.take(pa.array(code[heads])), shard[heads],
             doc_ids[row], tf, np.stack(field_dl)[field_of[code], row],
             np.append(heads, code.size), self.num_doc_shards,
             self.pack_cap)
@@ -437,14 +491,16 @@ class TokenizeStage:
         for c in DOCMETA_CARRY:
             if c in batch.column_names:
                 cols[c] = batch[c].filter(pa.array(keep))
-        texts = batch["content"].to_pylist()
+        # Arrow strings are UTF-8, so each row's bytes are what
+        # str.encode would give; a null row hashes as b""
+        content = batch["content"].combine_chunks()
+        off = _value_offsets(content).tolist()
+        data = memoryview(content.buffers()[2] or b"")
+        valid = content.is_valid().to_numpy(zero_copy_only=False)
         cols["sha256"] = pa.array(
-            [
-                hashlib.sha256(
-                    (texts[i] or "").encode("utf-8", "surrogatepass")
-                ).hexdigest()
-                for i in np.flatnonzero(keep)
-            ],
+            [hashlib.sha256(data[off[i]:off[i + 1]] if valid[i] else b""
+                            ).hexdigest()
+             for i in np.flatnonzero(keep)],
             pa.string(),
         )
         t = pa.table(cols)

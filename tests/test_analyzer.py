@@ -105,8 +105,8 @@ def test_index_query_symmetry():
 
 def test_vectorized_tokenizer_matches_analyzer():
     """TokenizeStage's distinct-token vectorized path must emit exactly
-    the token stream of Analyzer.tokens (non-deduped) per row."""
-    import numpy as np
+    the token stream of Analyzer.tokens (non-deduped) per row: its term
+    dictionary taken at each occurrence's code, grouped by parent row."""
     import pyarrow as pa
 
     from gazetteer_search_ray.functions.analyzer import Analyzer, AnalyzerConfig
@@ -117,9 +117,10 @@ def test_vectorized_tokenizer_matches_analyzer():
     stage = TokenizeStage(cfg)
     assert stage._vectorizable and not stage._fast
     t = synthetic_corpus(80)
-    flat, parent = stage._tokenize_vectorized(t["content"])
+    terms, codes, parent = stage._tokenize_vectorized(t["content"])
     got = {}
-    for tok, row in zip(flat.to_pylist(), parent.tolist()):
+    for tok, row in zip(terms.take(pa.array(codes)).to_pylist(),
+                        parent.tolist()):
         got.setdefault(row, []).append(tok)
     an = Analyzer(AnalyzerConfig(**{**cfg.__dict__, "dedup": False}))
     for i, text in enumerate(t["content"].to_pylist()):
