@@ -13,8 +13,8 @@ Reference analog: the whole single-threaded import loop body
    ``utf8_lower`` → ``split_pattern_regex`` → ``dictionary_encode``;
    for the code analyzer, an Arrow split and encode of the raw tokens,
    whole-array expansion of the ASCII distinct tokens, the analyzer
-   itself for the others, and a numpy gather of codes per occurrence; a Python
-   analyzer loop for custom separator classes);
+   itself for the others, and a numpy gather of codes per occurrence;
+   a Python analyzer loop for custom separator classes);
 3. computes per-doc stats: ``dl`` (BM25 field length = total token
    count), ``sha256(content)`` (the end-to-end invariant), ``base_score``
    (pluggable ScoreBuilder, reference ``imp/DefaultScoreBuilder.java``;
