@@ -111,7 +111,7 @@ def run_bench() -> dict:
     timings["index_build"] = t_build
 
     # -- steady-state QPS through the persistent serving pool -------------
-    pool = max(2, NUM_CPUS // 2)
+    pool = min(NUM_CPUS, max(2, NUM_CPUS // 2))  # every actor needs a CPU
     queries = make_queries(BENCH_QUERIES)
     n_hits = -1  # batch-path replay covered by entry()/tests; serving
     # pool is the QPS metric (a per-execution map_batches pool re-pays

@@ -163,7 +163,7 @@ def main(argv=None):
     pv = sub.add_parser("serve")
     pv.add_argument("--index", required=True)
     pv.add_argument("--port", type=int, default=8080)
-    pv.add_argument("--pool-size", type=int, default=4)
+    pv.add_argument("--pool-size", type=int, default=1)
     pv.add_argument("--prior", action="store_true")
     pv.set_defaults(fn=cmd_serve)
 

@@ -29,25 +29,8 @@ transforms with explicit shuffle keys:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-
-def _join_partitions(requested: int | None = None) -> int:
-    """Hash-shuffle partition count for ``Dataset.join``: the join spins
-    up one aggregator actor per partition, so demanding 32 on a 4-CPU
-    session starves the pool (measured: a toy join crawls for minutes).
-    Default = the session's CPU count, clamped to [2, 32]."""
-    if requested is not None:
-        return requested
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(32, cpus))
 
 
 def distinct_first_by_key(ds, keys: list[str], order_col: str = "doc_id"):
@@ -247,178 +230,6 @@ def paged_scroll(ds, order_col: str, after, page_size: int,
     return ds.map_batches(f, batch_format="pyarrow").sort(order_col).limit(page_size)
 
 
-def sample_hash(ds, frac: float, id_col: str = "doc_id"):
-    """Deterministic hash sampling: keep rows whose Knuth multiplicative
-    hash of ``id_col`` falls under ``frac`` — reproducible across runs
-    and engines (the SQL oracle computes the same arithmetic), no RNG
-    state, one streaming pass, no shuffle."""
-    threshold = np.uint64(int(frac * 4294967296))
-
-    def f(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy().astype(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
-        return t.filter(pa.array(h < threshold))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def sample_fixed(ds, n: int, id_col: str = "doc_id", as_pandas: bool = True):
-    """Deterministic EXACTLY-n global sample: the ``n`` rows with the
-    smallest Knuth multiplicative hash of ``id_col`` (ties by id) —
-    the reproducible "give me exactly n uniform rows" primitive.
-    Sample prefixes NEST: sample_fixed(m ≤ n) is a subset of
-    sample_fixed(n), so growing a debugging sample keeps old rows.
-
-    Schema-preserving and scale-shaped: each batch keeps only its own
-    n smallest-hash rows (vectorized argpartition combiner), so the
-    final exchange sorts a candidate set of ≤ #blocks × n rows — never
-    the input — and ``limit(n)`` trims it.  n is human-sized by
-    contract (it lands on the driver when ``as_pandas``).
-    """
-
-    def combine(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy().astype(np.uint64)
-        h = ((ids * np.uint64(2654435761)) % np.uint64(4294967296)) \
-            .astype(np.int64)
-        if t.num_rows > n:
-            sel = np.argpartition(h, n)[:n]
-            t = t.take(pa.array(sel))
-            h = h[sel]
-        return t.append_column("__h", pa.array(h))
-
-    out = (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .sort(["__h", id_col])
-        .limit(n)
-        .drop_columns(["__h"])
-    )
-    if not as_pandas:
-        return out
-    df = out.to_pandas()
-    return df.sort_values(id_col).reset_index(drop=True)
-
-
-def grouped_topk(ds, group_col: str, val_col: str, k: int,
-                 id_col: str = "doc_id", as_pandas: bool = True,
-                 small_limit: int = 200_000):
-    """Top-k rows per group by (val desc, id asc) — the window-function
-    ``row_number() OVER (PARTITION BY g ORDER BY v DESC)`` analog.
-
-    Fully distributed merge (nothing group-cardinality-sized ever lands
-    on the driver):
-
-    1. per-batch combiner: each batch emits at most k rows per group it
-       contains (vectorized lexsort + run-limited take), so the merge
-       sees ≤ groups × batches × k rows, never the input;
-    2. ONE ``sort([group, val desc, id])`` range exchange over the
-       combiner output — a global sort keeps each group contiguous and
-       already rank-ordered;
-    3. per sorted block, every key-run strictly interior to the block is
-       COMPLETE: its first min(k, len) rows ARE the group's top-k (one
-       vectorized run-limited take).  Only the first/last run of each
-       block — O(#blocks) runs — pass through to a tiny driver-side
-       rebase (the postings-merge boundary pattern,
-       ``stages/postings.py:78-128``).
-
-    Combiner outputs of ≤ ``small_limit`` rows skip the sort exchange
-    and merge on the driver — exact same result, none of the toy-scale
-    shuffle overhead (the ``_pairs_from_band_rows`` shortcut pattern).
-
-    Returns a pandas frame (group, id, val) sorted (group, rank) when
-    ``as_pandas`` (the oracle-comparison shape), else the un-collected
-    Dataset for group cardinalities too large to materialize anywhere.
-    """
-    import pandas as pd
-    import ray.data as rd
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = np.asarray(t[group_col].to_pylist(), dtype=object)
-        v = t[val_col].to_numpy()
-        # zero_copy_only=False: id may be a string column (e.g. a term)
-        i = t[id_col].to_numpy(zero_copy_only=False)
-        # sort (group asc, val desc, id asc), keep first k of each run
-        order = np.lexsort((i, -v, g))
-        gs = g[order]
-        heads = np.concatenate(([0], np.flatnonzero(gs[1:] != gs[:-1]) + 1,
-                                [gs.size]))
-        keep = []
-        for s, e in zip(heads[:-1], heads[1:]):
-            keep.append(order[s : min(s + k, e)])
-        sel = np.concatenate(keep) if keep else np.empty(0, np.int64)
-        return t.take(pa.array(sel))
-
-    def rank_runs(t: pa.Table) -> pa.Table:
-        """Within-run rank per row; first/last run of the block → -1
-        (may straddle a sorted-block boundary)."""
-        n = t.num_rows
-        if n == 0:
-            return t.append_column("__rank", pa.array([], pa.int64()))
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        change[1:] = g[1:] != g[:-1]
-        heads = np.flatnonzero(change)
-        run_id = np.cumsum(change) - 1
-        rank = np.arange(n, dtype=np.int64) - heads[run_id]
-        if heads.size <= 2:  # ≤2 runs: everything may straddle
-            rank[:] = -1
-        else:
-            rank[: heads[1]] = -1
-            rank[heads[-1]:] = -1
-        return t.append_column("__rank", pa.array(rank))
-
-    parts = (
-        ds.select_columns([group_col, val_col, id_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .materialize()
-    )
-    if parts.count() <= small_limit:
-        small = (
-            parts.to_pandas()
-            .sort_values([group_col, val_col, id_col],
-                         ascending=[True, False, True], kind="mergesort")
-            .groupby(group_col, sort=True)
-            .head(k)
-            .reset_index(drop=True)[[group_col, id_col, val_col]]
-        )
-        if as_pandas:
-            return small
-        return rd.from_pandas(small[[group_col, val_col, id_col]])
-    mixed = (
-        parts.sort([group_col, val_col, id_col],
-                   descending=[False, True, False])
-        .map_batches(rank_runs, batch_format="pyarrow")
-        .materialize()
-    )
-    fin = mixed.map_batches(
-        lambda t: t.filter(
-            pc.and_(pc.greater_equal(t["__rank"], 0),
-                    pc.less(t["__rank"], k))
-        ).drop_columns(["__rank"]),
-        batch_format="pyarrow",
-    )
-    bnd = mixed.map_batches(
-        lambda t: t.filter(pc.less(t["__rank"], 0)).drop_columns(["__rank"]),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if not bnd.empty:
-        bnd = (
-            bnd.sort_values([group_col, val_col, id_col],
-                            ascending=[True, False, True], kind="mergesort")
-            .groupby(group_col, sort=False)
-            .head(k)
-        )
-        fin = fin.union(rd.from_pandas(bnd))
-    if not as_pandas:
-        return fin
-    out = fin.to_pandas()
-    return (
-        out.sort_values([group_col, val_col, id_col],
-                        ascending=[True, False, True])
-        .reset_index(drop=True)[[group_col, id_col, val_col]]
-    )
-
-
 def substring_overlap_flag(ds, col_a: str, col_b: str,
                            out_col: str = "street_has_loc",
                            analyzer=None):
@@ -491,242 +302,3 @@ def parse_first_number(ds, col: str, out_col: str = "housenumber_number"):
         return t.append_column(out_col, out)
 
     return ds.map_batches(f, batch_format="pyarrow")
-
-
-def stratified_sample(ds, group_col: str, cap: int, id_col: str = "doc_id",
-                      as_pandas: bool = True):
-    """Deterministic stratified sampling: keep (up to) ``cap`` rows per
-    group — the ones with the smallest Knuth multiplicative hash of
-    ``id_col``, so membership is uniform-ish within each stratum yet
-    reproducible across runs/engines with no RNG state (the
-    ``sample_hash`` arithmetic, rank-capped per group).
-
-    Rides ``grouped_topk``'s fully distributed merge (run-limited
-    combiner → sort exchange → interior-run take + boundary rebase), so
-    nothing group-cardinality-sized reaches the driver.  Returns a
-    pandas frame (group, id) sorted when ``as_pandas``, else the
-    Dataset."""
-    def add_h(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy().astype(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
-        # negate: grouped_topk takes val DESC, we want hash ASC
-        return t.append_column("__h", pa.array(-h.astype(np.int64)))
-
-    out = grouped_topk(
-        ds.map_batches(add_h, batch_format="pyarrow"),
-        group_col, "__h", cap, id_col=id_col, as_pandas=as_pandas,
-    )
-    if not as_pandas:
-        return out.map_batches(
-            lambda t: t.drop_columns(["__h"]), batch_format="pyarrow"
-        )
-    return (
-        out[[group_col, id_col]]
-        .sort_values([group_col, id_col])
-        .reset_index(drop=True)
-    )
-
-
-def sample_counts_per_group(ds, group_col: str, counts: dict,
-                            id_col: str = "doc_id") -> pd.DataFrame:
-    """Deterministic per-group sample sizes — the data-MIX construction
-    step of an LLM corpus pipeline (keep exactly ``counts[g]`` rows of
-    group ``g``; groups absent from ``counts`` drop entirely).
-
-    Membership is the :func:`stratified_sample` rule — the ``counts[g]``
-    rows with the smallest Knuth multiplicative hash of ``id_col`` —
-    so the mix is uniform-ish within each stratum yet reproducible
-    across runs/engines with no RNG state, and shrinking a group's
-    quota yields a SUBSET of the larger sample (hash-rank prefixes
-    nest).
-
-    Rides :func:`grouped_topk`'s fully distributed merge ONCE with
-    ``k = max(counts)``, then trims each group to its own quota on the
-    collected candidates — the driver holds ≤ groups × max(counts)
-    rows (the mix spec itself is human-sized), never the input.
-    """
-    keep = {g: int(c) for g, c in counts.items() if int(c) > 0}
-    if not keep:
-        return pd.DataFrame(columns=[group_col, id_col])
-    kmax = max(keep.values())
-
-    def add_h(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t[group_col],
-                              value_set=pa.array(list(keep))))
-        ids = t[id_col].to_numpy().astype(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
-        return t.append_column("__h", pa.array(-h.astype(np.int64)))
-
-    cand = grouped_topk(
-        ds.map_batches(add_h, batch_format="pyarrow"),
-        group_col, "__h", kmax, id_col=id_col, as_pandas=True,
-    )
-    # candidates arrive (group, rank)-sorted: per-group head(counts[g])
-    out = (cand.groupby(group_col, sort=False, group_keys=False)
-           .apply(lambda g: g.head(keep[g.name])))
-    return (out[[group_col, id_col]]
-            .sort_values([group_col, id_col]).reset_index(drop=True))
-
-
-def sample_to_proportions(ds, group_col: str, shares: dict, total: int,
-                          id_col: str = "doc_id") -> pd.DataFrame:
-    """Deterministic sampling to a target mix: ``floor(total ×
-    shares[g])`` rows per group via :func:`sample_counts_per_group`."""
-    return sample_counts_per_group(
-        ds, group_col,
-        {g: int(np.floor(total * s)) for g, s in shares.items()},
-        id_col=id_col)
-
-
-def upsample_groups(ds, group_col: str, factors: dict, default: int = 1,
-                    rep_col: str = "rep"):
-    """Per-group integer upsampling — the epoch-weighting half of data
-    mixing: each row of group ``g`` repeats ``factors.get(g, default)``
-    times, with a 0-based copy index in ``rep_col`` (factor 0 drops the
-    group).  Shuffle-free: the factor dict broadcasts via ``ray.put``
-    and each batch expands with one ``np.repeat`` — the repetition
-    happens inside the stream, never on the driver."""
-    import ray
-
-    fref = ray.put({g: int(f) for g, f in factors.items()})
-    dflt = int(default)
-
-    class Expand:
-        def __init__(self):
-            self.f = ray.get(fref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            schema = t.schema.append(pa.field(rep_col, pa.int64()))
-            if t.num_rows == 0:
-                return schema.empty_table()
-            g = t[group_col].to_pylist()
-            reps = np.fromiter((self.f.get(x, dflt) for x in g),
-                               np.int64, len(g))
-            reps = np.maximum(reps, 0)
-            ridx = np.repeat(np.arange(t.num_rows, dtype=np.int64), reps)
-            total = int(reps.sum())
-            rep = (np.arange(total, dtype=np.int64)
-                   - np.repeat(np.cumsum(reps) - reps, reps))
-            out = t.take(pa.array(ridx))
-            return out.append_column(rep_col, pa.array(rep))
-
-    return ds.map_batches(Expand, batch_format="pyarrow",
-                          concurrency=(2, 16))
-
-
-def equi_join(left, right, on, right_on=None, how: str = "inner",
-              strategy: str = "auto", num_partitions: int | None = None,
-              broadcast_limit: int = 2_000_000,
-              left_suffix: str | None = None, right_suffix: str = "_r",
-              rows_hint: int | None = None):
-    """General equi-join of two Datasets — the reference's closest
-    analog is the ES terms-lookup enrichment (``imp/addr/
-    UpdateStreetsUsage.java:47-132`` joins streets to usage counts one
-    search per row); here it is ONE declared join with an explicit
-    distribution strategy:
-
-    * ``"broadcast"`` — the dimension-table shape: the right side
-      gathers once, ships via ``ray.put`` (read per ACTOR, not per
-      batch), and each batch joins against it with Arrow's C++ hash
-      join (``pa.Table.join``).  No shuffle of the left side at all —
-      the fact table streams through untouched.  Valid for
-      left-preserving joins (``inner / left_outer / left_semi /
-      left_anti``).
-    * ``"shuffle"`` — large×large: Ray Data's hash-shuffle
-      ``Dataset.join`` (one all-to-all exchange per side, one
-      aggregator actor per partition — see :func:`_join_partitions`
-      for why partitions track the session CPU count).
-    * ``"auto"`` (default) — broadcast when the join is
-      left-preserving and the right side has ≤ ``broadcast_limit``
-      rows, else shuffle.
-
-    Null join keys never match (SQL semantics — verified for both
-    paths in ``test_equi_join_*``); duplicate keys expand m×n.
-    Overlapping non-key column names take ``right_suffix`` /
-    ``left_suffix``.  Output row order is unspecified (both paths are
-    streaming/parallel).
-
-    ``rows_hint``: caller-declared total input row count (e.g. from
-    parquet metadata — a planner's table stats).  With a hint and no
-    explicit ``num_partitions``, the shuffle's aggregator count is
-    ``clamp(rows_hint / 1M, 2, cpus)`` instead of a flat cpu-count —
-    each aggregator actor costs real startup, so a 150k-row join at
-    32 partitions spends 2.5× longer on actor spin-up than the join
-    itself (measured); at 100-TB row counts the clamp returns the
-    cpu count unchanged.
-    """
-    import ray
-
-    on = (on,) if isinstance(on, str) else tuple(on)
-    ron = on if right_on is None else (
-        (right_on,) if isinstance(right_on, str) else tuple(right_on))
-    arrow_how = {"inner": "inner", "left_outer": "left outer",
-                 "left_semi": "left semi", "left_anti": "left anti"}
-    if strategy == "auto":
-        strategy = ("broadcast" if how in arrow_how
-                    and right.count() <= broadcast_limit else "shuffle")
-    if strategy == "broadcast":
-        if how not in arrow_how:
-            raise ValueError(
-                f"broadcast strategy cannot preserve unmatched right "
-                f"rows for join type {how!r}; use strategy='shuffle'")
-        parts = [p for p in ray.get(right.to_arrow_refs())
-                 if p.num_rows]
-        rt = (pa.concat_tables(parts) if parts
-              else pa.Table.from_pylist(
-                  [], schema=right.schema().base_schema))
-        ref = ray.put(rt.combine_chunks())
-
-        class BroadcastJoin:
-            def __init__(self):
-                self.rt = ray.get(ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                return t.join(
-                    self.rt, keys=list(on), right_keys=list(ron),
-                    join_type=arrow_how[how],
-                    left_suffix=left_suffix or "",
-                    right_suffix=right_suffix)
-
-        return left.map_batches(BroadcastJoin, batch_format="pyarrow",
-                                concurrency=(2, 16))
-    if num_partitions is None and rows_hint is not None:
-        cap = _join_partitions(None)
-        num_partitions = max(2, min(cap, -(-rows_hint // 1_000_000)))
-    return left.join(
-        right, join_type=how,
-        num_partitions=_join_partitions(num_partitions),
-        on=on, right_on=ron,
-        left_suffix=left_suffix, right_suffix=right_suffix)
-
-
-def column_histogram(ds, col: str, bins: int, lo: float, hi: float):
-    """Fixed-range equi-width histogram — the mergeable distribution
-    summary (out-of-range values clamp into the edge buckets).  Each
-    batch reduces to ≤ ``bins`` (bucket, cnt) partial rows via one
-    ``np.bincount``; partials merge in a tiny ``groupby(bucket).sum``.
-    Deterministic, so quantile reads off the cumulative histogram are
-    reproducible anywhere (and in the SQL oracle)."""
-    w = (hi - lo) / bins
-
-    def partial(t: pa.Table) -> pa.Table:
-        x = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        x = x[np.isfinite(x)]  # nulls/NaN/inf drop, matching the SQL
-        # oracle and np.histogram (they'd otherwise land in bucket 0)
-        b = np.clip(((x - lo) // w).astype(np.int64), 0, bins - 1)
-        cnt = np.bincount(b, minlength=bins)
-        nz = np.flatnonzero(cnt)
-        return pa.table({"bucket": pa.array(nz),
-                         "cnt": pa.array(cnt[nz])})
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .sum("cnt")
-        .to_pandas()
-        .rename(columns={"sum(cnt)": "cnt"})
-        .sort_values("bucket")
-        .reset_index(drop=True)
-    )
-    out["edge_lo"] = lo + out["bucket"] * w
-    return out[["bucket", "edge_lo", "cnt"]]

@@ -315,6 +315,20 @@ class QueryScorer:
         )
 
 
+def _check_actors_fit(actors: int, num_cpus: float) -> None:
+    """Raise unless ``actors`` actors of ``num_cpus`` CPUs each fit the
+    Ray cluster at once.  An actor that does not fit stays pending, and
+    every request routed to it waits forever."""
+    import ray
+
+    cpus = ray.cluster_resources().get("CPU", 0)
+    if actors * num_cpus > cpus:
+        raise ValueError(
+            f"{actors} actors x num_cpus={num_cpus} need more than the "
+            f"cluster's {cpus:g} CPUs; the extra actors would never start"
+        )
+
+
 class QueryService:
     """Persistent query-serving actor pool (reference: the ``serve``
     command's RestExpress + ES cluster, ``server/REServer.java:54-96``).
@@ -330,6 +344,8 @@ class QueryService:
     def __init__(self, index_dir: str, pool_size: int = 4, use_prior: bool = False,
                  num_cpus: float = 1.0):
         import ray
+
+        _check_actors_fit(pool_size, num_cpus)
 
         @ray.remote(num_cpus=num_cpus)
         class _Worker:
@@ -488,6 +504,7 @@ class ShardedQueryService:
             )
         if shards is None:
             shards = [[s] for s in segments]  # one actor per segment
+        _check_actors_fit(len(shards), num_cpus)
         self.analyzer = Analyzer(AnalyzerConfig.from_dict(man["analyzer"]))
         self.use_prior = use_prior
 

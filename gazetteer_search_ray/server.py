@@ -5,9 +5,9 @@ Reference flow (``server/REServer.java:54-96`` → routes
 ``api/SearchAPIAdapter.java:63-137`` → ``ESDefaultSearch.search`` →
 ``api/ResultsWrapper.java:27-75``): a thin HTTP adapter over the search
 stack.  Here the adapter is a stdlib ``ThreadingHTTPServer`` over a warm
-``Searcher`` (or, when a Ray session is up and ``pool_size > 1``, the
-``QueryService`` actor pool — each worker holds index + caches loaded
-once, the reference's singleton-ES-client analog).
+``Searcher`` (or, when ``pool_size > 1``, the ``QueryService`` actor
+pool, which needs a Ray session — each worker holds index + caches
+loaded once, the reference's singleton-ES-client analog).
 
 Routes:
 
@@ -74,12 +74,15 @@ class SearchHTTPServer:
         if pool_size > 1:
             import ray
 
-            if ray.is_initialized():
-                from .pipelines.search import QueryService
+            if not ray.is_initialized():
+                raise RuntimeError(
+                    f"pool_size={pool_size} needs a Ray session; "
+                    "use pool_size=1 to serve in-process")
+            from .pipelines.search import QueryService
 
-                self._svc = QueryService(index_dir, pool_size=pool_size,
-                                         use_prior=use_prior)
-        if self._svc is None:
+            self._svc = QueryService(index_dir, pool_size=pool_size,
+                                     use_prior=use_prior)
+        else:
             self._searcher = Searcher(index_dir)
         self.default_use_prior = use_prior
         self._closing = threading.Event()
@@ -278,7 +281,8 @@ def serve(index_dir: str, port: int = 8080, pool_size: int = 1,
     s = SearchHTTPServer(index_dir, port=port, pool_size=pool_size,
                          use_prior=use_prior)
     print(json.dumps({"serving": f"http://127.0.0.1:{s.port}",
-                      "index": index_dir, "pool_size": pool_size}))
+                      "index": index_dir, "pool_size": pool_size}),
+          flush=True)
     try:
         s.serve_forever()
     except KeyboardInterrupt:

@@ -1,4 +1,5 @@
-"""CLI end to end: ``import``, ``import --update`` and ``search``.
+"""CLI end to end: ``import``, ``import --update``, ``search`` and
+``serve``.
 
 Each command runs in a subprocess because ``cli.main`` owns its Ray
 session and shuts it down on exit.
@@ -7,8 +8,11 @@ session and shuts it down on exit.
 from __future__ import annotations
 
 import json
+import select
+import signal
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pyarrow as pa
@@ -60,3 +64,44 @@ def test_import_update_search(tmp_path):
     hits = _cli("search", "--index", index, "--q", "zebraquokka")
     assert len(hits) == 1
     assert hits[0]["path"] == "src/planted.py"
+
+
+def test_serve_through_pool(tmp_path):
+    """``serve --pool-size 2`` on two CPUs answers through the actor
+    pool; on one CPU the same pool is refused at start, where it used to
+    leave one worker pending and every request sent to it unanswered."""
+    docs = [{"repo": "r", "path": f"src/f{i}.py", "commit": "c0",
+             "lang": "python", "content": f"def zebraquokka_{i}(): pass"}
+            for i in range(4)]
+    index = str(tmp_path / "index")
+    _cli("import", "--input", _corpus(tmp_path / "c", docs), "--index", index)
+
+    cmd = [sys.executable, "-m", "gazetteer_search_ray.cli", "--num-cpus"]
+    refused = subprocess.run(
+        [*cmd, "1", "serve", "--index", index, "--port", "0",
+         "--pool-size", "2"],
+        cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert refused.returncode != 0
+    assert "CPUs" in refused.stderr
+
+    proc = subprocess.Popen(
+        [*cmd, "2", "serve", "--index", index, "--port", "0",
+         "--pool-size", "2"],
+        cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 300)
+        assert ready, "serve printed no address"
+        info = json.loads(proc.stdout.readline())
+        assert info["pool_size"] == 2
+        for _ in range(4):  # round-robin reaches both workers
+            with urllib.request.urlopen(
+                    info["serving"] + "/location/_search?q=def", timeout=60) as r:
+                body = json.loads(r.read())
+            assert body["total_hits"] == 4
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()

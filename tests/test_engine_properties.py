@@ -6,6 +6,16 @@ combining mark, ``TokenizeStage`` must emit, row by row, exactly the
 term stream of ``Analyzer.tokens`` (dedup off) under the simple, code
 and gazetteer presets, and its partial postings must carry the tf and
 field lengths of that stream, for the content and one extra field.
+
+Codec v3: for random sorted unique doc ordinals whose gaps cross the 1-,
+2- and 4-byte widths, random tfs and random block sizes,
+``encode_posting_groups`` → ``decode_blocks`` must round-trip, for all
+blocks and for a random subset of them, and every ``block_*`` column
+must equal a recomputation from the decoded postings.
+
+Packing: random (term, doc, tf) triples packed in random batches at a
+random pack cap by ``pack_partials``, shuffled and encoded by
+``encode_partials_table``, must decode to a dict reference.
 """
 
 from __future__ import annotations
@@ -19,10 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazetteer_search_ray.functions.analyzer import Analyzer, AnalyzerConfig
+from gazetteer_search_ray.functions.codec import (
+    decode_blocks,
+    encode_posting_groups,
+)
+from gazetteer_search_ray.stages.postings import encode_partials_table
 from gazetteer_search_ray.stages.tokenize import (
     FIELD_SEP,
     TokenizeStage,
     flat_from_binary_col,
+    pack_partials,
     varbyte_flat_from_binary_col,
 )
 
@@ -107,3 +123,157 @@ def test_tokenize_partials_match_analyzer(preset, rows, extra, shards):
         assert (term, d) not in got, "duplicate posting"
         got[(term, d)] = (tf, dl)
     assert got == want
+
+
+# ordinal gaps on both sides of each byte width of a stored gap (gap - 1)
+_gap = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([255, 256, 257, 65535, 65536, 65537, 65538]),
+    st.integers(1, 1 << 20),
+)
+block_sizes = st.one_of(st.integers(1, 5), st.sampled_from([7, 128]),
+                        st.integers(1, 300))
+
+
+def _width(gap: int) -> int:
+    return 1 if gap < 1 << 8 else 2 if gap < 1 << 16 else 4
+
+
+def _varbyte_len(v: int) -> int:
+    return max(1, -(-v.bit_length() // 7))
+
+
+@st.composite
+def posting_groups(draw):
+    """(per-group sorted ordinals, tfs, dls) and a block size."""
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        gaps = draw(st.lists(_gap, min_size=1, max_size=300))
+        ords = np.cumsum(np.array(gaps, np.int64)) - 1
+        n = ords.size
+        tfs = draw(st.lists(st.integers(1, 1 << 20), min_size=n, max_size=n))
+        dls = draw(st.lists(st.integers(0, 1 << 32), min_size=n, max_size=n))
+        groups.append((ords, np.array(tfs, np.int64), np.array(dls, np.int64)))
+    return groups, draw(block_sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=posting_groups(), data=st.data())
+def test_codec_groups_roundtrip_and_block_metadata(case, data):
+    groups, bs = case
+    # entries need not be sorted within a group: encode them shuffled
+    perms = [np.array(data.draw(st.permutations(range(g[0].size))), np.int64)
+             for g in groups]
+    enc = encode_posting_groups(
+        np.concatenate([g[0][p] for g, p in zip(groups, perms)]),
+        np.concatenate([g[1][p] for g, p in zip(groups, perms)]),
+        np.concatenate([g[2][p] for g, p in zip(groups, perms)]),
+        np.concatenate(([0], np.cumsum([g[0].size for g in groups]))),
+        bs,
+    )
+    rows = pa.table(enc).to_pylist()
+    assert len(rows) == len(groups)
+    for (ords, tfs, dls), row in zip(groups, rows):
+        n = ords.size
+        nb = -(-n // bs)
+        assert row["df"] == n
+        docs, got_tfs = decode_blocks(row, np.arange(nb), bs)
+        assert docs.tolist() == ords.tolist()
+        assert got_tfs.tolist() == tfs.tolist()
+
+        cuts = list(range(0, n, bs)) + [n]
+        blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        gaps = np.diff(ords, prepend=-1) - 1
+        widths = [_width(int(gaps[b].max())) for b in blocks]
+        assert row["block_last_doc"] == [int(ords[b][-1]) for b in blocks]
+        assert row["block_max_tf"] == [int(tfs[b].max()) for b in blocks]
+        assert row["block_min_dl"] == [min(int(dls[b].min()), 2**31 - 1)
+                                       for b in blocks]
+        sizes = [w * (b.stop - b.start) for w, b in zip(widths, blocks)]
+        assert row["block_docs_off"] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert len(row["docs"]) == sum(sizes)
+        tf_sizes = [sum(_varbyte_len(int(v)) for v in tfs[b]) for b in blocks]
+        assert row["block_tfs_off"] == np.cumsum([0] + tf_sizes[:-1]).tolist()
+
+        # any subset of blocks decodes on its own
+        sel = sorted(data.draw(st.sets(st.integers(0, nb - 1), max_size=nb)))
+        docs, got_tfs = decode_blocks(row, np.array(sel, np.int64), bs)
+        assert docs.tolist() == [int(d) for i in sel for d in ords[blocks[i]]]
+        assert got_tfs.tolist() == [int(t) for i in sel for t in tfs[blocks[i]]]
+
+
+@st.composite
+def packed_batches(draw):
+    """Docs with random (term, tf) postings, cut into batches."""
+    ndocs = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=ndocs,
+                        max_size=ndocs, unique=True))
+    vocab = draw(st.lists(st.text(st.sampled_from("abcxé"), min_size=1,
+                                  max_size=3), min_size=1, max_size=8,
+                          unique=True))
+    docs = []
+    for d in ids:
+        terms = draw(st.dictionaries(st.sampled_from(vocab),
+                                     st.integers(1, 300), max_size=5))
+        docs.append((d, terms, draw(st.integers(1, 1000))))
+    cuts = sorted(draw(st.sets(st.integers(1, ndocs - 1), max_size=4))
+                  ) if ndocs > 1 else []
+    return [docs[a:b] for a, b in zip([0] + cuts, cuts + [ndocs])]
+
+
+def _pack(batch, shards: int, cap: int) -> pa.Table:
+    """One tokenize batch's partials: a run per (term, shard), docs
+    ascending, as ``TokenizeStage`` packs them."""
+    runs: dict = {}
+    for d, terms, dl in sorted(batch):
+        for term, tf in terms.items():
+            runs.setdefault((term, d % shards), []).append((d, tf, dl))
+    keys = sorted(runs)
+    flat = [p for k in keys for p in runs[k]]
+    return pack_partials(
+        pa.array([k[0] for k in keys], pa.string()),
+        np.array([k[1] for k in keys], np.int32),
+        np.array([p[0] for p in flat], np.int64),
+        np.array([p[1] for p in flat], np.int64),
+        np.array([p[2] for p in flat], np.int64),
+        np.concatenate(([0], np.cumsum([len(runs[k]) for k in keys]))),
+        shards, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=packed_batches(), shards=st.integers(1, 2),
+       cap=st.one_of(st.integers(0, 4), st.just(128)), bs=block_sizes,
+       extra_ids=st.lists(st.integers(0, 2**63 - 1), max_size=5),
+       data=st.data())
+def test_pack_then_encode_matches_dict(batches, shards, cap, bs, extra_ids,
+                                       data):
+    want: dict = {}
+    for batch in batches:
+        for d, terms, dl in batch:
+            for term, tf in terms.items():
+                want.setdefault((term, d % shards), {})[d] = (tf, dl)
+    parts = pa.concat_tables([_pack(b, shards, cap) for b in batches])
+    if cap:
+        _, per_row = flat_from_binary_col(parts["docs"], np.dtype("<i8"))
+        assert per_row.max(initial=0) <= cap
+    order = data.draw(st.permutations(range(parts.num_rows)))
+    parts = parts.take(pa.array(order, pa.int64()))
+    # the segment's doc store may hold docs without postings
+    ids = np.unique(np.array([d for b in batches for d, _, _ in b]
+                             + extra_ids, np.int64))
+    out = encode_partials_table(parts, bs, doc_ids=ids)
+
+    got: dict = {}
+    for row in out.to_pylist():
+        key = (row["term"], row["shard"])
+        assert key not in got, "posting list split across rows"
+        nb = len(row["block_last_doc"])
+        ords, tfs = decode_blocks(row, np.arange(nb), bs)
+        assert row["df"] == ords.size
+        got[key] = {int(ids[o]): int(t) for o, t in zip(ords, tfs)}
+        lists = want[key]
+        dls = [lists[d][1] for d in sorted(lists)]  # in ordinal order
+        assert row["block_min_dl"] == [min(dls[i:i + bs])
+                                       for i in range(0, len(dls), bs)]
+    assert got == {k: {d: tf for d, (tf, _) in v.items()}
+                   for k, v in want.items()}

@@ -478,6 +478,69 @@ def test_sharded_scatter_gather_matches_unsharded(ray_session):
         svc.shutdown()
 
 
+# Runs in a fresh interpreter: first with no Ray session, then under a
+# 1-CPU one, where a pool of 2 would leave one actor pending forever.
+_OVERSUBSCRIBE = """
+import json, sys
+import ray
+from gazetteer_search_ray.pipelines.search import (
+    QueryService, ShardedQueryService)
+from gazetteer_search_ray.server import SearchHTTPServer
+
+idx = sys.argv[1]
+out = {}
+def raises(key, exc, fn):
+    try:
+        fn()
+    except exc as e:
+        out[key] = str(e)
+raises("server", RuntimeError, lambda: SearchHTTPServer(idx, pool_size=2))
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+raises("pool", ValueError, lambda: QueryService(idx, pool_size=2))
+raises("sharded", ValueError, lambda: ShardedQueryService(idx))
+svc = QueryService(idx, pool_size=1)
+out["hits"] = [len(r["hits"]) for r in svc.replay([{"q": "def"}] * 3)]
+svc.shutdown()
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_pool_larger_than_cluster_raises(ray_session, tmp_path):
+    """A pool or a shard set that needs more CPUs than the cluster has
+    raises at construction, and a pooled server without Ray raises; a
+    pool that fits still answers every request."""
+    import glob
+    import subprocess
+    import sys
+
+    from gazetteer_search_ray.pipelines.build_index import (
+        build_index_partitioned,
+    )
+
+    write_synthetic_corpus(f"{tmp_path}/corpus", n_docs=60, n_files=2)
+    index = f"{tmp_path}/idx"
+    build_index_partitioned(
+        sorted(glob.glob(f"{tmp_path}/corpus/*.parquet")), index,
+        BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=64),
+        num_partitions=2,
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _OVERSUBSCRIBE, index],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, timeout=240,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert "Ray session" in out.get("server", "")
+    assert "CPUs" in out.get("pool", "")
+    assert "CPUs" in out.get("sharded", "")
+    want = len(Searcher(index).search("def", k=20, use_prior=False))
+    assert want > 0
+    assert out["hits"] == [want] * 3
+
+
 def test_topk_approx_band_matches_exact(searcher):
     """The float32 band top-k (`_topk_bool_approx`) must return
     bit-identical (docs, scores) to the sparse exact path for every
