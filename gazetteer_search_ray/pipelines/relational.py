@@ -33,6 +33,22 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def _join_partitions(requested: int | None = None) -> int:
+    """Hash-shuffle partition count for ``Dataset.join``: the join spins
+    up one aggregator actor per partition, so demanding 32 on a 4-CPU
+    session starves the pool (measured: a toy join crawls for minutes).
+    Default = the session's CPU count, clamped to [2, 32]."""
+    if requested is not None:
+        return requested
+    try:
+        import ray
+
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        cpus = 8
+    return max(2, min(32, cpus))
+
+
 def distinct_first_by_key(ds, keys: list[str], order_col: str = "doc_id"):
     """One row (min order_col + group size) per distinct key tuple."""
     from ray.data.aggregate import Count, Min
@@ -230,6 +246,178 @@ def paged_scroll(ds, order_col: str, after, page_size: int,
     return ds.map_batches(f, batch_format="pyarrow").sort(order_col).limit(page_size)
 
 
+def sample_hash(ds, frac: float, id_col: str = "doc_id"):
+    """Deterministic hash sampling: keep rows whose Knuth multiplicative
+    hash of ``id_col`` falls under ``frac`` — reproducible across runs
+    and engines (the SQL oracle computes the same arithmetic), no RNG
+    state, one streaming pass, no shuffle."""
+    threshold = np.uint64(int(frac * 4294967296))
+
+    def f(t: pa.Table) -> pa.Table:
+        ids = t[id_col].to_numpy().astype(np.uint64)
+        h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
+        return t.filter(pa.array(h < threshold))
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def sample_fixed(ds, n: int, id_col: str = "doc_id", as_pandas: bool = True):
+    """Deterministic EXACTLY-n global sample: the ``n`` rows with the
+    smallest Knuth multiplicative hash of ``id_col`` (ties by id) —
+    the reproducible "give me exactly n uniform rows" primitive.
+    Sample prefixes NEST: sample_fixed(m ≤ n) is a subset of
+    sample_fixed(n), so growing a debugging sample keeps old rows.
+
+    Schema-preserving and scale-shaped: each batch keeps only its own
+    n smallest-hash rows (vectorized argpartition combiner), so the
+    final exchange sorts a candidate set of ≤ #blocks × n rows — never
+    the input — and ``limit(n)`` trims it.  n is human-sized by
+    contract (it lands on the driver when ``as_pandas``).
+    """
+
+    def combine(t: pa.Table) -> pa.Table:
+        ids = t[id_col].to_numpy().astype(np.uint64)
+        h = ((ids * np.uint64(2654435761)) % np.uint64(4294967296)) \
+            .astype(np.int64)
+        if t.num_rows > n:
+            sel = np.argpartition(h, n)[:n]
+            t = t.take(pa.array(sel))
+            h = h[sel]
+        return t.append_column("__h", pa.array(h))
+
+    out = (
+        ds.map_batches(combine, batch_format="pyarrow")
+        .sort(["__h", id_col])
+        .limit(n)
+        .drop_columns(["__h"])
+    )
+    if not as_pandas:
+        return out
+    df = out.to_pandas()
+    return df.sort_values(id_col).reset_index(drop=True)
+
+
+def grouped_topk(ds, group_col: str, val_col: str, k: int,
+                 id_col: str = "doc_id", as_pandas: bool = True,
+                 small_limit: int = 200_000):
+    """Top-k rows per group by (val desc, id asc) — the window-function
+    ``row_number() OVER (PARTITION BY g ORDER BY v DESC)`` analog.
+
+    Fully distributed merge (nothing group-cardinality-sized ever lands
+    on the driver):
+
+    1. per-batch combiner: each batch emits at most k rows per group it
+       contains (vectorized lexsort + run-limited take), so the merge
+       sees ≤ groups × batches × k rows, never the input;
+    2. ONE ``sort([group, val desc, id])`` range exchange over the
+       combiner output — a global sort keeps each group contiguous and
+       already rank-ordered;
+    3. per sorted block, every key-run strictly interior to the block is
+       COMPLETE: its first min(k, len) rows ARE the group's top-k (one
+       vectorized run-limited take).  Only the first/last run of each
+       block — O(#blocks) runs — pass through to a tiny driver-side
+       rebase (the postings-merge boundary pattern,
+       ``stages/postings.py:78-128``).
+
+    Combiner outputs of ≤ ``small_limit`` rows skip the sort exchange
+    and merge on the driver — exact same result, none of the toy-scale
+    shuffle overhead (the ``_pairs_from_band_rows`` shortcut pattern).
+
+    Returns a pandas frame (group, id, val) sorted (group, rank) when
+    ``as_pandas`` (the oracle-comparison shape), else the un-collected
+    Dataset for group cardinalities too large to materialize anywhere.
+    """
+    import pandas as pd
+    import ray.data as rd
+
+    def partial(t: pa.Table) -> pa.Table:
+        g = np.asarray(t[group_col].to_pylist(), dtype=object)
+        v = t[val_col].to_numpy()
+        # zero_copy_only=False: id may be a string column (e.g. a term)
+        i = t[id_col].to_numpy(zero_copy_only=False)
+        # sort (group asc, val desc, id asc), keep first k of each run
+        order = np.lexsort((i, -v, g))
+        gs = g[order]
+        heads = np.concatenate(([0], np.flatnonzero(gs[1:] != gs[:-1]) + 1,
+                                [gs.size]))
+        keep = []
+        for s, e in zip(heads[:-1], heads[1:]):
+            keep.append(order[s : min(s + k, e)])
+        sel = np.concatenate(keep) if keep else np.empty(0, np.int64)
+        return t.take(pa.array(sel))
+
+    def rank_runs(t: pa.Table) -> pa.Table:
+        """Within-run rank per row; first/last run of the block → -1
+        (may straddle a sorted-block boundary)."""
+        n = t.num_rows
+        if n == 0:
+            return t.append_column("__rank", pa.array([], pa.int64()))
+        g = t[group_col].to_numpy(zero_copy_only=False)
+        change = np.zeros(n, dtype=bool)
+        change[0] = True
+        change[1:] = g[1:] != g[:-1]
+        heads = np.flatnonzero(change)
+        run_id = np.cumsum(change) - 1
+        rank = np.arange(n, dtype=np.int64) - heads[run_id]
+        if heads.size <= 2:  # ≤2 runs: everything may straddle
+            rank[:] = -1
+        else:
+            rank[: heads[1]] = -1
+            rank[heads[-1]:] = -1
+        return t.append_column("__rank", pa.array(rank))
+
+    parts = (
+        ds.select_columns([group_col, val_col, id_col])
+        .map_batches(partial, batch_format="pyarrow")
+        .materialize()
+    )
+    if parts.count() <= small_limit:
+        small = (
+            parts.to_pandas()
+            .sort_values([group_col, val_col, id_col],
+                         ascending=[True, False, True], kind="mergesort")
+            .groupby(group_col, sort=True)
+            .head(k)
+            .reset_index(drop=True)[[group_col, id_col, val_col]]
+        )
+        if as_pandas:
+            return small
+        return rd.from_pandas(small[[group_col, val_col, id_col]])
+    mixed = (
+        parts.sort([group_col, val_col, id_col],
+                   descending=[False, True, False])
+        .map_batches(rank_runs, batch_format="pyarrow")
+        .materialize()
+    )
+    fin = mixed.map_batches(
+        lambda t: t.filter(
+            pc.and_(pc.greater_equal(t["__rank"], 0),
+                    pc.less(t["__rank"], k))
+        ).drop_columns(["__rank"]),
+        batch_format="pyarrow",
+    )
+    bnd = mixed.map_batches(
+        lambda t: t.filter(pc.less(t["__rank"], 0)).drop_columns(["__rank"]),
+        batch_format="pyarrow",
+    ).to_pandas()
+    if not bnd.empty:
+        bnd = (
+            bnd.sort_values([group_col, val_col, id_col],
+                            ascending=[True, False, True], kind="mergesort")
+            .groupby(group_col, sort=False)
+            .head(k)
+        )
+        fin = fin.union(rd.from_pandas(bnd))
+    if not as_pandas:
+        return fin
+    out = fin.to_pandas()
+    return (
+        out.sort_values([group_col, val_col, id_col],
+                        ascending=[True, False, True])
+        .reset_index(drop=True)[[group_col, id_col, val_col]]
+    )
+
+
 def substring_overlap_flag(ds, col_a: str, col_b: str,
                            out_col: str = "street_has_loc",
                            analyzer=None):
@@ -302,3 +490,37 @@ def parse_first_number(ds, col: str, out_col: str = "housenumber_number"):
         return t.append_column(out_col, out)
 
     return ds.map_batches(f, batch_format="pyarrow")
+
+
+def stratified_sample(ds, group_col: str, cap: int, id_col: str = "doc_id",
+                      as_pandas: bool = True):
+    """Deterministic stratified sampling: keep (up to) ``cap`` rows per
+    group — the ones with the smallest Knuth multiplicative hash of
+    ``id_col``, so membership is uniform-ish within each stratum yet
+    reproducible across runs/engines with no RNG state (the
+    ``sample_hash`` arithmetic, rank-capped per group).
+
+    Rides ``grouped_topk``'s fully distributed merge (run-limited
+    combiner → sort exchange → interior-run take + boundary rebase), so
+    nothing group-cardinality-sized reaches the driver.  Returns a
+    pandas frame (group, id) sorted when ``as_pandas``, else the
+    Dataset."""
+    def add_h(t: pa.Table) -> pa.Table:
+        ids = t[id_col].to_numpy().astype(np.uint64)
+        h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
+        # negate: grouped_topk takes val DESC, we want hash ASC
+        return t.append_column("__h", pa.array(-h.astype(np.int64)))
+
+    out = grouped_topk(
+        ds.map_batches(add_h, batch_format="pyarrow"),
+        group_col, "__h", cap, id_col=id_col, as_pandas=as_pandas,
+    )
+    if not as_pandas:
+        return out.map_batches(
+            lambda t: t.drop_columns(["__h"]), batch_format="pyarrow"
+        )
+    return (
+        out[[group_col, id_col]]
+        .sort_values([group_col, id_col])
+        .reset_index(drop=True)
+    )

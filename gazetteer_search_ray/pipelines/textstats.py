@@ -288,65 +288,6 @@ def approx_distinct(ds, col: str, group_col: str | None = None, p: int = 12):
     return res.rename(columns={"group": group_col})
 
 
-class HashingVectorizer:
-    """Actor-pool text → embedding stage (hashing trick): token counts
-    scatter into ``dim`` buckets with a sign hash, L2-normalized — the
-    deterministic no-model text featurizer that bridges the text corpus
-    into the similarity/ANN family (``pipelines/similarity.py``).
-    Token-hash cache persists across batches (actor state)."""
-
-    def __init__(self, dim: int = 64, text_col: str = "text",
-                 id_col: str = "doc_id"):
-        self.dim = dim
-        self.text_col = text_col
-        self.id_col = id_col
-        self._cache: dict[str, int] = {}
-
-    def _vec(self, text: str) -> np.ndarray:
-        from ..functions.sketch import hash64
-
-        toks = (text or "").lower().split()
-        v = np.zeros(self.dim, dtype=np.float64)
-        if not toks:
-            return v
-        cache = self._cache
-        miss = [t for t in set(toks) if t not in cache]
-        local: dict[str, int] = {}
-        if miss:
-            local = dict(zip(miss, (int(h) for h in hash64(miss))))
-            if len(cache) + len(miss) <= 1 << 20:  # size-capped actor cache
-                cache.update(local)
-        hs = np.array(
-            [cache[t] if t in cache else local[t] for t in toks],
-            dtype=np.uint64)
-        idx = (hs % np.uint64(self.dim)).astype(np.int64)
-        sign = np.where((hs >> np.uint64(63)) > 0, -1.0, 1.0)
-        np.add.at(v, idx, sign)
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else v
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        vecs = [self._vec(x) for x in t[self.text_col].to_pylist()]
-        return pa.table(
-            {
-                self.id_col: t[self.id_col],
-                "embedding": pa.array([v.tolist() for v in vecs],
-                                       pa.list_(pa.float64())),
-            }
-        )
-
-
-def text_embeddings(ds, dim: int = 64, text_col: str = "text",
-                    id_col: str = "doc_id", concurrency=(2, 8)):
-    """Dataset of (id, embedding list<float>) via the hashing trick."""
-    return ds.map_batches(
-        HashingVectorizer,
-        fn_constructor_kwargs=dict(dim=dim, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-
-
 def repetition_stats(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Gopher-style repetition quality signals (Rae et al. 2021 §A1.1,
     adapted to whitespace n-grams) — per doc:

@@ -1,19 +1,17 @@
 """Hypothesis property tests for the pure round-3 kernels: union-find
-labels, Misra-Gries summaries, the as-of resolution kernel, and the
-ragged-range emitter — all driver-free and Ray-free, so hypothesis can
-hammer shapes the handwritten tests don't reach."""
+labels, Misra-Gries summaries and the ragged-range emitter — all
+driver-free and Ray-free, so hypothesis can hammer shapes the
+handwritten tests don't reach."""
 
 from __future__ import annotations
 
 from collections import Counter
 
 import numpy as np
-import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazetteer_search_ray.functions.sketch import mg_merge, mg_truncate
-from gazetteer_search_ray.pipelines.asof import _SIDE, _resolve_sorted
 from gazetteer_search_ray.pipelines.dedup import union_find_labels
 from gazetteer_search_ray.pipelines.interval import _ragged_ranges
 
@@ -71,40 +69,6 @@ def test_misra_gries_merge_bound(stream, cap, nparts):
         assert f - c <= len(stream) / (cap + 1) + nparts * (
             len(stream) / nparts) / (cap + 1) + nparts
     assert len(mi) <= cap
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 30), st.booleans(),
-              st.integers(0, 99)),
-    min_size=1, max_size=120))
-def test_asof_resolve_sorted_matches_bruteforce(rows):
-    # build a (key, on, side)-sorted table; payload only on right rows
-    # full-tuple sort: equal-(k,on) right rows order by payload asc, so
-    # the kernel's last-in-order winner is the brute max-payload winner
-    rows = sorted(set(rows), key=lambda r: (r[0], r[1], r[2], r[3]))
-    key = [r[0] for r in rows]
-    on = [r[1] for r in rows]
-    side = [1 if r[2] else 0 for r in rows]  # left=1, right=0
-    pay = [float(r[3]) if not r[2] else None for r in rows]
-    lid = [i if r[2] else None for i, r in enumerate(rows)]
-    t = pa.table({
-        "k": pa.array(key, pa.int64()),
-        "on": pa.array(on, pa.int64()),
-        "lid": pa.array(lid, pa.int64()),
-        "v": pa.array(pay, pa.float64()),
-        _SIDE: pa.array(side, pa.int8()),
-    })
-    # note: table must be sorted by (k, on, side) with right BEFORE
-    # left at equal (k, on) — side 0 < 1 gives the inclusive tie rule
-    out = _resolve_sorted(t, "k", ["k", "on", "lid"], ["v"])
-    got = {int(r["lid"]): r["v"] for r in out.to_pylist()}
-    for i, r in enumerate(rows):
-        if not r[2]:
-            continue
-        cand = [x for x in rows if not x[2] and x[0] == r[0] and x[1] <= r[1]]
-        want = float(max(cand, key=lambda x: (x[1], x[3]))[3]) if cand else None
-        assert got[i] == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,8 +1,7 @@
 """Differential tests for the round-4 scale-shape reworks: distributed
-grouped-topk merge, distributed union-find, and the decontamination
-semi-join fallback — each checked against its driver-side /
-brute-force twin on inputs that force both the interior-run and
-boundary-run paths."""
+grouped-topk merge and distributed union-find — each checked against
+its driver-side / brute-force twin on inputs that force both the
+interior-run and boundary-run paths."""
 
 from __future__ import annotations
 
@@ -132,61 +131,6 @@ def test_union_find_distributed_matches_driver(ray_session):
         .astype({"doc_id": np.int64, "cluster_id": np.int64})
     )
     pd.testing.assert_frame_equal(got, want)
-
-
-# ---------------------------------------------------------------------------
-# decontamination semi-join fallback
-# ---------------------------------------------------------------------------
-
-
-def test_contamination_join_matches_broadcast(ray_session):
-    from gazetteer_search_ray.pipelines.contamination import (
-        contamination_report,
-        contamination_report_join,
-        eval_shingle_hashes,
-    )
-
-    rng = np.random.default_rng(8)
-    vocab = [f"w{i}" for i in range(30)]
-    texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 20)))
-             for _ in range(150)]
-    texts[3] = ""
-    texts[9] = "solo"
-    df = pd.DataFrame({"doc_id": np.arange(150, dtype=np.int64),
-                       "text": texts})
-    ev = df[df.doc_id % 12 == 0].reset_index(drop=True)
-    tr = df[df.doc_id % 12 != 0].reset_index(drop=True)
-    hashes = eval_shingle_hashes(_ds(ev), n=3)
-    want = (
-        contamination_report(_ds(tr), hashes, n=3).to_pandas()
-        .sort_values("doc_id").reset_index(drop=True)
-        .astype({"doc_id": np.int64, "n_overlap": np.int64})
-    )
-    got = (
-        contamination_report_join(_ds(tr), _ds(ev), n=3).to_pandas()
-        .sort_values("doc_id").reset_index(drop=True)
-        .astype({"doc_id": np.int64, "n_overlap": np.int64})
-    )
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_decontaminate_join_strategy_matches(ray_session):
-    from gazetteer_search_ray.pipelines.contamination import decontaminate
-
-    rng = np.random.default_rng(9)
-    vocab = [f"w{i}" for i in range(25)]
-    texts = [" ".join(rng.choice(vocab, size=rng.integers(3, 15)))
-             for _ in range(100)]
-    df = pd.DataFrame({"doc_id": np.arange(100, dtype=np.int64),
-                       "text": texts})
-    ev = df[df.doc_id % 9 == 0].reset_index(drop=True)
-    tr = df[df.doc_id % 9 != 0].reset_index(drop=True)
-    kept_b = set(decontaminate(_ds(tr), _ds(ev), n=3,
-                               strategy="broadcast").to_pandas()["doc_id"])
-    kept_j = set(decontaminate(_ds(tr), _ds(ev), n=3,
-                               strategy="join").to_pandas()["doc_id"])
-    assert kept_b == kept_j
-    assert kept_b < set(tr["doc_id"])  # something was actually dropped
 
 
 # ---------------------------------------------------------------------------
