@@ -49,6 +49,8 @@ def _varbyte_encode_starts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values)
     if v.size == 0:
         return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+    if v.min() >= 0 and v.max() < 128:  # one byte each (most tfs)
+        return v.astype(np.uint8), np.arange(v.size, dtype=np.int64)
     v = v.astype(np.uint64, copy=True)
     # number of 7-bit groups per value (1..10)
     nb = np.ones(v.shape, dtype=np.int64)
@@ -340,12 +342,13 @@ def encode_posting_groups(
 
     ``docs`` (ordinals)/``tfs``/``dls`` are the concatenated entries of
     G non-empty groups; ``group_offsets`` (len G+1) delimits them.
-    Entries need not be sorted within a group — a single lexsort handles
-    all groups at once.  Returns Arrow arrays of length G, keyed like
-    :func:`encode_posting`: ``df`` (int64), ``docs``/``tfs`` (binary)
-    and the five ``block_*`` list columns, each built over the one
-    buffer the whole pass computes, with the exact same per-group
-    content as :func:`encode_posting`, verified by differential test.
+    Entries need not be sorted within a group — one argsort of the fused
+    key ``group << 31 | ordinal`` handles all groups at once.  Returns
+    Arrow arrays of length G, keyed like :func:`encode_posting`: ``df``
+    (int64), ``docs``/``tfs`` (binary) and the five ``block_*`` list
+    columns, each built over the one buffer the whole pass computes,
+    with the exact same per-group content as :func:`encode_posting`,
+    verified by differential test.
 
     This exists because a per-group Python call (Ray ``map_groups``)
     costs ~10ms/group — fatal at vocabulary scale; here the whole block
@@ -360,9 +363,12 @@ def encode_posting_groups(
     n = docs.size
     lens = np.diff(off)
     gid = np.repeat(np.arange(ngroups, dtype=np.int64), lens)
-    order = np.lexsort((docs, gid))
+    # ordinals fit 31 bits, so the fused key cannot overflow; ordinals
+    # are unique within a group (the gap check below raises otherwise),
+    # so any sort of it gives the (group, ordinal) order
+    _check_ordinals(docs)
+    order = np.argsort((gid << 31) | docs)
     docs_s, tfs_s, dls_s = docs[order], tfs[order], dls[order]
-    _check_ordinals(docs_s)
 
     starts = off[:-1]
     gaps = np.empty(n, np.int64)

@@ -7,10 +7,11 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
       ├ side-writes docmeta parquet segments   #   (doc store, fused pass)
       └ emits packed partial postings          #   (materialized)
     → stats scan over docmeta (tiny)           # + doc_id collision check;
-                                               #   sorted ids → ray.put
+                                               #   doc lengths → ray.put
     → write_postings: repartition(n)           # the exchange, n set by
       .sort(skey) + per-block encode           #   CPUs and partial bytes;
-      + driver boundary merge                  #   doc ids → ordinals
+      + driver boundary merge                  #   doc ids → ordinals,
+                                               #   block_min_dl from dl
     → manifest commit (atomic, LAST)
 
 The manifest is the commit point; :func:`build_index_partitioned` builds
@@ -104,6 +105,8 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
     meta = pads.dataset(docmeta_dir, format="parquet")
     field_cols = [f"dl__{f}" for f, _ in opts.extra_fields]
     stats = meta.to_table(columns=["doc_id", "dl"] + field_cols)
+    # the segment's doc-length table: row i is ordinal i
+    stats = stats.take(pc.sort_indices(stats["doc_id"]))
     n_docs = stats.num_rows
     total_tokens = int(pc.sum(stats["dl"]).as_py() or 0)
     field_stats = {}
@@ -113,7 +116,7 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
             "total_tokens": ftot,
             "avgdl": (ftot / n_docs) if n_docs else 0.0,
         }
-    ids_sorted = np.sort(stats["doc_id"].to_numpy())
+    ids_sorted = stats["doc_id"].to_numpy()
     if n_docs > 1 and np.any(ids_sorted[1:] == ids_sorted[:-1]):
         n_unique = int(np.count_nonzero(np.diff(ids_sorted))) + 1
         raise ValueError(
@@ -121,7 +124,7 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
         )
     stats_sec = round(time.monotonic() - t_p, 2)
 
-    phase = write_postings(partials, postings_dir, ids_sorted, opts.block_size)
+    phase = write_postings(partials, postings_dir, stats, opts.block_size)
     phase["pipeline_sec"] = round(pipeline_sec + phase.pop("exchange_sec"), 2)
     phase["stats_sec"] = stats_sec
     elapsed = time.monotonic() - t0

@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..stages.postings import _doc_lengths, _posting_dls
 from ..state import manifest as mf
 
 
@@ -195,35 +196,6 @@ def _decode_rows_flat(t: pa.Table, block_size: int
         np.frombuffer(b"".join(t["tfs"].to_pylist()), np.uint8)
     ).astype(np.int64)
     return ords, tfs, off
-
-
-def _posting_dls(terms, off: np.ndarray, ords: np.ndarray, dl: np.ndarray,
-                 field_dl: dict[str, np.ndarray]) -> np.ndarray:
-    """True length of each posting's doc: the field's own length for a
-    field-scoped term (``<field>\x1e<term>``), else the content length —
-    what the build feeds ``block_min_dl``, so block-max bounds stay
-    exact after a rewrite."""
-    from ..stages.tokenize import FIELD_SEP
-
-    dls = dl[ords]
-    if field_dl:
-        term_col = pc.cast(terms, pa.string())
-        row_of = np.repeat(np.arange(len(term_col)), np.diff(off))
-        for fname, farr in sorted(field_dl.items()):
-            frows = pc.starts_with(
-                term_col, pattern=fname + FIELD_SEP
-            ).to_numpy(zero_copy_only=False)
-            if frows.any():
-                sel = frows[row_of]
-                dls[sel] = farr[ords[sel]]
-    return dls
-
-
-def _doc_lengths(t: pa.Table) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(dl, {field: dl__field}) columns of a doc-store table."""
-    return (t["dl"].to_numpy().astype(np.int64),
-            {c[4:]: t[c].to_numpy().astype(np.int64)
-             for c in t.column_names if c.startswith("dl__")})
 
 
 # suffix of a segment directory that delete_docs compacted
@@ -435,15 +407,15 @@ def force_merge(index_dir: str) -> dict:
     per-segment dictionary probe + k-way doc merge per term).
 
     Ray-Data-first: postings rows of every segment stream through ONE
-    ``map_batches`` repack (decode → per-doc true lengths from the
-    broadcast docmeta arrays → ``tokenize.pack_partials``, the build's
-    own partial-row packer) into the build's own exchange
-    (``postings.write_postings``) — so merged segments are
-    byte-compatible with fresh builds and block-max metadata
-    (``block_min_dl`` etc.) stays exact.  An index whose deletes left no
-    postings merges into a segment with none.  Docmeta files are copied
-    as-is (doc ids are disjoint across segments by the ``update_index``
-    delete-first contract).
+    ``map_batches`` repack (decode → doc ids →
+    ``tokenize.pack_partials``, the build's own partial-row packer) into
+    the build's own exchange (``postings.write_postings``, given the
+    merged doc-length table) — so merged segments are byte-compatible
+    with fresh builds and block-max metadata (``block_min_dl`` etc.)
+    stays exact.  An index whose deletes left no postings merges into a
+    segment with none.  Docmeta files are copied as-is (doc ids are
+    disjoint across segments by the ``update_index`` delete-first
+    contract).
 
     Crash-safe: the new ``merged-<gen>`` directory is built complete,
     the top manifest re-commit (temp+rename) is the atomic cut-over,
@@ -454,9 +426,9 @@ def force_merge(index_dir: str) -> dict:
 
     Postings hold segment ordinals: ``repack`` turns them back into doc
     ids through each segment's sorted ids, and the encoder numbers them
-    by the merged segment's sorted ids.  The broadcast (doc_id, dl,
-    dl__field…) arrays are O(n_docs) — the same bound the query readers
-    already hold.
+    by the merged segment's sorted ids and takes their lengths from its
+    doc-length table.  The broadcast (doc_id, dl, dl__field…) table is
+    O(n_docs) — the same bound the query readers already hold.
     """
     import shutil
 
@@ -472,7 +444,7 @@ def force_merge(index_dir: str) -> dict:
     if len(segs) <= 1:
         return man  # already one segment — no-op
 
-    # ---- broadcast true doc lengths (main + per-field) -----------------
+    # ---- the merged segment's doc-length table -------------------------
     import pyarrow.dataset as pads
 
     seg_meta = [pads.dataset(os.path.join(s, "docmeta"), format="parquet")
@@ -483,9 +455,6 @@ def force_merge(index_dir: str) -> dict:
                   for m in seg_meta]
     mt = pa.concat_tables(seg_tables)
     mt = mt.take(pc.sort_indices(mt["doc_id"]))
-    ids_sorted = mt["doc_id"].to_numpy()
-    dl_main, dl_fields = _doc_lengths(mt)
-    dl_ref = ray.put((ids_sorted, dl_main, dl_fields))
 
     gen = int(man.get("import_counter", 0)) + 1
     new_name = f"merged-{gen:05d}"
@@ -506,13 +475,9 @@ def force_merge(index_dir: str) -> dict:
 
     def repack(t: pa.Table, seg_ids) -> pa.Table:
         ords, tfs, off = _decode_rows_flat(t, block_size)
-        docs = _resolve(seg_ids)[ords]  # segment ordinal → doc id
-        ids, dl_main, dl_fields = ray.get(dl_ref)
-        terms = pc.cast(t["term"].combine_chunks(), pa.string())
-        dls = _posting_dls(terms, off, np.searchsorted(ids, docs),
-                           dl_main, dl_fields)
-        return pack_partials(terms, t["shard"], docs, tfs, dls, off,
-                             num_doc_shards)
+        # segment ordinal → doc id
+        return pack_partials(t["term"], t["shard"], _resolve(seg_ids)[ords],
+                             tfs, off, num_doc_shards)
 
     seg_parts = []
     for s, st in zip(segs, seg_tables):
@@ -527,7 +492,7 @@ def force_merge(index_dir: str) -> dict:
                     repack, fn_args=(seg_ids_ref,), batch_format="pyarrow"))
     if seg_parts:
         write_postings(seg_parts[0].union(*seg_parts[1:]), postings_dir,
-                       ids_sorted, block_size)
+                       mt, block_size)
 
     old_names = man.get("segments") or ["."]
     man.pop("format_version", None)

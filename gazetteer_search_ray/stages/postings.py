@@ -38,9 +38,14 @@ Every postings file is written in row groups of at most
 prunes on: a term lookup scans one row group however large the file,
 so the block count trades Ray task overhead only, not lookup cost.
 
-Partials carry doc ids (63-bit hashes); every encoder maps them to the
-segment's doc ordinals (``codec`` format v3) with one ``searchsorted``
-over the segment's sorted ids, which the caller ``ray.put``s once.
+Partials carry doc ids (63-bit hashes) and tfs only.  Every encoder
+reads the rest from the segment's doc-length table (``doc_id``, ``dl``
+and each ``dl__<field>``, sorted by ``doc_id``), which the caller
+``ray.put``s once: a posting's ordinal (``codec`` format v3) is its
+id's row, found by one hash lookup (``pc.index_in``), and its doc
+length, which feeds ``block_min_dl``, is that row's length for the
+term's field (:func:`_posting_dls`).  Doc lengths thus never ride the
+exchange.
 
 ``shard`` = ``doc_id % num_doc_shards`` bounds run length for
 heavy-hitter terms so no single group materializes a 10^12-doc posting
@@ -62,6 +67,7 @@ import pyarrow.dataset as pads
 from ..functions.codec import BLOCK_SIZE, encode_posting_groups
 from ..state.manifest import atomic_write_table
 from .tokenize import (
+    FIELD_SEP,
     PARTIAL_SCHEMA,
     SHARD_SEP,
     flat_from_binary_col,
@@ -146,28 +152,62 @@ def write_postings_file(table: pa.Table, path: str) -> None:
                        write_statistics=["term"])
 
 
-def segment_doc_ids(docmeta_dir: str) -> np.ndarray:
-    """A segment's doc ids, sorted: ordinal i is the i-th smallest."""
-    t = pads.dataset(docmeta_dir, format="parquet").to_table(columns=["doc_id"])
-    return np.sort(t["doc_id"].to_numpy())
+def segment_doc_lengths(docmeta_dir: str) -> pa.Table:
+    """A segment's doc-length table: ``doc_id``, ``dl`` and every
+    ``dl__<field>`` of its doc store, sorted by ``doc_id`` — row i is
+    ordinal i."""
+    ds = pads.dataset(docmeta_dir, format="parquet")
+    t = ds.to_table(columns=["doc_id", "dl"] + sorted(
+        c for c in ds.schema.names if c.startswith("dl__")))
+    return t.take(pc.sort_indices(t["doc_id"]))
 
 
-def _resolve(doc_ids) -> np.ndarray:
-    """The sorted-id array behind ``doc_ids`` (an array or an object ref)."""
-    if isinstance(doc_ids, np.ndarray):
-        return doc_ids
+def _resolve(ref):
+    """The value behind ``ref``: an array or table as is, else an object
+    ref to one."""
+    if isinstance(ref, (np.ndarray, pa.Table)):
+        return ref
     import ray
 
-    return ray.get(doc_ids)
+    return ray.get(ref)
 
 
-def ordinals_of(ids_sorted: np.ndarray, docs: np.ndarray) -> np.ndarray:
-    """Segment ordinals of doc ids; every id must be in the doc store."""
-    ords = np.searchsorted(ids_sorted, docs)
-    if docs.size and (ords.max() >= ids_sorted.size
-                      or not np.array_equal(ids_sorted[ords], docs)):
+def ordinals_of(ids_sorted, docs: np.ndarray) -> np.ndarray:
+    """Segment ordinals of doc ids: each id's index in the segment's
+    sorted ids; every id must be in the doc store."""
+    ords = pc.index_in(pa.array(docs, pa.int64()), value_set=ids_sorted)
+    if ords.null_count:
         raise ValueError("posting of a doc_id missing from the doc store")
-    return ords
+    return ords.to_numpy()
+
+
+def _doc_lengths(t: pa.Table) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(dl, {field: dl__field}) columns of a doc-store table."""
+    return (t["dl"].to_numpy().astype(np.int64),
+            {c[4:]: t[c].to_numpy().astype(np.int64)
+             for c in t.column_names if c.startswith("dl__")})
+
+
+def _posting_dls(terms, off: np.ndarray, ords: np.ndarray, dl: np.ndarray,
+                 field_dl: dict[str, np.ndarray]) -> np.ndarray:
+    """True length of each posting's doc, for postings ``ords`` of the
+    lists ``terms`` delimited by ``off``: the field's own length for a
+    field-scoped term (``<field>\x1e<term>``), else the content length.
+    ``dl``/``field_dl`` are in ordinal order.  The one rule for the
+    length that ``block_min_dl`` takes, in the build's encoders and in
+    ``delete_docs``' compaction."""
+    dls = dl[ords]
+    if field_dl:
+        term_col = pc.cast(terms, pa.string())
+        row_of = np.repeat(np.arange(len(term_col)), np.diff(off))
+        for fname, farr in sorted(field_dl.items()):
+            frows = pc.starts_with(
+                term_col, pattern=fname + FIELD_SEP
+            ).to_numpy(zero_copy_only=False)
+            if frows.any():
+                sel = frows[row_of]
+                dls[sel] = farr[ords[sel]]
+    return dls
 
 
 def _run_heads(skey) -> np.ndarray:
@@ -177,19 +217,24 @@ def _run_heads(skey) -> np.ndarray:
 
 
 def _encode_runs(t: pa.Table, heads: np.ndarray, block_size: int,
-                 doc_ids) -> pa.Table:
+                 doc_lengths) -> pa.Table:
     """Encode the complete runs of a ``skey``-sorted partial table whose
-    runs start at rows ``heads``: one posting row per run.  ``doc_ids``
-    is the segment's sorted doc ids (array or object ref); None numbers
-    the table's own distinct docs."""
+    runs start at rows ``heads``: one posting row per run.
+    ``doc_lengths`` is the segment's doc-length table (or an object ref
+    to it); None numbers the table's own distinct docs, all of length
+    0, which keeps ``block_min_dl`` a valid, if loose, bound."""
     docs, row_lens = flat_from_binary_col(t["docs"], np.dtype("<i8"))
-    ids = np.unique(docs) if doc_ids is None else _resolve(doc_ids)
-    docs = ordinals_of(ids, docs)
     tfs, _ = varbyte_flat_from_binary_col(t["tfs"])
-    dls, _ = varbyte_flat_from_binary_col(t["dls"])
     row_off = np.concatenate(([0], np.cumsum(row_lens)))
     group_offsets = np.append(row_off[heads], row_off[-1])
     terms, shards = _terms_shards_from_skeys(t["skey"].take(pa.array(heads)))
+    if doc_lengths is None:
+        docs = ordinals_of(pa.array(np.unique(docs)), docs)
+        dls = np.zeros(docs.size, np.int64)
+    else:
+        table = _resolve(doc_lengths)
+        docs = ordinals_of(table["doc_id"], docs)
+        dls = _posting_dls(terms, group_offsets, docs, *_doc_lengths(table))
     return postings_table(terms, shards, docs, tfs, dls, group_offsets,
                           block_size)
 
@@ -197,18 +242,18 @@ def _encode_runs(t: pa.Table, heads: np.ndarray, block_size: int,
 class SortedBlockEncoder:
     """``map_batches`` stage over ``skey``-sorted partial postings.
 
-    ``doc_ids`` is the segment's sorted doc ids (array or object ref);
-    None reads them from the ``docmeta`` directory next to
+    ``doc_lengths`` is the segment's doc-length table (or an object ref
+    to it); None reads it from the ``docmeta`` directory next to
     ``postings_dir``."""
 
     def __init__(self, postings_dir: str, block_size: int = BLOCK_SIZE,
-                 doc_ids=None):
+                 doc_lengths=None):
         self.postings_dir = postings_dir
         self.block_size = block_size
-        if doc_ids is None:
-            doc_ids = segment_doc_ids(
+        if doc_lengths is None:
+            doc_lengths = segment_doc_lengths(
                 os.path.join(os.path.dirname(postings_dir), "docmeta"))
-        self.doc_ids = doc_ids
+        self.doc_lengths = doc_lengths
 
     def __call__(self, t: pa.Table) -> pa.Table:
         """Encode the block's complete runs; return its boundary runs as
@@ -225,7 +270,7 @@ class SortedBlockEncoder:
         lo, hi = int(heads[1]), int(heads[-1])
         inner = t.slice(lo, hi - lo)
         out = _encode_runs(inner, heads[1:-1] - lo, self.block_size,
-                           self.doc_ids)
+                           self.doc_lengths)
         digest = hashlib.blake2b(
             (inner["skey"][0].as_py() + "\x00" + inner["skey"][-1].as_py()).encode()
             + out["df"].to_numpy().tobytes(),
@@ -247,31 +292,32 @@ def boundary_table(blocks: list[pa.Table]) -> pa.Table:
 
 
 def encode_partials_table(t: pa.Table, block_size: int = BLOCK_SIZE,
-                          doc_ids=None) -> pa.Table:
+                          doc_lengths=None) -> pa.Table:
     """Sort, merge and encode an unsorted partial-postings table in one
     vectorized pass on the caller — the boundary merge of
     :func:`write_postings`.
 
-    ``doc_ids``: the segment's sorted doc ids (array or object ref);
-    None numbers the table's own distinct docs, as for a table that is
-    a segment by itself."""
+    ``doc_lengths``: the segment's doc-length table (or an object ref
+    to it); None numbers the table's own distinct docs and takes every
+    length as 0."""
     if t.num_rows == 0:
         return POSTINGS_SCHEMA.empty_table()
     t = t.combine_chunks().take(
         pc.sort_indices(t, sort_keys=[("skey", "ascending")])
     )
-    return _encode_runs(t, _run_heads(t["skey"]), block_size, doc_ids)
+    return _encode_runs(t, _run_heads(t["skey"]), block_size, doc_lengths)
 
 
-def write_postings(partials, postings_dir: str, doc_ids,
+def write_postings(partials, postings_dir: str, doc_lengths: pa.Table,
                    block_size: int = BLOCK_SIZE) -> dict:
     """The exchange from partial rows to a segment's postings files:
     ``repartition(n).sort("skey")``, :class:`SortedBlockEncoder` over
     each sorted block, then the driver merge of the boundary runs into
     ``postings-boundary.parquet``.
 
-    ``partials`` is a Dataset of ``PARTIAL_SCHEMA`` rows and ``doc_ids``
-    the segment's sorted doc ids, broadcast once.  Returns the
+    ``partials`` is a Dataset of ``PARTIAL_SCHEMA`` rows and
+    ``doc_lengths`` the segment's doc-length table (``doc_id``, ``dl``,
+    ``dl__<field>``…, sorted by ``doc_id``), broadcast once.  Returns the
     exchange metrics: ``sort_blocks``, ``boundary_rows``,
     ``exchange_sec`` and ``boundary_merge_sec``."""
     import ray
@@ -288,13 +334,13 @@ def write_postings(partials, postings_dir: str, doc_ids,
     boundary = (
         partials.repartition(n_blocks).sort("skey")
         .map_batches(SortedBlockEncoder(postings_dir, block_size,
-                                        ray.put(doc_ids)),
+                                        ray.put(doc_lengths)),
                      batch_format="pyarrow", batch_size=None)
         .materialize()
     )
     t1 = time.monotonic()
     tbl = boundary_table(ray.get(boundary.to_arrow_refs()))
-    rest = encode_partials_table(tbl, block_size, doc_ids)
+    rest = encode_partials_table(tbl, block_size, doc_lengths)
     if rest.num_rows:
         write_postings_file(
             rest, os.path.join(postings_dir, "postings-boundary.parquet"))

@@ -24,11 +24,12 @@ Reference analog: the whole single-threaded import loop body
    fuses the doc store into the single corpus pass — no second read of
    100 TB;
 5. emits *packed partial postings* (:func:`pack_partials`): one row
-   per (term, shard) run per batch with binary payloads (docs, tfs,
-   dls) — the pre-aggregation that cuts the exchange volume (SURVEY.md
-   §4 'Memory pressure').  tf counting and the (term, shard, doc) order
+   per (term, shard) run per batch with binary payloads (docs, tfs) —
+   the pre-aggregation that cuts the exchange volume (SURVEY.md §4
+   'Memory pressure').  tf counting and the (term, shard, doc) order
    are one integer sort of the codes, and term strings are taken only
-   at the run heads.
+   at the run heads.  Doc lengths do not ride along: the encoder reads
+   them from the doc store written in step 4.
 
 ``shard`` = ``doc_id % num_doc_shards`` splits heavy-hitter terms
 (stopword-like code tokens) into bounded sub-runs so no single run
@@ -51,15 +52,15 @@ from ..functions.codec import (_varbyte_encode_starts, binary_rows,
                                varbyte_decode)
 from ..state.manifest import atomic_write_table
 
-# Packed partial postings. docs/tfs/dls are BINARY payloads (docs raw
-# little-endian int64, tfs/dls varbyte), NOT list columns: Ray's sort
+# Packed partial postings. docs/tfs are BINARY payloads (docs raw
+# little-endian int64, tfs varbyte), NOT list columns: Ray's sort
 # shuffle moves binary columns like strings (cheap buffer slicing)
 # while list columns cost 10-40× in the sort reduce (measured) — this
 # is the difference between the merge shuffle being free and being the
-# bottleneck.  Varbyte tfs/dls + dropping the duplicate term/shard
-# columns (consumers derive them from ``skey``) cut the measured
-# exchange volume 19.3 → ~12.9 bytes/posting (1.5×).  The ceiling is
-# the docs column: doc_ids are deterministic 63-bit HASHES (resume-
+# bottleneck.  Varbyte tfs, no doc lengths (the encoder reads them from
+# the doc store) and no duplicate term/shard columns (consumers derive
+# them from ``skey``) leave ~14 bytes/posting on a code corpus, most of
+# it the docs column: doc_ids are deterministic 63-bit HASHES (resume-
 # stable without a global zip-with-index pass), so within-row doc gaps
 # are ~uniform 2^63/df and delta-varbyte would EXPAND them (measured
 # 9.0 B/doc vs 8 raw) — dense ids would compress ~4×, at the cost of a
@@ -74,7 +75,6 @@ PARTIAL_SCHEMA = pa.schema(
         ("skey", pa.string()),
         ("docs", pa.binary()),
         ("tfs", pa.binary()),
-        ("dls", pa.binary()),
     ]
 )
 SHARD_SEP = "\x1f"
@@ -156,11 +156,11 @@ def flat_from_binary_col(col, dtype) -> tuple[np.ndarray, np.ndarray]:
     return seg.view(dtype), (np.diff(off) // itemsize).astype(np.int64)
 
 
-def pack_partials(terms, shards, docs, tfs, dls, offsets,
+def pack_partials(terms, shards, docs, tfs, offsets,
                   num_doc_shards: int, cap: int = PACK_CAP) -> pa.Table:
     """Partial-postings rows (``PARTIAL_SCHEMA``) of postings runs: run
     i is (``terms[i]``, ``shards[i]``) with postings
-    ``docs/tfs/dls[offsets[i]:offsets[i+1]]``, doc ids ascending.  Runs
+    ``docs/tfs[offsets[i]:offsets[i+1]]``, doc ids ascending.  Runs
     longer than ``cap`` postings split into ≤cap-posting rows (0: no
     split).  ``skey`` is the term when ``num_doc_shards == 1``, else
     ``"<term>\\x1f<shard:04d>"``."""
@@ -191,7 +191,6 @@ def pack_partials(terms, shards, docs, tfs, dls, offsets,
             "docs": binary_rows(
                 np.asarray(docs).astype("<i8").view(np.uint8), offsets * 8),
             "tfs": varbyte_rows(tfs, offsets),
-            "dls": varbyte_rows(dls, offsets),
         },
         schema=PARTIAL_SCHEMA,
     )
@@ -419,10 +418,10 @@ class TokenizeStage:
         # one term stream: content terms, then each extra field's
         # "<field>\x1e"-prefixed terms, whose dictionaries are disjoint
         # by the prefix, so they concatenate with offset codes;
-        # field_dl[f] is field f's per-doc length (its own BM25 norm),
-        # f = 0 the content
+        # field_dl holds each extra field's per-doc length (its own BM25
+        # norm) for the doc store
         dicts, code_parts = [pc.cast(terms, pa.string())], [codes]
-        parents, field_dl = [parent], [dl]
+        parents, field_dl = [parent], {}
         base = len(terms)
         for fname, colname in self.extra_fields:
             ft, fc, fp = self._tokenize(batch[colname])
@@ -431,7 +430,7 @@ class TokenizeStage:
             code_parts.append(fc + base)
             base += len(ft)
             parents.append(fp)
-            field_dl.append(np.bincount(fp, minlength=n).astype(np.int64))
+            field_dl[fname] = np.bincount(fp, minlength=n).astype(np.int64)
 
         # prior score + row drop (reference M12: score==0 ⇒ drop row)
         if self.score_builder is not None:
@@ -441,9 +440,8 @@ class TokenizeStage:
         keep = base_score != 0.0
 
         if self.docmeta_dir is not None:
-            self._write_docmeta(
-                batch, doc_ids, dl, base_score, keep,
-                {f: fdl for (f, _c), fdl in zip(self.extra_fields, field_dl[1:])})
+            self._write_docmeta(batch, doc_ids, dl, base_score, keep,
+                                field_dl)
 
         # the stream as integer codes: each distinct term's rank in byte
         # order, and each row's rank in (shard, doc) order, so that ONE
@@ -455,7 +453,6 @@ class TokenizeStage:
         by_rank = pc.sort_indices(dictionary).to_numpy().astype(np.int64)
         term_rank = np.empty_like(by_rank)
         term_rank[by_rank] = np.arange(by_rank.size)
-        field_of = np.repeat(np.arange(len(dicts)), [len(x) for x in dicts])
         rows = np.concatenate(parents)
         shards = (doc_ids % self.num_doc_shards).astype(np.int32)
         row_order = np.lexsort((doc_ids, shards))
@@ -473,20 +470,19 @@ class TokenizeStage:
                                | (np.diff(shard, prepend=-1) != 0))
         return pack_partials(
             dictionary.take(pa.array(code[heads])), shard[heads],
-            doc_ids[row], tf, np.stack(field_dl)[field_of[code], row],
-            np.append(heads, code.size), self.num_doc_shards,
-            self.pack_cap)
+            doc_ids[row], tf, np.append(heads, code.size),
+            self.num_doc_shards, self.pack_cap)
 
     # -- doc store -------------------------------------------------------
 
     def _write_docmeta(self, batch, doc_ids, dl, base_score, keep,
-                       field_dls: dict | None = None):
+                       field_dls: dict):
         cols: dict = {
             "doc_id": pa.array(doc_ids[keep], pa.int64()),
             "dl": pa.array(dl[keep], pa.int64()),
             "base_score": pa.array(base_score[keep], pa.float64()),
         }
-        for fname, fdl in (field_dls or {}).items():
+        for fname, fdl in field_dls.items():
             cols[f"dl__{fname}"] = pa.array(fdl[keep], pa.int64())
         for c in DOCMETA_CARRY:
             if c in batch.column_names:

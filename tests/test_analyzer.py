@@ -148,10 +148,12 @@ def test_load_analyzer_config_from_data_files():
 
 def test_pack_cap_split_preserves_postings():
     """Partial rows split at pack_cap must merge back to EXACTLY the
-    postings of an uncapped run: same (term -> {doc: (tf, dl)}) map.
-    The cap only bounds bytes/row for the sort exchange's row-balanced
-    range partitioner (stages/tokenize.py pack step); the downstream
-    encoder merges same-skey rows, so semantics must be unchanged."""
+    postings of an uncapped run: same (term -> {doc: tf}) map, and the
+    same encoded posting rows, ``block_min_dl`` from the doc store
+    included.  The cap only bounds bytes/row for the sort exchange's
+    row-balanced range partitioner (stages/tokenize.py pack step); the
+    downstream encoder merges same-skey rows, so semantics must be
+    unchanged."""
     import tempfile
 
     import numpy as np
@@ -159,6 +161,10 @@ def test_pack_cap_split_preserves_postings():
     from gazetteer_search_ray.sources.corpus import (
         _assign_doc_ids,
         synthetic_corpus,
+    )
+    from gazetteer_search_ray.stages.postings import (
+        encode_partials_table,
+        segment_doc_lengths,
     )
     from gazetteer_search_ray.stages.tokenize import (
         TokenizeStage,
@@ -169,26 +175,28 @@ def test_pack_cap_split_preserves_postings():
     t = _assign_doc_ids(synthetic_corpus(400))
     cfg = AnalyzerConfig.code()
 
-    def postings_map(pack_cap: int) -> dict:
+    def postings_map(pack_cap: int) -> tuple[dict, list]:
         with tempfile.TemporaryDirectory() as meta:
             stage = TokenizeStage(cfg, docmeta_dir=meta, pack_cap=pack_cap)
             part = stage(t)
+            encoded = encode_partials_table(
+                part, doc_lengths=segment_doc_lengths(meta)).to_pylist()
         docs, rl = flat_from_binary_col(part["docs"], np.dtype("<i8"))
         tfs, _ = varbyte_flat_from_binary_col(part["tfs"])
-        dls, _ = varbyte_flat_from_binary_col(part["dls"])
         off = np.concatenate(([0], np.cumsum(rl)))
         out: dict = {}
         for i, skey in enumerate(part["skey"].to_pylist()):
             seg = slice(int(off[i]), int(off[i + 1]))
             grp = out.setdefault(skey, {})
-            for d, f, l in zip(docs[seg], tfs[seg], dls[seg]):
+            for d, f in zip(docs[seg], tfs[seg]):
                 assert int(d) not in grp, "duplicate doc within a term"
-                grp[int(d)] = (int(f), int(l))
-        return out
+                grp[int(d)] = int(f)
+        return out, encoded
 
     capped = postings_map(3)
     uncapped = postings_map(0)
     assert capped == uncapped
+    assert any(len(row["block_min_dl"]) > 1 for row in capped[1])
     # and the cap actually engaged: some hot term was split
     with tempfile.TemporaryDirectory() as meta:
         part = TokenizeStage(cfg, docmeta_dir=meta, pack_cap=3)(t)
@@ -200,14 +208,16 @@ def test_pack_cap_split_preserves_postings():
 @pytest.mark.parametrize("num_doc_shards", [1, 3])
 def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
     """``TokenizeStage`` partials equal a dict built from
-    ``Analyzer.tokens`` (dedup off): (term, shard) -> {doc: (tf, dl)},
-    for the content field and one ``<field>\\x1e``-prefixed extra field,
-    with a score builder that drops every third doc and ``pack_cap=3``.
-    Every partial row lists its docs ascending."""
+    ``Analyzer.tokens`` (dedup off): (term, shard) -> {doc: tf}, for the
+    content field and one ``<field>\\x1e``-prefixed extra field, with a
+    score builder that drops every third doc and ``pack_cap=3``; the
+    doc store holds each kept doc's stream lengths (``dl``,
+    ``dl__src``).  Every partial row lists its docs ascending."""
     import tempfile
     from collections import Counter
 
     import numpy as np
+    import pyarrow.dataset as pads
 
     from gazetteer_search_ray.sources.corpus import (
         _assign_doc_ids,
@@ -229,6 +239,7 @@ def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
         return np.where(np.arange(batch.num_rows) % 3 == 0, 0.0, 2.0)
 
     expected: dict = {}
+    expected_dl: dict = {}
     for i, row in enumerate(t.to_pylist()):
         if i % 3 == 0:
             continue
@@ -236,9 +247,10 @@ def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
         for prefix, text in (("", row["content"]),
                              ("src" + FIELD_SEP, row["repo"])):
             toks = [tok for tok, _opt in nodedup.tokens(text or "")]
+            expected_dl.setdefault(d, []).append(len(toks))
             for term, tf in Counter(toks).items():
                 key = (prefix + term, d % num_doc_shards)
-                expected.setdefault(key, {})[d] = (tf, len(toks))
+                expected.setdefault(key, {})[d] = tf
 
     with tempfile.TemporaryDirectory() as meta:
         part = TokenizeStage(cfg, docmeta_dir=meta,
@@ -246,9 +258,12 @@ def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
                              score_builder=drop_every_third,
                              extra_fields=(("src", "repo"),),
                              pack_cap=3)(t)
+        dm = pads.dataset(meta, format="parquet").to_table()
+    assert {d: [c, f] for d, c, f in zip(
+        dm["doc_id"].to_pylist(), dm["dl"].to_pylist(),
+        dm["dl__src"].to_pylist())} == expected_dl
     docs, rl = flat_from_binary_col(part["docs"], np.dtype("<i8"))
     tfs, _ = varbyte_flat_from_binary_col(part["tfs"])
-    dls, _ = varbyte_flat_from_binary_col(part["dls"])
     off = np.concatenate(([0], np.cumsum(rl)))
     got: dict = {}
     for i, skey in enumerate(part["skey"].to_pylist()):
@@ -260,10 +275,9 @@ def test_tokenize_partials_match_analyzer_oracle(preset, num_doc_shards):
         else:
             key = (skey, 0)
         grp = got.setdefault(key, {})
-        for d, f, l in zip(docs[seg].tolist(), tfs[seg].tolist(),
-                           dls[seg].tolist()):
+        for d, f in zip(docs[seg].tolist(), tfs[seg].tolist()):
             assert d not in grp, "duplicate doc within a term"
-            grp[d] = (f, l)
+            grp[d] = f
     assert got == expected
     assert any(k[0].startswith("src" + FIELD_SEP) for k in got)
 
@@ -292,14 +306,13 @@ def test_pack_partials_keys_and_cap_split():
     n = int(offsets[-1])
     docs = np.arange(n, dtype=np.int64) * 1_000_003 + 2**62
     tfs = np.arange(n) % 4 + 1
-    dls = np.arange(n) + 300
 
     one = pack_partials(pa.array(terms), np.zeros(5, np.int32), docs, tfs,
-                        dls, offsets, 1, cap=0)
+                        offsets, 1, cap=0)
     assert one["skey"].to_pylist() == terms
     for cap, rows_per_run in ((0, [1, 1, 1, 1, 1]), (3, [1, 2, 1, 3, 1])):
-        t = pack_partials(pa.array(terms), shards, docs, tfs, dls, offsets,
-                          4, cap=cap)
+        t = pack_partials(pa.array(terms), shards, docs, tfs, offsets, 4,
+                          cap=cap)
         assert t.schema == PARTIAL_SCHEMA
         run = np.repeat(np.arange(5), rows_per_run)
         assert t["skey"].to_pylist() == [
@@ -311,7 +324,6 @@ def test_pack_partials_keys_and_cap_split():
         assert row_lens.max() <= (cap or n)
         np.testing.assert_array_equal(np.bincount(run, weights=row_lens), lens)
         np.testing.assert_array_equal(got_docs, docs)
-        for col, want in (("tfs", tfs), ("dls", dls)):
-            vals, counts = varbyte_flat_from_binary_col(t[col])
-            np.testing.assert_array_equal(vals, want)
-            np.testing.assert_array_equal(counts, row_lens)
+        vals, counts = varbyte_flat_from_binary_col(t["tfs"])
+        np.testing.assert_array_equal(vals, tfs)
+        np.testing.assert_array_equal(counts, row_lens)

@@ -26,7 +26,15 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("ids", CASES, ids=range(len(CASES)))
+# one byte per value (the encoder's fast path), and a mix that crosses it
+VARBYTE_CASES = CASES + [
+    np.array([0, 127, 5, 0, 127], dtype=np.int64),
+    np.arange(128, dtype=np.int64),
+    np.array([127, 128, 0, 1], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("ids", VARBYTE_CASES, ids=range(len(VARBYTE_CASES)))
 def test_varbyte_roundtrip(ids):
     enc = varbyte_encode(ids)
     dec = varbyte_decode(enc)
@@ -316,7 +324,9 @@ def test_sorted_block_encoder_emits_partial_schema(tmp_path, nruns):
     """The exchange's sort may hand the encoder large_string /
     large_binary blocks; every block the encoder passes on (empty,
     passed through whole, or its boundary runs) is ``PARTIAL_SCHEMA``,
-    so the boundary stream has one schema."""
+    so the boundary stream has one schema.  With no doc-length table
+    the encoder reads the one of the ``docmeta`` directory beside its
+    postings directory."""
     import pyarrow as pa
 
     from gazetteer_search_ray.functions.analyzer import AnalyzerConfig
@@ -328,7 +338,6 @@ def test_sorted_block_encoder_emits_partial_schema(tmp_path, nruns):
     from gazetteer_search_ray.stages.tokenize import (
         PARTIAL_SCHEMA,
         TokenizeStage,
-        flat_from_binary_col,
     )
 
     stage = TokenizeStage(AnalyzerConfig.code(),
@@ -339,14 +348,59 @@ def test_sorted_block_encoder_emits_partial_schema(tmp_path, nruns):
     assert len(heads) > 5
     heads.append(len(skeys))
     large = pa.schema([("skey", pa.large_string()), ("docs", pa.large_binary()),
-                       ("tfs", pa.large_binary()), ("dls", pa.large_binary())])
+                       ("tfs", pa.large_binary())])
     block = part.slice(0, heads[nruns]).cast(large)
-    doc_ids = np.unique(flat_from_binary_col(part["docs"], np.dtype("<i8"))[0])
     (tmp_path / "postings").mkdir()
-    out = SortedBlockEncoder(str(tmp_path / "postings"), doc_ids=doc_ids)(block)
+    out = SortedBlockEncoder(str(tmp_path / "postings"))(block)
     assert out.schema == PARTIAL_SCHEMA
     if nruns <= 2:  # every run may straddle a block boundary
         assert out.num_rows == block.num_rows
     else:  # the first and the last run pass through
         assert out.num_rows == heads[1] + heads[nruns] - heads[nruns - 1]
         assert len(list((tmp_path / "postings").iterdir())) == 1
+
+
+@pytest.mark.parametrize("entry", ["sorted_block_encoder",
+                                   "encode_partials_table"])
+@pytest.mark.parametrize("fault", ["doc_not_in_doc_store",
+                                   "doc_repeated_across_rows"])
+def test_encoders_reject_bad_partials(tmp_path, entry, fault):
+    """Both encoders raise ``ValueError`` on a posting whose doc id the
+    doc store does not hold, and on a doc that two partial rows of one
+    (term, shard) both list.  The fault sits in the middle run, which
+    the sorted-block encoder encodes (its first and last runs pass
+    through)."""
+    import pyarrow as pa
+
+    from gazetteer_search_ray.stages.postings import (
+        SortedBlockEncoder,
+        encode_partials_table,
+    )
+    from gazetteer_search_ray.stages.tokenize import pack_partials
+
+    ids = np.array([10, 20, 30, 40], np.int64)
+    table = pa.table({"doc_id": ids, "dl": [3, 4, 5, 6]})
+    # runs a, b, c; b's docs come in two rows
+    b_docs, error = {
+        "doc_not_in_doc_store": ([20, 25], "missing from the doc store"),
+        "doc_repeated_across_rows": ([20, 20], "duplicate doc ordinal"),
+    }[fault]
+    part = pack_partials(pa.array(["a", "b", "b", "c"]),
+                         np.zeros(4, np.int32),
+                         np.array([10] + b_docs + [40], np.int64),
+                         np.ones(4, np.int64), np.arange(5), 1, cap=0)
+    # both encoders accept it once the fault is gone
+    good = pack_partials(pa.array(["a", "b", "b", "c"]),
+                         np.zeros(4, np.int32), ids, np.ones(4, np.int64),
+                         np.arange(5), 1, cap=0)
+    if entry == "sorted_block_encoder":
+        (tmp_path / "postings").mkdir()
+        enc = SortedBlockEncoder(str(tmp_path / "postings"),
+                                 doc_lengths=table)
+        assert enc(good).num_rows == 2
+        with pytest.raises(ValueError, match=error):
+            enc(part)
+    else:
+        assert encode_partials_table(good, doc_lengths=table).num_rows == 3
+        with pytest.raises(ValueError, match=error):
+            encode_partials_table(part, doc_lengths=table)

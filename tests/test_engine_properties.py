@@ -4,8 +4,9 @@ Tokenizer: for random texts over ASCII letters and digits, separators,
 precomposed and special-cased letters (é ß ё Σ İ), Cyrillic and a
 combining mark, ``TokenizeStage`` must emit, row by row, exactly the
 term stream of ``Analyzer.tokens`` (dedup off) under the simple, code
-and gazetteer presets, and its partial postings must carry the tf and
-field lengths of that stream, for the content and one extra field.
+and gazetteer presets; its partial postings must carry the tfs of that
+stream, and its doc store the stream lengths, for the content and one
+extra field.
 
 Codec v3: for random sorted unique doc ordinals whose gaps cross the 1-,
 2- and 4-byte widths, random tfs and random block sizes,
@@ -13,17 +14,21 @@ Codec v3: for random sorted unique doc ordinals whose gaps cross the 1-,
 blocks and for a random subset of them, and every ``block_*`` column
 must equal a recomputation from the decoded postings.
 
-Packing: random (term, doc, tf) triples packed in random batches at a
-random pack cap by ``pack_partials``, shuffled and encoded by
-``encode_partials_table``, must decode to a dict reference.
+Packing: random (term, doc, tf) triples, some of field-scoped terms,
+packed in random batches at a random pack cap by ``pack_partials``,
+shuffled and encoded by ``encode_partials_table`` against a doc-length
+table, must decode to a dict reference, with ``block_min_dl`` taken
+from the table's ``dl`` or ``dl__<field>``.
 """
 
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,9 +97,10 @@ def test_tokenize_stream_matches_analyzer(preset, rows):
 @settings(max_examples=80, deadline=None)
 @given(rows=batches, extra=batches, shards=st.integers(1, 2))
 def test_tokenize_partials_match_analyzer(preset, rows, extra, shards):
-    """(term, doc) -> (tf, field length) of the packed partials equals a
-    count over the analyzer's streams of the content and of one extra
-    field; a shard suffix rides on the term when ``shards > 1``."""
+    """(term, doc) -> tf of the packed partials equals a count over the
+    analyzer's streams of the content and of one extra field, and the
+    doc store's ``dl``/``dl__src`` their lengths; a shard suffix rides
+    on the term when ``shards > 1``."""
     n = len(rows)
     extra = (extra * n)[:n]
     doc_ids = np.arange(n, dtype=np.int64) * 7 + 3
@@ -103,25 +109,30 @@ def test_tokenize_partials_match_analyzer(preset, rows, extra, shards):
                       "repo": pa.array(extra, pa.string())})
     an = ANALYZERS[preset]
     want: dict = {}
+    want_dl: dict = {}
     for d, text, field in zip(doc_ids.tolist(), rows, extra):
         for prefix, s in (("", text), ("src" + FIELD_SEP, field)):
             toks = _stream(an, s)
+            want_dl.setdefault(d, []).append(len(toks))
             for term, tf in Counter(toks).items():
-                want[(prefix + term, d)] = (tf, len(toks))
-    part = TokenizeStage(getattr(AnalyzerConfig, preset)(),
-                         num_doc_shards=shards,
-                         extra_fields=(("src", "repo"),))(batch)
+                want[(prefix + term, d)] = tf
+    with tempfile.TemporaryDirectory() as meta:
+        part = TokenizeStage(getattr(AnalyzerConfig, preset)(),
+                             docmeta_dir=meta, num_doc_shards=shards,
+                             extra_fields=(("src", "repo"),))(batch)
+        dm = pads.dataset(meta, format="parquet").to_table()
+    assert {d: [c, f] for d, c, f in zip(
+        dm["doc_id"].to_pylist(), dm["dl"].to_pylist(),
+        dm["dl__src"].to_pylist())} == want_dl
     docs, per_row = flat_from_binary_col(part["docs"], np.dtype("<i8"))
     tfs, _ = varbyte_flat_from_binary_col(part["tfs"])
-    dls, _ = varbyte_flat_from_binary_col(part["dls"])
     skeys = np.repeat(np.array(part["skey"].to_pylist(), dtype=object),
                       per_row)
     got = {}
-    for skey, d, tf, dl in zip(skeys, docs.tolist(), tfs.tolist(),
-                               dls.tolist()):
+    for skey, d, tf in zip(skeys, docs.tolist(), tfs.tolist()):
         term = skey.rsplit("\x1f", 1)[0] if shards > 1 else skey
         assert (term, d) not in got, "duplicate posting"
-        got[(term, d)] = (tf, dl)
+        got[(term, d)] = tf
     assert got == want
 
 
@@ -202,20 +213,26 @@ def test_codec_groups_roundtrip_and_block_metadata(case, data):
         assert got_tfs.tolist() == [int(t) for i in sel for t in tfs[blocks[i]]]
 
 
+# a term of the extra field "src" (``src\x1e<term>``) takes dl__src
+_term = st.text(st.sampled_from("abcxé"), min_size=1, max_size=3)
+_lengths = st.tuples(st.integers(0, 1000), st.integers(0, 1000))
+
+
 @st.composite
 def packed_batches(draw):
-    """Docs with random (term, tf) postings, cut into batches."""
+    """Docs with random (term, tf) postings and (dl, dl__src) lengths,
+    cut into batches."""
     ndocs = draw(st.integers(1, 40))
     ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=ndocs,
                         max_size=ndocs, unique=True))
-    vocab = draw(st.lists(st.text(st.sampled_from("abcxé"), min_size=1,
-                                  max_size=3), min_size=1, max_size=8,
-                          unique=True))
+    vocab = draw(st.lists(
+        st.one_of(_term, _term.map(("src" + FIELD_SEP).__add__)),
+        min_size=1, max_size=8, unique=True))
     docs = []
     for d in ids:
         terms = draw(st.dictionaries(st.sampled_from(vocab),
                                      st.integers(1, 300), max_size=5))
-        docs.append((d, terms, draw(st.integers(1, 1000))))
+        docs.append((d, terms, draw(_lengths)))
     cuts = sorted(draw(st.sets(st.integers(1, ndocs - 1), max_size=4))
                   ) if ndocs > 1 else []
     return [docs[a:b] for a, b in zip([0] + cuts, cuts + [ndocs])]
@@ -225,9 +242,9 @@ def _pack(batch, shards: int, cap: int) -> pa.Table:
     """One tokenize batch's partials: a run per (term, shard), docs
     ascending, as ``TokenizeStage`` packs them."""
     runs: dict = {}
-    for d, terms, dl in sorted(batch):
+    for d, terms, _lens in sorted(batch):
         for term, tf in terms.items():
-            runs.setdefault((term, d % shards), []).append((d, tf, dl))
+            runs.setdefault((term, d % shards), []).append((d, tf))
     keys = sorted(runs)
     flat = [p for k in keys for p in runs[k]]
     return pack_partials(
@@ -235,7 +252,6 @@ def _pack(batch, shards: int, cap: int) -> pa.Table:
         np.array([k[1] for k in keys], np.int32),
         np.array([p[0] for p in flat], np.int64),
         np.array([p[1] for p in flat], np.int64),
-        np.array([p[2] for p in flat], np.int64),
         np.concatenate(([0], np.cumsum([len(runs[k]) for k in keys]))),
         shards, cap)
 
@@ -243,25 +259,29 @@ def _pack(batch, shards: int, cap: int) -> pa.Table:
 @settings(max_examples=150, deadline=None)
 @given(batches=packed_batches(), shards=st.integers(1, 2),
        cap=st.one_of(st.integers(0, 4), st.just(128)), bs=block_sizes,
-       extra_ids=st.lists(st.integers(0, 2**63 - 1), max_size=5),
+       extra=st.dictionaries(st.integers(0, 2**63 - 1), _lengths,
+                             max_size=5),
        data=st.data())
-def test_pack_then_encode_matches_dict(batches, shards, cap, bs, extra_ids,
+def test_pack_then_encode_matches_dict(batches, shards, cap, bs, extra,
                                        data):
     want: dict = {}
+    lengths = dict(extra)  # the doc store may hold docs without postings
     for batch in batches:
-        for d, terms, dl in batch:
+        for d, terms, lens in batch:
+            lengths[d] = lens
             for term, tf in terms.items():
-                want.setdefault((term, d % shards), {})[d] = (tf, dl)
+                want.setdefault((term, d % shards), {})[d] = tf
     parts = pa.concat_tables([_pack(b, shards, cap) for b in batches])
     if cap:
         _, per_row = flat_from_binary_col(parts["docs"], np.dtype("<i8"))
         assert per_row.max(initial=0) <= cap
     order = data.draw(st.permutations(range(parts.num_rows)))
     parts = parts.take(pa.array(order, pa.int64()))
-    # the segment's doc store may hold docs without postings
-    ids = np.unique(np.array([d for b in batches for d, _, _ in b]
-                             + extra_ids, np.int64))
-    out = encode_partials_table(parts, bs, doc_ids=ids)
+    ids = np.array(sorted(lengths), np.int64)
+    table = pa.table({"doc_id": ids,
+                      "dl": [lengths[d][0] for d in ids.tolist()],
+                      "dl__src": [lengths[d][1] for d in ids.tolist()]})
+    out = encode_partials_table(parts, bs, doc_lengths=table)
 
     got: dict = {}
     for row in out.to_pylist():
@@ -271,9 +291,8 @@ def test_pack_then_encode_matches_dict(batches, shards, cap, bs, extra_ids,
         ords, tfs = decode_blocks(row, np.arange(nb), bs)
         assert row["df"] == ords.size
         got[key] = {int(ids[o]): int(t) for o, t in zip(ords, tfs)}
-        lists = want[key]
-        dls = [lists[d][1] for d in sorted(lists)]  # in ordinal order
+        field = int(row["term"].startswith("src" + FIELD_SEP))
+        dls = [lengths[d][field] for d in sorted(want[key])]  # ordinal order
         assert row["block_min_dl"] == [min(dls[i:i + bs])
                                        for i in range(0, len(dls), bs)]
-    assert got == {k: {d: tf for d, (tf, _) in v.items()}
-                   for k, v in want.items()}
+    assert got == want

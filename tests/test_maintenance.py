@@ -331,9 +331,10 @@ def _segment_postings(seg_dir: str, block_size: int) -> dict:
     import pyarrow.parquet as pq
 
     from gazetteer_search_ray.pipelines.maintenance import _decode_rows_flat
-    from gazetteer_search_ray.stages.postings import segment_doc_ids
+    from gazetteer_search_ray.stages.postings import segment_doc_lengths
 
-    ids = segment_doc_ids(os.path.join(seg_dir, "docmeta"))
+    ids = segment_doc_lengths(
+        os.path.join(seg_dir, "docmeta"))["doc_id"].to_numpy()
     pdir = os.path.join(seg_dir, "postings")
     t = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
                           for f in sorted(os.listdir(pdir))])
@@ -426,11 +427,12 @@ def test_sort_blocks_follow_partial_rows(ray_session, monkeypatch):
     docs = np.tile(np.arange(n_docs), n_terms)
     partials = pack_partials(
         pa.array([f"t{i:04d}" for i in range(n_terms)]),
-        np.zeros(n_terms, np.int32), docs, 1 + docs % 3, 5 + docs % 7,
+        np.zeros(n_terms, np.int32), docs, 1 + docs % 3,
         np.arange(n_terms + 1) * n_docs, 1, cap=1)
     rows = partials.take(np.random.default_rng(0).permutation(
         partials.num_rows))
     ids = np.arange(n_docs, dtype=np.int64)
+    lengths = pa.table({"doc_id": ids, "dl": 5 + ids % 7})
     pdir = f"{BASE}/blocks_synthetic"
     shutil.rmtree(pdir, ignore_errors=True)
     os.makedirs(pdir)
@@ -440,11 +442,11 @@ def test_sort_blocks_follow_partial_rows(ray_session, monkeypatch):
     # CPUs, set the count without a test input of hundreds of MB
     monkeypatch.setattr(postings, "MIN_PARTITION_BYTES",
                         ds.size_bytes() // 8)
-    metrics = write_postings(ds, pdir, ids)
+    metrics = write_postings(ds, pdir, lengths)
     assert metrics["sort_blocks"] == 8 and metrics["boundary_rows"] > 0
     got = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
                             for f in sorted(os.listdir(pdir))])
-    want = encode_partials_table(rows, doc_ids=ids)
+    want = encode_partials_table(rows, doc_lengths=lengths)
     assert got.sort_by("term").to_pylist() == want.to_pylist()
 
 

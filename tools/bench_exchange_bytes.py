@@ -4,14 +4,15 @@ Runs TokenizeStage (no Ray needed — it is a plain callable over Arrow
 batches) over the deterministic 40k-doc bench corpus and reports:
 
 * ``bytes_per_posting`` — actual bytes a posting occupies in the
-  PARTIAL_SCHEMA rows that ride the sort exchange (skey + docs + tfs +
-  dls buffers).
+  PARTIAL_SCHEMA rows that ride the sort exchange (the buffers of every
+  column of ``PARTIAL_SCHEMA``: skey, docs, tfs).
 * ``legacy_bytes_per_posting`` — what the SAME entries cost in the
   round-4 layout (duplicate term string + int32 shard columns alongside
   the key, raw int32 tfs/dls payloads), reconstructed analytically from
   the same run so the ratio is apples-to-apples.
 
-Writes BENCH_exchange_r5.json (atomic temp+rename).
+Writes BENCH_exchange_r5.json (atomic temp+rename), or the path in
+``GSR_EXCH_OUT``; ``GSR_BENCH_DOCS`` sets the corpus size.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from gazetteer_search_ray.sources.corpus import (
     _assign_doc_ids,
     write_synthetic_corpus,
 )
-from gazetteer_search_ray.stages.tokenize import TokenizeStage
+from gazetteer_search_ray.stages.tokenize import PARTIAL_SCHEMA, TokenizeStage
 
 SCRATCH = "/dev/shm" if os.path.isdir("/dev/shm") else "/tmp"
 N_DOCS = int(os.environ.get("GSR_BENCH_DOCS", "40000"))
@@ -38,7 +39,7 @@ def main() -> None:
     if not os.path.exists(CORPUS):
         write_synthetic_corpus(CORPUS, n_docs=N_DOCS, n_files=8)
     stage = TokenizeStage(docmeta_dir=None)
-    total = {"skey": 0, "docs": 0, "tfs": 0, "dls": 0}
+    total = dict.fromkeys(PARTIAL_SCHEMA.names, 0)
     n_postings = 0
     n_rows = 0
     for fname in sorted(os.listdir(CORPUS)):
@@ -66,10 +67,10 @@ def main() -> None:
     bpp = exch_bytes / n_postings
     # round-4 layout: + duplicate term string column (== skey bytes),
     # + int32 shard per row, and tfs/dls as raw int32 (4 B/posting each)
-    # instead of varbyte.
+    # instead of varbyte tfs and no dls.
     legacy = (
         exch_bytes
-        - total["tfs"] - total["dls"]          # drop varbyte payloads
+        - total["tfs"]                          # drop varbyte payload
         + 8 * n_postings                        # raw int32 tfs+dls
         + total["skey"]                         # duplicate term column
         + 4 * n_rows                            # int32 shard column
