@@ -49,8 +49,6 @@ def _varbyte_encode_starts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values)
     if v.size == 0:
         return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-    if v.min() >= 0 and v.max() < 128:  # one byte each (most tfs)
-        return v.astype(np.uint8), np.arange(v.size, dtype=np.int64)
     v = v.astype(np.uint64, copy=True)
     # number of 7-bit groups per value (1..10)
     nb = np.ones(v.shape, dtype=np.int64)

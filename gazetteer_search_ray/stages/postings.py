@@ -174,7 +174,12 @@ def _resolve(ref):
 
 def ordinals_of(ids_sorted, docs: np.ndarray) -> np.ndarray:
     """Segment ordinals of doc ids: each id's index in the segment's
-    sorted ids; every id must be in the doc store."""
+    sorted ids; every id must be in the doc store.
+
+    Each call hashes all the segment's ids (~48 B a doc at peak), yet
+    stays cheaper than ``np.searchsorted``: on a 2.4M-posting sort block
+    0.04 s against 0.30 s at 6k docs, 0.50 s against 1.19 s at 4M docs
+    (1 vCPU)."""
     ords = pc.index_in(pa.array(docs, pa.int64()), value_set=ids_sorted)
     if ords.null_count:
         raise ValueError("posting of a doc_id missing from the doc store")
@@ -182,9 +187,10 @@ def ordinals_of(ids_sorted, docs: np.ndarray) -> np.ndarray:
 
 
 def _doc_lengths(t: pa.Table) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(dl, {field: dl__field}) columns of a doc-store table."""
-    return (t["dl"].to_numpy().astype(np.int64),
-            {c[4:]: t[c].to_numpy().astype(np.int64)
+    """(dl, {field: dl__field}) columns of a doc-store table, as
+    read-only views where the columns are single-chunk int64."""
+    return (t["dl"].to_numpy().astype(np.int64, copy=False),
+            {c[4:]: t[c].to_numpy().astype(np.int64, copy=False)
              for c in t.column_names if c.startswith("dl__")})
 
 

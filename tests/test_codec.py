@@ -26,7 +26,8 @@ CASES = [
 ]
 
 
-# one byte per value (the encoder's fast path), and a mix that crosses it
+# every value below 128 (one byte each: the decoder's one-copy path),
+# and a mix that crosses 128
 VARBYTE_CASES = CASES + [
     np.array([0, 127, 5, 0, 127], dtype=np.int64),
     np.arange(128, dtype=np.int64),
