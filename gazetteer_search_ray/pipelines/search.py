@@ -14,10 +14,19 @@ query variants → first non-empty top-k → projection.
   minimum_should_match branch (``:274-309``), (3) relaxed disjunction —
   each rescored by the doc prior (Q6) and intersected with structured
   filters (Q13 analog: repo/lang).
+* :class:`Searcher` — the single-process facade.  Its ``search``
+  keyword arguments are the one request shape of every serving surface:
+  the HTTP server parses a query string into them, and the
+  :class:`QueryService` actors and the :class:`QueryScorer` batch stage
+  take rows of them (plus an optional ``qid``), so every surface shares
+  ``search``'s defaults.
 * :class:`QueryScorer` — the stateful query actor: index + analyzer
-  loaded once in ``__init__``; ``__call__`` scores a batch of queries →
-  rows (qid, rank, doc_id, score).  Used as
+  loaded once in ``__init__``; ``__call__`` scores a batch of query rows
+  → rows (qid, rank, doc_id, score).  Used as
   ``queries_ds.map_batches(QueryScorer, concurrency=N)``.
+* :class:`QueryService` / :class:`ShardedQueryService` — persistent
+  raw-Ray pools of one-CPU actors: whole-index replicas, or one actor per
+  segment with a global-df scatter-gather.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ def analyze_query(q: str, analyzer, prefix: bool = False) -> ParsedQuery:
 def build_cascade(
     pq: ParsedQuery,
     filters: dict | None = None,
-    use_prior: bool = True,
+    use_prior: bool = False,
 ) -> list:
     """Coalesce variants, strictest first (Q14)."""
     filt = tuple(
@@ -142,7 +151,7 @@ class Searcher:
         prefix: bool = False,
         filters: dict | None = None,
         coalesce: bool = True,
-        use_prior: bool = True,
+        use_prior: bool = False,
         trim: bool = False,
         verbose: bool = False,
         with_matched: bool = False,
@@ -249,58 +258,34 @@ class Searcher:
 
 
 class QueryScorer:
-    """Actor-pool stage: batch of queries in → ranked hits out.
+    """Actor-pool stage: batch of query rows in → ranked hits out.
 
     ``map_batches(QueryScorer, fn_constructor_kwargs=dict(index_dir=...),
     concurrency=N, batch_format="pyarrow")`` — the index, analyzer and
     caches are loaded once per actor (reference analog: the singleton ES
-    client + static analyzer config, ``ESServer.java:12-18``).
+    client + static analyzer config, ``ESServer.java:12-18``).  A row is
+    a ``qid`` plus ``Searcher.search`` keyword arguments; a null cell
+    takes ``search``'s default.
     """
 
-    def __init__(self, index_dir: str, k: int = 20, use_prior: bool = False,
-                 coalesce: bool = True,
+    def __init__(self, index_dir: str,
                  prime_queries: list[dict] | None = None):
         self.searcher = Searcher(index_dir)
-        self.k = k
-        self.use_prior = use_prior
-        self.coalesce = coalesce
         # priming (the QueryService.warm analog, in-actor): run a
         # representative query set once in __init__ so segment pages
         # fault in and the leaf caches fill during actor startup, not
         # inside the first served batch.  Caches are exact — primed and
         # unprimed results are identical (round-4 measurement: unprimed
         # first-touch page faults dominated first-batch latency ~100×).
-        for pq in prime_queries or ():
-            self.searcher.search(
-                pq["q"], k=int(pq.get("k", k)),
-                prefix=bool(pq.get("prefix", False)),
-                coalesce=coalesce, use_prior=use_prior,
-            )
+        for req in prime_queries or ():
+            self.searcher.search(**req)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, qs = batch["qid"].to_pylist(), batch["q"].to_pylist()
-        ks = batch["k"].to_pylist() if "k" in batch.column_names else [self.k] * len(qs)
-        pfx = (
-            batch["prefix"].to_pylist()
-            if "prefix" in batch.column_names
-            else [False] * len(qs)
-        )
-        langs = (
-            batch["filter_lang"].to_pylist()
-            if "filter_lang" in batch.column_names
-            else [None] * len(qs)
-        )
         out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        for qid, q, k, p, fl in zip(qids, qs, ks, pfx, langs):
-            hits = self.searcher.search(
-                q,
-                k=int(k or self.k),
-                prefix=bool(p),
-                filters={"lang": fl} if fl else None,
-                coalesce=self.coalesce,
-                use_prior=self.use_prior,
-            )
-            for h in hits:
+        for row in batch.to_pylist():
+            qid = row.pop("qid")
+            req = {k: v for k, v in row.items() if v is not None}
+            for h in self.searcher.search(**req):
                 out["qid"].append(qid)
                 out["rank"].append(h["rank"])
                 out["doc_id"].append(h["doc_id"])
@@ -315,17 +300,17 @@ class QueryScorer:
         )
 
 
-def _check_actors_fit(actors: int, num_cpus: float) -> None:
-    """Raise unless ``actors`` actors of ``num_cpus`` CPUs each fit the
-    Ray cluster at once.  An actor that does not fit stays pending, and
-    every request routed to it waits forever."""
+def _check_actors_fit(actors: int) -> None:
+    """Raise unless ``actors`` one-CPU actors fit the Ray cluster at
+    once.  An actor that does not fit stays pending, and every request
+    routed to it waits forever."""
     import ray
 
     cpus = ray.cluster_resources().get("CPU", 0)
-    if actors * num_cpus > cpus:
+    if actors > cpus:
         raise ValueError(
-            f"{actors} actors x num_cpus={num_cpus} need more than the "
-            f"cluster's {cpus:g} CPUs; the extra actors would never start"
+            f"{actors} one-CPU actors need more than the cluster's "
+            f"{cpus:g} CPUs; the extra actors would never start"
         )
 
 
@@ -337,19 +322,20 @@ class QueryService:
     re-creates its actor pool per execution; a serving workload keeps
     warm actors. This is one of the few places the Dataset API genuinely
     can't express the semantics, so the pool is raw Ray actors: each
-    holds a warm ``Searcher`` (index + caches) and answers query batches
-    round-robin.
+    holds a warm ``Searcher`` (index + caches) and answers batches of
+    query rows round-robin.  A row is a ``qid`` plus ``Searcher.search``
+    keyword arguments, so ``verbose``, ``trim`` and ``with_matched`` are
+    answered inside the pool too.
     """
 
-    def __init__(self, index_dir: str, pool_size: int = 4, use_prior: bool = False,
-                 num_cpus: float = 1.0):
+    def __init__(self, index_dir: str, pool_size: int = 4):
         import ray
 
-        _check_actors_fit(pool_size, num_cpus)
+        _check_actors_fit(pool_size)
 
-        @ray.remote(num_cpus=num_cpus)
+        @ray.remote(num_cpus=1)
         class _Worker:
-            def __init__(self, index_dir: str, use_prior: bool):
+            def __init__(self, index_dir: str):
                 # each pool actor is budgeted num_cpus=1; Arrow's
                 # default per-process pools are os.cpu_count() threads,
                 # so a 16-actor pool spins 16×32 threads and replay
@@ -360,7 +346,6 @@ class QueryService:
                 _pa.set_cpu_count(1)
                 _pa.set_io_thread_count(2)
                 self.searcher = Searcher(index_dir)
-                self.use_prior = use_prior
 
             def warm(self, terms: list[str]) -> int:
                 from .query import Term
@@ -388,35 +373,28 @@ class QueryService:
                 return len(shared)
 
             def search_batch(self, rows: list[dict], summarize: bool = False) -> list[dict]:
-                """Answer ``rows`` of ``q`` with optional ``k``,
-                ``prefix``, ``filters``, ``coalesce`` and ``use_prior``
-                (default: the pool's ``use_prior``)."""
+                """Answer ``rows``: each is ``Searcher.search`` keyword
+                arguments plus an optional ``qid``."""
                 out = []
-                for q in rows:
-                    hits = self.searcher.search(
-                        q["q"], k=int(q.get("k", 20)),
-                        prefix=bool(q.get("prefix", False)),
-                        filters=q.get("filters"),
-                        coalesce=bool(q.get("coalesce", True)),
-                        use_prior=bool(q.get("use_prior", self.use_prior)),
-                    )
+                for row in rows:
+                    req = dict(row)
+                    qid = req.pop("qid", None)
+                    hits = self.searcher.search(**req)
                     if summarize:
                         # serving benches must not funnel full hit
                         # payloads through one driver process — a real
                         # service streams hits to many clients
                         out.append({
-                            "qid": q.get("qid"),
+                            "qid": qid,
                             "n_hits": len(hits),
                             "top_doc": hits[0]["doc_id"] if hits else None,
                         })
                     else:
-                        out.append({"qid": q.get("qid"), "hits": hits})
+                        out.append({"qid": qid, "hits": hits})
                 return out
 
         self._ray = ray
-        self.workers = [
-            _Worker.remote(index_dir, use_prior) for _ in range(pool_size)
-        ]
+        self.workers = [_Worker.remote(index_dir) for _ in range(pool_size)]
         self.pool_size = pool_size
         self._rr = 0
 
@@ -446,6 +424,10 @@ class QueryService:
         self._rr += 1
         return w.search_batch.remote(rows, summarize)
 
+    def search(self, **req) -> list[dict]:
+        """``Searcher.search(**req)``, answered by the next actor."""
+        return self._ray.get(self.submit([req]))[0]["hits"]
+
     def replay(self, queries: list[dict], batch_size: int = 64,
                summarize: bool = False) -> list[dict]:
         futs = [
@@ -466,7 +448,7 @@ class ShardedQueryService:
     """Scatter-gather query serving over segment shards — the multi-node
     layout (reference analog: ES shards + ``dfs_query_then_fetch``).
 
-    Each raw-Ray actor holds ONE shard's segments (``IndexReader``
+    Each one-CPU raw-Ray actor holds ONE segment (``IndexReader``
     restricted via ``segments=``); on a real cluster the actors are
     scheduled next to their segment files and no actor ever loads the
     whole index.  A query runs two-phase for rank-identity with an
@@ -486,8 +468,7 @@ class ShardedQueryService:
     Differentially tested bit-identical to the unsharded ``Searcher``.
     """
 
-    def __init__(self, index_dir: str, shards: list[list[str]] | None = None,
-                 use_prior: bool = False, num_cpus: float = 1.0):
+    def __init__(self, index_dir: str):
         import ray
 
         from ..functions.analyzer import Analyzer, AnalyzerConfig
@@ -502,13 +483,10 @@ class ShardedQueryService:
                 "sharded serving needs a segmented index "
                 "(build_index_partitioned / update_index)"
             )
-        if shards is None:
-            shards = [[s] for s in segments]  # one actor per segment
-        _check_actors_fit(len(shards), num_cpus)
+        _check_actors_fit(len(segments))
         self.analyzer = Analyzer(AnalyzerConfig.from_dict(man["analyzer"]))
-        self.use_prior = use_prior
 
-        @ray.remote(num_cpus=num_cpus)
+        @ray.remote(num_cpus=1)
         class _Shard:
             def __init__(self, index_dir: str, segments: list[str]):
                 self.searcher = Searcher(index_dir, segments=segments)
@@ -528,7 +506,7 @@ class ShardedQueryService:
                 return eng.reader.doc_ids[docs], scores
 
         self._ray = ray
-        self.workers = [_Shard.remote(index_dir, group) for group in shards]
+        self.workers = [_Shard.remote(index_dir, [seg]) for seg in segments]
 
     @staticmethod
     def _term_leaves(plan) -> list[str]:
@@ -555,11 +533,10 @@ class ShardedQueryService:
 
     def search(self, q: str, k: int = 20, prefix: bool = False,
                filters: dict | None = None, coalesce: bool = True,
-               use_prior: bool | None = None) -> list[dict]:
+               use_prior: bool = False) -> list[dict]:
         ray = self._ray
         pq = analyze_query(q, self.analyzer, prefix)
-        prior = self.use_prior if use_prior is None else use_prior
-        variants = build_cascade(pq, filters, prior)
+        variants = build_cascade(pq, filters, use_prior)
         if not variants:
             return []
         if not coalesce:

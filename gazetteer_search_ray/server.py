@@ -4,10 +4,14 @@ Reference flow (``server/REServer.java:54-96`` → routes
 ``server/REServerRoutes.java:40-67`` → param parsing
 ``api/SearchAPIAdapter.java:63-137`` → ``ESDefaultSearch.search`` →
 ``api/ResultsWrapper.java:27-75``): a thin HTTP adapter over the search
-stack.  Here the adapter is a stdlib ``ThreadingHTTPServer`` over a warm
-``Searcher`` (or, when ``pool_size > 1``, the ``QueryService`` actor
-pool, which needs a Ray session — each worker holds index + caches
-loaded once, the reference's singleton-ES-client analog).
+stack.  Here the adapter is a stdlib ``ThreadingHTTPServer`` over one
+backend: a warm ``Searcher``, or, when ``pool_size > 1``, the
+``QueryService`` actor pool, which needs a Ray session (each worker
+holds index + caches loaded once, the reference's singleton-ES-client
+analog).  ``search_params`` turns the query string into one dict of
+``Searcher.search`` keyword arguments and hands it to that backend's
+``search``, so both answer every parameter the same way, and the pooled
+server process opens no index of its own.
 
 Routes:
 
@@ -20,7 +24,8 @@ Routes:
   (hit field sets, Q17).  Response
   ``{"result": "success", "answer_time", "total_hits", "rows": [...]}``
   (``ResultsWrapper.java:27-40``).
-* ``GET /index/stats`` — manifest stats (n_docs, avgdl, …).
+* ``GET /index/stats`` — manifest stats (n_docs, avgdl, …), read once
+  at start.
 * ``GET /healthcheck`` — liveness.
 
 Connections are persistent HTTP/1.1, as the reference's Netty server
@@ -56,9 +61,10 @@ LINGER_S = 1.0
 POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: bounds shutdown()
 
 
-def _flag(qs: dict, name: str, default: bool = False) -> bool:
-    v = qs.get(name)
-    return default if v is None else v[0].lower() in _TRUE
+# boolean query-string parameter -> ``Searcher.search`` keyword; one
+# that is absent takes ``search``'s default
+_FLAGS = {"prefix": "prefix", "coallesce": "coalesce", "prior": "use_prior",
+          "trim": "trim", "verbose": "verbose", "matched": "with_matched"}
 
 
 class SearchHTTPServer:
@@ -66,11 +72,18 @@ class SearchHTTPServer:
 
     def __init__(self, index_dir: str, port: int = 0, pool_size: int = 1,
                  use_prior: bool = False):
-        from .pipelines.search import Searcher
+        from .pipelines.search import QueryService, Searcher
+        from .state.manifest import read_checked_manifest
 
-        self.index_dir = index_dir
-        self._svc = None
-        self._searcher = None
+        man = read_checked_manifest(index_dir)
+        self._stats = {
+            "result": "success",
+            "n_docs": int(man["n_docs"]),
+            "avgdl": float(man["avgdl"]),
+            "total_tokens": int(man.get("total_tokens", 0)),
+            "import_counter": int(man.get("import_counter", 0)),
+        }
+        self._pool = None
         if pool_size > 1:
             import ray
 
@@ -78,12 +91,8 @@ class SearchHTTPServer:
                 raise RuntimeError(
                     f"pool_size={pool_size} needs a Ray session; "
                     "use pool_size=1 to serve in-process")
-            from .pipelines.search import QueryService
-
-            self._svc = QueryService(index_dir, pool_size=pool_size,
-                                     use_prior=use_prior)
-        else:
-            self._searcher = Searcher(index_dir)
+            self._pool = QueryService(index_dir, pool_size=pool_size)
+        self._backend = self._pool or Searcher(index_dir)
         self.default_use_prior = use_prior
         self._closing = threading.Event()
         outer = self
@@ -189,62 +198,24 @@ class SearchHTTPServer:
     # -- backend ---------------------------------------------------------
 
     def stats(self) -> dict:
-        from .state.reader import IndexReader
-
-        r = (
-            self._searcher.reader
-            if self._searcher is not None
-            else IndexReader(self.index_dir)
-        )
-        return {
-            "result": "success",
-            "n_docs": int(r.n_docs),
-            "avgdl": float(r.avgdl),
-            "total_tokens": int(r.manifest.get("total_tokens", 0)),
-            "import_counter": int(r.manifest.get("import_counter", 0)),
-        }
+        return self._stats
 
     def search_params(self, qs: dict) -> dict:
-        q = qs["q"][0]
+        """Answer a parsed ``/location/_search`` query string."""
         page = max(0, int(qs.get("page", ["0"])[0]))
         size = max(1, int(qs.get("size", ["20"])[0]))
-        prefix = _flag(qs, "prefix")
-        coalesce = _flag(qs, "coallesce", True)
-        verbose = _flag(qs, "verbose")
-        trim = _flag(qs, "trim")
-        with_matched = _flag(qs, "matched")
-        use_prior = _flag(qs, "prior", self.default_use_prior)
-        filters = {}
-        for col in ("lang", "repo"):
-            if col in qs:
-                filters[col] = qs[col]
-        t0 = time.monotonic()
         # from/size: evaluate (page+1)*size then slice (Q15 paging,
         # ESCoalesce.java:46-51)
-        k = (page + 1) * size
-        if self._svc is not None and not (with_matched or trim or verbose):
-            rows = self._svc.replay(
-                [
-                    {
-                        "qid": 0, "q": q, "k": k, "prefix": prefix,
-                        "filters": filters or None, "coalesce": coalesce,
-                        "use_prior": use_prior,
-                    }
-                ],
-                batch_size=1,
-            )
-            hits = rows[0]["hits"] if rows else []
-        else:
-            if self._searcher is None:
-                from .pipelines.search import Searcher
-
-                self._searcher = Searcher(self.index_dir)
-            hits = self._searcher.search(
-                q, k=k, prefix=prefix, filters=filters or None,
-                coalesce=coalesce, use_prior=use_prior, trim=trim,
-                verbose=verbose, with_matched=with_matched,
-            )
-        hits = hits[page * size : (page + 1) * size]
+        req = {"q": qs["q"][0], "k": (page + 1) * size,
+               "use_prior": self.default_use_prior}
+        for name, kw in _FLAGS.items():
+            if name in qs:
+                req[kw] = qs[name][0].lower() in _TRUE
+        filters = {col: qs[col] for col in ("lang", "repo") if col in qs}
+        if filters:
+            req["filters"] = filters
+        t0 = time.monotonic()
+        hits = self._backend.search(**req)[page * size : (page + 1) * size]
         return {
             "result": "success",
             "answer_time": round((time.monotonic() - t0) * 1000, 3),
@@ -271,8 +242,8 @@ class SearchHTTPServer:
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        if self._svc is not None:
-            self._svc.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def serve(index_dir: str, port: int = 8080, pool_size: int = 1,

@@ -438,6 +438,39 @@ def test_query_service_pool(idx):
     svc.shutdown()
 
 
+def test_query_scorer_matches_searcher(idx):
+    """``map_batches(QueryScorer)`` returns, per query row, the ranked
+    (doc_id, score) rows of ``Searcher.search`` with the same ``k`` and
+    ``prefix``, for rows whose ``k`` and ``prefix`` differ."""
+    import ray.data as rd
+
+    from gazetteer_search_ray.pipelines.search import QueryScorer
+
+    rows = [
+        {"qid": 0, "q": "def return", "k": 5, "prefix": False},
+        {"qid": 1, "q": "def ret", "k": 20, "prefix": True},
+        {"qid": 2, "q": "qwyzzle", "k": 3, "prefix": False},
+        {"qid": 3, "q": "class imp", "k": 7, "prefix": True},
+        {"qid": 4, "q": "zzz_nothing", "k": 20, "prefix": False},
+        {"qid": 5, "q": "import class return", "k": 50, "prefix": False},
+    ]
+    out = rd.from_items(rows).map_batches(
+        QueryScorer, fn_constructor_kwargs=dict(index_dir=idx),
+        batch_format="pyarrow", concurrency=1, batch_size=4,
+    ).take_all()
+    got = sorted((r["qid"], r["rank"], r["doc_id"], r["score"]) for r in out)
+    local = Searcher(idx)
+    want = sorted(
+        (r["qid"], h["rank"], h["doc_id"], h["score"])
+        for r in rows
+        for h in local.search(r["q"], k=r["k"], prefix=r["prefix"],
+                              use_prior=False)
+    )
+    assert got == want
+    n_hits = [sum(w[0] == r["qid"] for w in want) for r in rows]
+    assert n_hits == [5, 20, 1, 7, 0, 50]  # each row's own k caps its hits
+
+
 def test_sharded_scatter_gather_matches_unsharded(ray_session):
     """ShardedQueryService (one actor per segment, two-phase global-df
     search) must produce identical hits to the unsharded Searcher."""
@@ -461,7 +494,7 @@ def test_sharded_scatter_gather_matches_unsharded(ray_session):
         num_partitions=3,
     )
     flat = Searcher(base)
-    svc = ShardedQueryService(base, use_prior=False)
+    svc = ShardedQueryService(base)
     try:
         for q, pfx in [("def return", False), ("class", False),
                        ("qwyzzle", False), ("parse add", True),

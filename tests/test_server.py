@@ -55,7 +55,7 @@ def server(ray_session):
 
 
 def _get(server, path: str, **params) -> dict:
-    qs = urllib.parse.urlencode(params)
+    qs = urllib.parse.urlencode(params, doseq=True)
     url = f"http://127.0.0.1:{server.port}{path}" + (f"?{qs}" if qs else "")
     with urllib.request.urlopen(url, timeout=30) as r:
         return json.loads(r.read())
@@ -140,14 +140,50 @@ PRIOR_BASE = "/tmp/gsr_server_prior"
 DOC_PRIOR = {0: 1.0, 1: 1.0, 2: 0.2, 3: 1.0, 4: 5.0, 5: 3.0}
 
 
-def test_pool_backend_matches_local(server, ray_session):
+REPO_OF = {0: "a", 1: "b", 2: "a", 3: "b", 4: "b", 5: "a"}
+
+# one request per line, each on top of q=POOL_Q (four hits, from the
+# relaxed variant of the cascade); together they set every search
+# parameter, and lang and repo with one value and with two
+POOL_Q = "springfield portland"
+POOL_GRID = [
+    {},
+    {"page": "1", "size": "2"},
+    {"page": "0", "size": "1"},
+    {"page": "3", "size": "2"},
+    {"q": "springfield ma", "prefix": "1"},
+    {"q": "portland oa", "prefix": "true", "size": "1"},
+    {"q": "main street springfield", "coallesce": "0"},
+    {"prior": "1"},
+    {"prior": "1", "coallesce": "0", "page": "1", "size": "2",
+     "q": "main street springfield"},
+    {"verbose": "1"},
+    {"q": "springfield (oak)", "coallesce": "0", "trim": "1"},
+    {"q": "springfield (oak)", "coallesce": "0", "matched": "1"},
+    {"q": "springfield (oak)", "coallesce": "0", "trim": "1",
+     "matched": "1", "verbose": "1", "prior": "1"},
+    {"lang": "en"},
+    {"q": "springfield мира", "coallesce": "0", "lang": ["en", "ru"]},
+    {"q": "springfield мира", "coallesce": "0", "lang": "ru"},
+    {"q": "москва", "lang": "en"},
+    {"repo": "a"},
+    {"repo": ["a", "b"], "lang": "en", "verbose": "1"},
+    {"repo": "b", "prefix": "1", "size": "1"},
+]
+
+
+def test_pool_backend_matches_local(server, ray_session, monkeypatch):
     """The pool answers like the in-process backend for every ``prior``
     x ``coallesce`` setting, on an index whose docs have unequal priors
-    (each setting changes the local answer, so none can be ignored)."""
+    (each setting changes the local answer, so none can be ignored).
+    Over every request parameter the pooled reply equals the local one
+    but for ``answer_time``, and the pooled server process opens no
+    ``IndexReader`` of its own: searches and ``/index/stats`` included."""
     import numpy as np
     import ray.data as rd
 
     from gazetteer_search_ray.server import SearchHTTPServer
+    from gazetteer_search_ray.state.reader import IndexReader
 
     pooled = SearchHTTPServer(BASE, port=0, pool_size=2).start()
     try:
@@ -161,7 +197,8 @@ def test_pool_backend_matches_local(server, ray_session):
         return np.array([DOC_PRIOR[d] for d in batch["doc_id"].to_pylist()])
 
     shutil.rmtree(PRIOR_BASE, ignore_errors=True)
-    build_index(rd.from_items(DOCS), PRIOR_BASE,
+    docs = [dict(d, repo=REPO_OF[d["doc_id"]]) for d in DOCS]
+    build_index(rd.from_items(docs), PRIOR_BASE,
                 BuildOptions(analyzer_config=AnalyzerConfig.gazetteer(),
                              score_builder=prior))
     local = SearchHTTPServer(PRIOR_BASE, port=0, pool_size=1).start()
@@ -178,6 +215,42 @@ def test_pool_backend_matches_local(server, ray_session):
                 assert ids == [r["doc_id"] for r in b["rows"]], params
                 answers.add(tuple(ids))
         assert len(answers) == 4
+
+        opens = []
+        real_init = IndexReader.__init__
+
+        def counting_init(self, *a, **kw):
+            opens.append(a[0] if a else kw.get("index_dir"))
+            real_init(self, *a, **kw)
+
+        monkeypatch.setattr(IndexReader, "__init__", counting_init)
+        pooled_opens = 0
+
+        def pooled_get(path, **params):
+            nonlocal pooled_opens
+            before = len(opens)
+            reply = _get(pooled, path, **params)
+            pooled_opens += len(opens) - before
+            return reply
+
+        for _ in range(3):
+            assert pooled_get("/index/stats") == _get(local, "/index/stats")
+        replies = set()
+        for extra in POOL_GRID:
+            params = {"q": POOL_Q, **extra}
+            a = _get(local, "/location/_search", **params)
+            b = pooled_get("/location/_search", **params)
+            a.pop("answer_time")
+            b.pop("answer_time")
+            assert b == a, params
+            assert b["total_hits"] == len(b["rows"]), params
+            replies.add(json.dumps(a["rows"], sort_keys=True))
+            if "verbose" in extra:
+                assert all("sha256" in r and "dl" in r for r in b["rows"])
+            if "matched" in extra:
+                assert all("matched_queries" in r for r in b["rows"])
+        assert len(replies) >= 16  # the grid is not a few answers repeated
+        assert pooled_opens == 0, opens
     finally:
         pooled.shutdown()
         local.shutdown()

@@ -11,8 +11,10 @@ batches) over the deterministic 40k-doc bench corpus and reports:
   the key, raw int32 tfs/dls payloads), reconstructed analytically from
   the same run so the ratio is apples-to-apples.
 
-Writes BENCH_exchange_r5.json (atomic temp+rename), or the path in
-``GSR_EXCH_OUT``; ``GSR_BENCH_DOCS`` sets the corpus size.
+Prints the result as one JSON line, and writes it to the path in
+``GSR_EXCH_OUT`` (atomic temp+rename) only when that is set, so a run
+never replaces the committed 40k-doc ``BENCH_exchange_r5.json`` by
+default; ``GSR_BENCH_DOCS`` sets the corpus size.
 """
 from __future__ import annotations
 
@@ -87,11 +89,9 @@ def main() -> None:
     }
     line = json.dumps(result)
     print(line)
-    out_path = os.environ.get(
-        "GSR_EXCH_OUT",
-        os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "BENCH_exchange_r5.json"),
-    )
+    out_path = os.environ.get("GSR_EXCH_OUT")
+    if not out_path:
+        return
     tmp = out_path + ".tmp"
     with open(tmp, "w") as f:
         f.write(line + "\n")
