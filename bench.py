@@ -104,7 +104,7 @@ def run_bench() -> dict:
     build_index(
         read_corpus(CORPUS_DIR),
         idx_dir,
-        BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=512),
+        BuildOptions(analyzer_config=AnalyzerConfig.code()),
         overwrite=True,
     )
     t_build = time.monotonic() - t0

@@ -46,7 +46,10 @@ class BuildOptions:
     analyzer_config: AnalyzerConfig = field(default_factory=AnalyzerConfig.simple)
     num_doc_shards: int = 1
     block_size: int = BLOCK_SIZE
-    batch_size: int = 512
+    # rows per tokenize call: None hands TokenizeStage whole read blocks,
+    # which it cuts into slices of at most BATCH_BYTES of content; tests
+    # set small values to get many partial rows per term
+    batch_size: int | None = None
     score_builder: object | None = None
     # extra text fields ((field_name, column_name), ...): indexed as
     # field-scoped terms with per-field BM25 length norms (the

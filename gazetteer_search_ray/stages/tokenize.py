@@ -1,14 +1,15 @@
-"""TokenizeStage — the per-batch parse/normalize/partial-postings stage.
+"""TokenizeStage — the per-block parse/normalize/partial-postings stage.
 
 Reference analog: the whole single-threaded import loop body
 (``imp/addr/AddressesImporter.java:119-152`` →
 ``ImportObjectParser.parseAddress`` → ``IndexAnalyzer`` →
 ``AddrRowWrapper.getJsonForIndex``), re-expressed as ONE vectorized
-``map_batches`` stage over zero-copy Arrow batches that
+``map_batches`` stage over zero-copy Arrow blocks, cut into consecutive
+slices of at most ``BATCH_BYTES`` of content, that for each slice
 
 1. assigns/validates ``doc_id``;
 2. tokenizes ``content`` into integer codes: every tokenizer returns the
-   batch's term dictionary, each occurrence's term code and its row
+   slice's term dictionary, each occurrence's term code and its row
    (Arrow kernels for the SQL-expressible simple analyzer:
    ``utf8_lower`` → ``split_pattern_regex`` → ``dictionary_encode``;
    for the code analyzer, an Arrow split and encode of the raw tokens,
@@ -24,7 +25,7 @@ Reference analog: the whole single-threaded import loop body
    fuses the doc store into the single corpus pass — no second read of
    100 TB;
 5. emits *packed partial postings* (:func:`pack_partials`): one row
-   per (term, shard) run per batch with binary payloads (docs, tfs) —
+   per (term, shard) run per slice with binary payloads (docs, tfs) —
    the pre-aggregation that cuts the exchange volume (SURVEY.md §4
    'Memory pressure').  tf counting and the (term, shard, doc) order
    are one integer sort of the codes, and term strings are taken only
@@ -79,13 +80,37 @@ PARTIAL_SCHEMA = pa.schema(
 )
 SHARD_SEP = "\x1f"
 # Cap on postings per packed row: the sort exchange range-partitions by
-# ROW count, so one fat row per hot term (≤batch_size docs ≈ 4KB payload
-# vs ~30B for rare terms) makes the top-Zipf key range a byte-skewed
-# straggler block (measured 6.3× mean bytes and a 134s/25s-mean encode
-# task at 5.12M docs).  Splitting fat runs into ≤PACK_CAP-doc rows makes
-# bytes/row ~uniform so the row-balancing sampler balances bytes; the
-# encoder merges multiple rows per skey, so semantics are unchanged.
+# ROW count, so one fat row per hot term (a posting per doc of the slice,
+# thousands of them, vs ~30B for rare terms) makes the top-Zipf key range
+# a byte-skewed straggler block (measured 6.3× mean bytes and a
+# 134s/25s-mean encode task at 5.12M docs).  Splitting fat runs into
+# ≤PACK_CAP-doc rows makes bytes/row ~uniform so the row-balancing
+# sampler balances bytes; the encoder merges multiple rows per skey, so
+# semantics are unchanged.
 PACK_CAP = 128
+# Content bytes per tokenize slice.  Each slice pays once for its term
+# dictionary, dictionary sort, Arrow kernel calls and docmeta file, and
+# emits one partial row per (term, slice), so larger slices cut both the
+# fixed cost and the exchange rows; but tokenize's transient memory is
+# ~25x the content bytes it sees (measured ~210 MB peak above an 8 MiB
+# slice, BENCH_tokenize_blocks.json), so a whole 128 MB read block is
+# unsafe.
+BATCH_BYTES = 8 << 20
+
+
+def slice_bounds(content, cap: int) -> np.ndarray:
+    """Row offsets ``[0, ..., n]`` cutting ``content`` into consecutive
+    slices of at most ``cap`` bytes each; a row larger than ``cap`` gets
+    a slice of its own, and null or empty rows count as 0 bytes."""
+    lens = pc.fill_null(pc.binary_length(content), 0).to_numpy()
+    csum = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+    n = len(lens)
+    cuts = [0]
+    while cuts[-1] < n:
+        a = cuts[-1]
+        b = int(np.searchsorted(csum, csum[a] + cap, side="right")) - 1
+        cuts.append(max(b, a + 1))
+    return np.array(cuts, dtype=np.int64)
 
 
 def _value_offsets(arr: pa.Array) -> np.ndarray:
@@ -286,12 +311,19 @@ def _expand_ascii(tokens: pa.Array, split_compounds: bool):
 
 
 class TokenizeStage:
-    """Per-batch callable for ``map_batches(TokenizeStage(...))``.
+    """Per-block callable for ``map_batches(TokenizeStage(...))``.
+
+    A call cuts its table into consecutive slices of at most
+    ``BATCH_BYTES`` of ``content`` (:func:`slice_bounds`), tokenizes
+    each slice on its own, with its own docmeta file, and returns the
+    slices' ``PARTIAL_SCHEMA`` rows concatenated.  The build hands it
+    whole read blocks, so the slices, not Ray's batches, bound its
+    memory.
 
     Analyzer construction and regex compilation happen once, in
     ``__init__`` (reference analog: the singleton compiled replacers,
     ``ReplacersCompiler.java:20-38``).  Every tokenizer returns the
-    batch's term dictionary, each occurrence's term code and its row.
+    slice's term dictionary, each occurrence's term code and its row.
     ``map_batches`` unpickles a fresh stage per task, so no state is
     relied on across tasks; the terms cache only spares the analyzer
     calls for non-ASCII tokens repeated within one task.
@@ -408,10 +440,16 @@ class TokenizeStage:
             return self._tokenize_vectorized(content)
         return self._tokenize_python(content)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
+    def __call__(self, block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
             return PARTIAL_SCHEMA.empty_table()
+        cuts = slice_bounds(block["content"], BATCH_BYTES).tolist()
+        return pa.concat_tables([self._slice(block.slice(a, b - a))
+                                 for a, b in zip(cuts, cuts[1:])])
+
+    def _slice(self, batch: pa.Table) -> pa.Table:
+        """The partial rows of one slice, with its docmeta side-write."""
+        n = batch.num_rows
         doc_ids = batch["doc_id"].to_numpy().astype(np.int64)
         terms, codes, parent = self._tokenize(batch["content"])
         dl = np.bincount(parent, minlength=n).astype(np.int64)

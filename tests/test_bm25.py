@@ -15,7 +15,7 @@ def test_idf_matches_duckdb_ln():
 
 def test_tf_norm_hand_value():
     # tf=2, dl=10, avgdl=10 → 2*2.2/(2 + 1.2*(1-0.75+0.75*1)) = 4.4/3.2
-    got = float(bm25.tf_norm(np.array([2.0]), np.array([10.0]), 10.0))
+    got = bm25.tf_norm(np.array([2.0]), np.array([10.0]), 10.0).item()
     assert abs(got - 4.4 / 3.2) < 1e-12
 
 

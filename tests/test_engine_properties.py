@@ -8,6 +8,12 @@ and gazetteer presets; its partial postings must carry the tfs of that
 stream, and its doc store the stream lengths, for the content and one
 extra field.
 
+Block slices: with ``BATCH_BYTES`` patched small, one ``TokenizeStage``
+call over a table must cut it into consecutive slices of at most the
+cap (a row larger than the cap alone), null and empty rows counting 0
+bytes; it must return the per-slice calls' rows concatenated, and the
+same postings and doc store as one unsliced call.
+
 Codec v3: for random sorted unique doc ordinals whose gaps cross the 1-,
 2- and 4-byte widths, random tfs and random block sizes,
 ``encode_posting_groups`` → ``decode_blocks`` must round-trip, for all
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -38,6 +45,7 @@ from gazetteer_search_ray.functions.codec import (
     decode_blocks,
     encode_posting_groups,
 )
+from gazetteer_search_ray.stages import tokenize
 from gazetteer_search_ray.stages.postings import encode_partials_table
 from gazetteer_search_ray.stages.tokenize import (
     FIELD_SEP,
@@ -134,6 +142,71 @@ def test_tokenize_partials_match_analyzer(preset, rows, extra, shards):
         assert (term, d) not in got, "duplicate posting"
         got[(term, d)] = tf
     assert got == want
+
+
+def _byte_cuts(rows: list, cap: int) -> list[int]:
+    """Greedy consecutive slices of at most ``cap`` UTF-8 bytes; a row
+    larger than ``cap`` alone."""
+    cuts, size = [0], 0
+    for i, text in enumerate(rows):
+        b = len((text or "").encode())
+        if i > cuts[-1] and size + b > cap:
+            cuts.append(i)
+            size = 0
+        size += b
+    return cuts + [len(rows)]
+
+
+def _call(stage_args: dict, batch: pa.Table, cap: int):
+    """One ``TokenizeStage`` call at ``BATCH_BYTES = cap``: its partials,
+    its doc store sorted by doc_id, and the slices it tokenized."""
+    seen = []
+    with tempfile.TemporaryDirectory() as meta:
+        stage = TokenizeStage(**stage_args, docmeta_dir=meta)
+        inner = stage._slice
+
+        def record(t):
+            seen.append(t)
+            return inner(t)
+
+        stage._slice = record
+        with mock.patch.object(tokenize, "BATCH_BYTES", cap):
+            part = stage(batch)
+        dm = pads.dataset(meta, format="parquet").to_table()
+    return part, dm.sort_by("doc_id"), seen
+
+
+@pytest.mark.parametrize("preset", ("simple", "code"))
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.one_of(texts, st.just(""),
+                               st.text(st.sampled_from(ALPHABET),
+                                       min_size=20, max_size=60)),
+                     min_size=1, max_size=12),
+       cap=st.integers(1, 48), shards=st.integers(1, 2))
+def test_block_slices_match_per_slice_calls(preset, rows, cap, shards):
+    n = len(rows)
+    doc_ids = np.arange(n, dtype=np.int64) * 7 + 3
+    batch = pa.table({"doc_id": doc_ids, "content": pa.array(rows, pa.string())})
+    args = {"analyzer_config": getattr(AnalyzerConfig, preset)(),
+            "num_doc_shards": shards}
+    part, dm, seen = _call(args, batch, cap)
+
+    assert [d for t in seen for d in t["doc_id"].to_pylist()] == doc_ids.tolist()
+    for t in seen:
+        size = sum(len((x or "").encode()) for x in t["content"].to_pylist())
+        assert size <= cap or t.num_rows == 1, "slice over the cap"
+    cuts = _byte_cuts(rows, cap)
+    assert [t.num_rows for t in seen] == np.diff(cuts).tolist()
+    per_slice = pa.concat_tables(
+        [_call(args, batch.slice(a, b - a), 1 << 30)[0]
+         for a, b in zip(cuts, cuts[1:])])
+    assert part.equals(per_slice)
+
+    whole, whole_dm, whole_seen = _call(args, batch, 1 << 30)
+    assert len(whole_seen) == 1
+    assert dm.equals(whole_dm)
+    assert encode_partials_table(part, 4).equals(
+        encode_partials_table(whole, 4))
 
 
 # ordinal gaps on both sides of each byte width of a stored gap (gap - 1)

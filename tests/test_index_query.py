@@ -236,6 +236,26 @@ def test_sharded_index_equivalent(corpus_files, searcher):
         np.testing.assert_allclose(s1_, s2_, rtol=0, atol=1e-12)
 
 
+def _sorted_rows(index: str, sub: str, keys: list[str]):
+    t = pads.dataset(os.path.join(index, sub), format="parquet").to_table()
+    return t.sort_by([(k, "ascending") for k in keys])
+
+
+def test_block_build_equals_small_batch_build(corpus_files, index_dir):
+    """The default build hands tokenize whole read blocks; the fixture
+    index was built from 64-row batches.  Both must hold the same
+    postings rows and the same doc store.  The files themselves may
+    split differently: on more than one CPU the sort samples its range
+    boundaries at random."""
+    idx = f"{BASE}/idx_blocks"
+    build_index(read_corpus(corpus_files), idx,
+                BuildOptions(analyzer_config=AnalyzerConfig.code()))
+    assert _sorted_rows(idx, "postings", ["term", "shard"]).equals(
+        _sorted_rows(index_dir, "postings", ["term", "shard"]))
+    assert _sorted_rows(idx, "docmeta", ["doc_id"]).equals(
+        _sorted_rows(index_dir, "docmeta", ["doc_id"]))
+
+
 def test_partitioned_build_and_resume(corpus_files, searcher):
     opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=64)
     idx = f"{BASE}/idx_part"
