@@ -105,7 +105,6 @@ def run_bench() -> dict:
         read_corpus(CORPUS_DIR),
         idx_dir,
         BuildOptions(analyzer_config=AnalyzerConfig.code()),
-        overwrite=True,
     )
     t_build = time.monotonic() - t0
     timings["index_build"] = t_build

@@ -257,7 +257,10 @@ def q_doc_freq_top(sf_dir: str):
 
     get_searcher(sf_dir)  # ensure index exists
     idx = index_dir_for(sf_dir)
-    ds = rd.read_parquet(os.path.join(idx, "postings"), columns=["term", "df"])
+    ds = rd.read_parquet(
+        [os.path.join(idx, s, "postings")
+         for s in mf.read_checked_manifest(idx)["segments"]],
+        columns=["term", "df"])
     out = (
         ds.groupby("term")
         .aggregate(Sum("df", alias_name="doc_freq"))

@@ -4,7 +4,7 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
 
     read_parquet(corpus)                       # column-pruned
     → map_batches(TokenizeStage)               # parse/normalize/prior/sha256
-      ├ side-writes docmeta parquet segments   #   (doc store, fused pass)
+      ├ side-writes docmeta parquet files      #   (doc store, fused pass)
       └ emits packed partial postings          #   (materialized)
     → stats scan over docmeta (tiny)           # + doc_id collision check;
                                                #   doc lengths → ray.put
@@ -12,17 +12,22 @@ Reference lifecycle (``AddressesImporter.run``, SURVEY.md §3.1) becomes:
       .sort(skey) + per-block encode           #   CPUs and partial bytes;
       + driver boundary merge                  #   doc ids → ordinals,
                                                #   block_min_dl from dl
-    → manifest commit (atomic, LAST)
+    → manifest.commit (atomic, LAST)
 
-The manifest is the commit point; :func:`build_index_partitioned` builds
-one sub-index per input partition with per-partition lineage records and
-skips already-committed partitions on resume (reference analog: the
-region_counter generation + delete-stale idempotent re-import,
+:func:`write_segment` writes one segment directory and returns its
+record; :func:`build_index` writes the whole corpus as one segment,
+``<index>/seg-00000/{docmeta,postings}/``, and commits it through
+``manifest.commit``, the commit point of every index job.
+:func:`build_index_partitioned` writes one segment per file group,
+committing each as soon as it is written, and on resume skips the
+groups the manifest already lists (reference analog: the region_counter
+generation + delete-stale idempotent re-import,
 ``AddressesImporter.java:131-163,193-212``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,8 +42,8 @@ from ..stages.postings import write_postings
 from ..stages.tokenize import TokenizeStage
 from ..state import manifest as mf
 
-POSTINGS_DIR = "postings"
-DOCMETA_DIR = "docmeta"
+# the one segment a build_index index holds
+SEGMENT = "seg-00000"
 
 
 @dataclass
@@ -66,20 +71,30 @@ def _analyzer_dict(c: AnalyzerConfig) -> dict:
     return d
 
 
-def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite: bool = True) -> dict:
-    """Build one index segment group from a corpus Dataset.
+def _settings(opts: BuildOptions) -> dict:
+    """The index settings a commit records (``manifest.SETTINGS``), in
+    their JSON form, so that a resume can compare them with a manifest's."""
+    return json.loads(json.dumps({
+        "analyzer": _analyzer_dict(opts.analyzer_config),
+        "block_size": opts.block_size,
+        "num_doc_shards": opts.num_doc_shards,
+        # (field, source column) pairs so maintenance jobs
+        # (update_index) can rebuild segments with the same mapping
+        "extra_fields": opts.extra_fields,
+    }))
+
+
+def write_segment(ds, seg_dir: str, opts: BuildOptions) -> dict:
+    """Write one segment (``docmeta/`` + ``postings/``) of corpus
+    Dataset ``ds`` into ``seg_dir``, replacing whatever is there.
 
     ``ds`` must have columns (doc_id, content) and optionally
     (repo, path, commit, lang) which are carried into the doc store.
-    Returns the committed manifest dict.
-    """
-    opts = opts or BuildOptions()
-    existing = mf.read_manifest(index_dir)
-    if existing is not None and not overwrite:
-        return existing
-    mf.drop_index(index_dir)
-    postings_dir = os.path.join(index_dir, POSTINGS_DIR)
-    docmeta_dir = os.path.join(index_dir, DOCMETA_DIR)
+    Returns the segment's record (``manifest.segment_record``) with the
+    build's stage metrics; the caller commits it."""
+    mf.drop_index(seg_dir)
+    postings_dir = os.path.join(seg_dir, "postings")
+    docmeta_dir = os.path.join(seg_dir, "docmeta")
     os.makedirs(postings_dir)
     os.makedirs(docmeta_dir)
 
@@ -103,57 +118,47 @@ def build_index(ds, index_dir: str, opts: BuildOptions | None = None, overwrite:
     partials = partials.materialize()
     pipeline_sec = time.monotonic() - t_p
 
-    # global stats from the (tiny, one-row-per-doc) doc store
+    # the segment's doc-length table (row i is ordinal i) and its stats,
+    # from the (tiny, one-row-per-doc) doc store
     t_p = time.monotonic()
     meta = pads.dataset(docmeta_dir, format="parquet")
     field_cols = [f"dl__{f}" for f, _ in opts.extra_fields]
     stats = meta.to_table(columns=["doc_id", "dl"] + field_cols)
-    # the segment's doc-length table: row i is ordinal i
     stats = stats.take(pc.sort_indices(stats["doc_id"]))
     n_docs = stats.num_rows
-    total_tokens = int(pc.sum(stats["dl"]).as_py() or 0)
-    field_stats = {}
-    for (fname, _col), dcol in zip(opts.extra_fields, field_cols):
-        ftot = int(pc.sum(stats[dcol]).as_py() or 0)
-        field_stats[fname] = {
-            "total_tokens": ftot,
-            "avgdl": (ftot / n_docs) if n_docs else 0.0,
-        }
     ids_sorted = stats["doc_id"].to_numpy()
     if n_docs > 1 and np.any(ids_sorted[1:] == ids_sorted[:-1]):
         n_unique = int(np.count_nonzero(np.diff(ids_sorted))) + 1
         raise ValueError(
             f"doc_id collision: {n_docs} rows, {n_unique} distinct ids"
         )
+    record = mf.segment_record(stats)
     stats_sec = round(time.monotonic() - t_p, 2)
 
     phase = write_postings(partials, postings_dir, stats, opts.block_size)
     phase["pipeline_sec"] = round(pipeline_sec + phase.pop("exchange_sec"), 2)
     phase["stats_sec"] = stats_sec
     elapsed = time.monotonic() - t0
-
-    manifest = {
-        "n_docs": n_docs,
-        "total_tokens": total_tokens,
-        "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
-        "fields": field_stats,
-        # (field, source column) pairs so maintenance jobs
-        # (update_index) can rebuild segments with the same mapping
-        "extra_fields": [list(p) for p in opts.extra_fields],
-        "block_size": opts.block_size,
-        "num_doc_shards": opts.num_doc_shards,
-        "analyzer": _analyzer_dict(opts.analyzer_config),
-        "postings_files": sorted(os.listdir(postings_dir)),
-        "docmeta_files": sorted(os.listdir(docmeta_dir)),
-        "metrics": {
-            **phase,
-            "elapsed_sec": elapsed,
-            "docs_per_sec": (n_docs / elapsed) if elapsed > 0 else None,
-            "tokens_per_sec": (total_tokens / elapsed) if elapsed > 0 else None,
-        },
+    record["metrics"] = {
+        **phase,
+        "elapsed_sec": elapsed,
+        "docs_per_sec": (n_docs / elapsed) if elapsed > 0 else None,
+        "tokens_per_sec": (record["total_tokens"] / elapsed)
+        if elapsed > 0 else None,
     }
-    mf.write_manifest(index_dir, manifest)
-    return mf.read_manifest(index_dir)
+    return record
+
+
+def build_index(ds, index_dir: str, opts: BuildOptions | None = None) -> dict:
+    """Build an index of one segment, ``SEGMENT``, from a corpus Dataset
+    (see :func:`write_segment`), replacing any index at ``index_dir``.
+    Returns the committed manifest, with the build's stage metrics
+    under ``metrics``."""
+    opts = opts or BuildOptions()
+    mf.drop_index(index_dir)
+    record = write_segment(ds, os.path.join(index_dir, SEGMENT), opts)
+    man = mf.commit(index_dir, {SEGMENT: record}, _settings(opts))
+    return {**man, "metrics": record["metrics"]}
 
 
 def build_index_partitioned(
@@ -163,61 +168,48 @@ def build_index_partitioned(
     num_partitions: int = 4,
     resume: bool = True,
 ) -> dict:
-    """Resumable multi-partition build: one sub-index per file group.
+    """Resumable build of one segment per file group.
 
-    Each partition is built independently (own docmeta/postings/manifest,
-    committed atomically); on resume, committed partitions are skipped
-    and only missing ones rebuild — a killed run therefore produces a
-    byte-identical final index to a from-scratch run (FIXTURES.md §6).
-    The query layer (`IndexReader`) treats partitions as segments: df and
-    doc stats merge at read time, exactly like ES shards.
-    """
+    Files go round-robin into ``num_partitions`` groups; group ``i``
+    becomes segment ``part-<i>``, committed as soon as it is written,
+    with its input files in its record.  With ``resume``, a rerun keeps
+    every segment the committed manifest lists with the same input files
+    and settings, so a killed build rebuilds only what it had not
+    committed.  The query layer (`IndexReader`) merges df and doc stats
+    across segments at read time, exactly like ES shards.
+
+    Returns the committed manifest plus ``partitions``: per group, its
+    segment and whether this run ``built`` or ``skipped`` it."""
     from ..sources.corpus import read_corpus
 
+    if not input_files:
+        raise ValueError("build_index_partitioned needs input files")
     opts = opts or BuildOptions()
-    os.makedirs(index_dir, exist_ok=True)
-    groups: list[list[str]] = [[] for _ in range(num_partitions)]
+    settings = _settings(opts)
+    groups: dict[str, list[str]] = {}
     for i, f in enumerate(sorted(input_files)):
-        groups[i % num_partitions].append(f)
-    groups = [g for g in groups if g]
+        groups.setdefault(f"part-{i % num_partitions:05d}", []).append(f)
+
+    man = mf.read_manifest(index_dir) if resume else None
+    segs = {}
+    if (man is not None and man.get("format_version") == mf.FORMAT_VERSION
+            and all(man[k] == settings[k] for k in mf.SETTINGS)):
+        segs = {n: r for n, r in man["segment_stats"].items()
+                if r.get("input_files") == groups.get(n)}
+    if not segs:
+        mf.drop_index(index_dir)
+    elif list(segs) != man["segments"]:
+        # unlist stale segments before a group is rewritten under a name
+        man = mf.commit(index_dir, segs, settings)
 
     partitions = []
-    for pid, files in enumerate(groups):
-        pdir = os.path.join(index_dir, f"part-{pid:05d}")
-        pman = mf.read_manifest(pdir)
-        if resume and pman is not None and pman.get("input_files") == files:
-            partitions.append({"partition_id": pid, "status": "skipped", **_lineage(pman, files)})
-            continue
-        ds = read_corpus(files)
-        t0 = time.monotonic()
-        pman = build_index(ds, pdir, opts, overwrite=True)
-        pman["input_files"] = files
-        mf.write_manifest(pdir, {k: v for k, v in pman.items() if k != "format_version"})
-        partitions.append(
-            {"partition_id": pid, "status": "built", "elapsed_sec": time.monotonic() - t0, **_lineage(pman, files)}
-        )
-
-    subs = [mf.read_manifest(os.path.join(index_dir, f"part-{p['partition_id']:05d}")) for p in partitions]
-    n_docs = sum(s["n_docs"] for s in subs)
-    total_tokens = sum(s["total_tokens"] for s in subs)
-    top = {
-        "n_docs": n_docs,
-        "total_tokens": total_tokens,
-        "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
-        "block_size": opts.block_size,
-        "num_doc_shards": opts.num_doc_shards,
-        "analyzer": _analyzer_dict(opts.analyzer_config),
-        "segments": [f"part-{p['partition_id']:05d}" for p in partitions],
-        "partitions": partitions,
-    }
-    mf.write_manifest(index_dir, top)
-    return mf.read_manifest(index_dir)
-
-
-def _lineage(pman: dict, files: list[str]) -> dict:
-    return {
-        "input_files": files,
-        "row_count": pman["n_docs"],
-        "token_count": pman["total_tokens"],
-        "segment_metrics": pman.get("metrics"),
-    }
+    for pid, (name, files) in enumerate(groups.items()):
+        built = name not in segs
+        if built:
+            record = write_segment(read_corpus(files),
+                                   os.path.join(index_dir, name), opts)
+            segs[name] = {**record, "input_files": files}
+            man = mf.commit(index_dir, dict(sorted(segs.items())), settings)
+        partitions.append({"partition_id": pid, "segment": name,
+                           "status": "built" if built else "skipped"})
+    return {**man, "partitions": partitions}

@@ -16,6 +16,9 @@ Reference analogs:
   Deletion is by explicit id set or by doc-store predicate; the
   manifest is re-committed last with a bumped generation counter (M16
   analog of ``import_counter``).
+
+``update_index``, ``delete_docs`` and ``force_merge`` each commit
+through ``manifest.commit`` (see ``state/manifest.py`` for the layout).
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ from ..stages.postings import _doc_lengths, _posting_dls
 from ..state import manifest as mf
 
 
-def _segment_dirs(index_dir: str) -> list[str]:
-    man = mf.read_checked_manifest(index_dir)
-    if "segments" in man:
-        return [os.path.join(index_dir, s) for s in man["segments"]]
-    return [index_dir]
-
-
 def backfill_column(index_dir: str, values: dict[int, object], column: str,
                     default=0) -> int:
     """Write ``column`` into every doc-store segment (doc_id → value).
@@ -52,7 +48,8 @@ def backfill_column(index_dir: str, values: dict[int, object], column: str,
     """
     import ray
 
-    segs = _segment_dirs(index_dir)
+    segs = [os.path.join(index_dir, s)
+            for s in mf.read_checked_manifest(index_dir)["segments"]]
     keys = np.array(sorted(values), dtype=np.int64)
     # one array holding mapped values PLUS the default in its last slot:
     # Arrow infers a single unified type for all of them, and a value
@@ -96,11 +93,11 @@ def update_index(index_dir: str, ds, score_builder=None,
 
     1. rows whose ``doc_id`` appears in ``ds`` are deleted from every
        existing segment (:func:`delete_docs` — parallel compaction);
-    2. ``ds`` builds a fresh segment (same analyzer/block config, read
-       from the manifest) committed atomically under ``upd-<gen>``;
-    3. the top manifest re-commits with merged stats, the new segment
-       listed, and ``import_counter`` bumped — exactly the reference's
-       region/import-counter semantics (M16).
+    2. ``ds`` builds a fresh segment ``upd-<gen>`` (same analyzer,
+       block and field config, read from the manifest);
+    3. the manifest re-commits with the new segment listed and
+       ``import_counter`` at the delete's generation — exactly the
+       reference's region/import-counter semantics (M16).
 
     The batch is materialized once, and a batch that lacks a column
     the index maps (``id_col``, ``content``, an ``extra_fields``
@@ -113,10 +110,10 @@ def update_index(index_dir: str, ds, score_builder=None,
     import ray
 
     from ..functions.analyzer import AnalyzerConfig
-    from .build_index import BuildOptions, build_index
+    from .build_index import BuildOptions, write_segment
 
     man = mf.read_checked_manifest(index_dir)
-    extra_fields = tuple(tuple(p) for p in (man.get("extra_fields") or ()))
+    extra_fields = tuple(tuple(p) for p in man["extra_fields"])
     # the batch is read once: its schema, its ids and the segment build
     # all use these blocks
     ds = ds.materialize()
@@ -139,37 +136,22 @@ def update_index(index_dir: str, ds, score_builder=None,
             or [np.empty(0, np.int64)]
         )
     )
-    delete_docs(index_dir, doc_ids=ids.tolist())
-    man = mf.read_manifest(index_dir)  # post-delete stats + bumped counter
+    man = delete_docs(index_dir, doc_ids=ids.tolist())
 
-    gen = int(man.get("import_counter", 0))
+    gen = man["import_counter"]
     seg_name = f"upd-{gen:05d}"
-    seg_dir = os.path.join(index_dir, seg_name)
     opts = BuildOptions(
         analyzer_config=AnalyzerConfig.from_dict(man["analyzer"]),
-        block_size=int(man.get("block_size", 128)),
-        num_doc_shards=int(man.get("num_doc_shards", 1)),
+        block_size=man["block_size"],
+        num_doc_shards=man["num_doc_shards"],
         score_builder=score_builder,
         # carry the per-field mapping: without it an update segment
         # silently drops field postings + dl__<field> norms
         extra_fields=extra_fields,
     )
-    seg_man = build_index(ds, seg_dir, opts, overwrite=True)
-
-    segments = man.get("segments") or ["."]  # "." = the original root segment
-    segments = [s for s in segments if s != seg_name] + [seg_name]
-    n_docs = int(man["n_docs"]) + int(seg_man["n_docs"])
-    total_tokens = int(man["total_tokens"]) + int(seg_man["total_tokens"])
-    man.pop("format_version", None)
-    man.update(
-        n_docs=n_docs,
-        total_tokens=total_tokens,
-        avgdl=(total_tokens / n_docs) if n_docs else 0.0,
-        segments=segments,
-        import_counter=gen,
-    )
-    mf.write_manifest(index_dir, man)
-    return mf.read_manifest(index_dir)
+    record = write_segment(ds, os.path.join(index_dir, seg_name), opts)
+    return mf.commit(index_dir, {**man["segment_stats"], seg_name: record},
+                     man, import_counter=gen)
 
 
 def _decode_rows_flat(t: pa.Table, block_size: int
@@ -204,41 +186,9 @@ _COMPACTED = re.compile(r"\.d\d{5}$")
 
 def _compacted_name(seg: str, gen: int) -> str:
     """Directory name of generation ``gen``'s compacted copy of segment
-    ``seg``: its base name (``root`` for the ``"."`` root segment) with a
-    ``.d<gen>`` suffix in place of an earlier one, so an ``upd-*``
-    segment stays ``upd-*``."""
-    base = "root" if seg == "." else _COMPACTED.sub("", seg)
-    return f"{base}.d{gen:05d}"
-
-
-def _sweep_uncommitted(index_dir: str, man: dict) -> None:
-    """Remove what a crashed maintenance job left behind: segment dirs
-    the manifest does not list (``merged-*``, ``upd-*`` and compacted
-    ``*.d<gen>`` copies), and the root segment's data once ``"."`` is no
-    longer listed.  Run before a job writes, so it never finds a stale
-    file under the name it is about to write."""
-    import shutil
-
-    committed = set(man.get("segments") or ["."])
-    stray = [n for n in os.listdir(index_dir)
-             if (n.startswith(("merged-", "upd-")) or _COMPACTED.search(n))
-             and n not in committed]
-    if "." not in committed:
-        stray += ["postings", "docmeta"]
-    for name in stray:
-        shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
-
-
-def _remove_segment(index_dir: str, seg: str) -> None:
-    """Delete a segment the committed manifest no longer lists; the
-    ``"."`` root segment loses its data dirs, the root itself stays."""
-    import shutil
-
-    if seg == ".":
-        for sub in ("postings", "docmeta"):
-            shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
-    else:
-        shutil.rmtree(os.path.join(index_dir, seg), ignore_errors=True)
+    ``seg``: its name with a ``.d<gen>`` suffix in place of an earlier
+    one, so an ``upd-*`` segment stays ``upd-*``."""
+    return f"{_COMPACTED.sub('', seg)}.d{gen:05d}"
 
 
 def _parquet_files(seg_dir: str, sub: str) -> list[str]:
@@ -302,11 +252,12 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
        ordinals (ranks of the segment's sorted doc ids), and a deletion
        shifts the ordinals of all later docs.
 
-    The manifest re-commit (temp+rename) is the atomic cut-over to the
-    new directories; only then are the old ones removed.  Every task
+    The manifest commit (``manifest.commit``) is the atomic cut-over to
+    the new directories, each listed with a record derived from its
+    kept doc lengths; only then are the old ones removed.  Every task
     reads committed files and writes uncommitted ones, so a retried task
     redoes the same write, and a crash at any point leaves the committed
-    index as it was (the next maintenance job sweeps the leftovers).
+    index as it was (the next job sweeps the leftovers).
 
     The broadcast arrays are O(docs of the segment) — the same bound
     the query readers already hold in memory.  The manifest carries
@@ -318,10 +269,10 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
     import ray
 
     man = mf.read_checked_manifest(index_dir)
-    _sweep_uncommitted(index_dir, man)
-    names = man.get("segments") or ["."]
-    gen = int(man.get("import_counter", 0)) + 1
-    block_size = int(man.get("block_size", 128))
+    names = man["segments"]
+    mf.sweep(index_dir, names)
+    gen = man["import_counter"] + 1
+    block_size = man["block_size"]
     drop_init = np.array(sorted({int(d) for d in (doc_ids or [])}), dtype=np.int64)
     drop_ref = ray.put(drop_init)
 
@@ -353,25 +304,23 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
                 for s in names]
     dm_futs = [[compact_docmeta.remote(p, target(s, p)) for p in paths]
                for s, paths in zip(names, dm_files)]
-    total_docs = total_tokens = 0
     p_futs = []
-    new_names = list(names)
-    for i, (seg, paths, futs) in enumerate(zip(names, dm_files, dm_futs)):
+    segs = {}  # the committed segments: name → record
+    for seg, paths, futs in zip(names, dm_files, dm_futs):
         res = ray.get(futs)
-        if not res:
+        mask = np.concatenate([r[1] for r in res] or [np.ones(0, bool)])
+        if mask.all():  # no doc of this segment dropped: it stays as is
+            segs[seg] = man["segment_stats"][seg]
             continue
         ids = np.concatenate([r[0] for r in res])
-        mask = np.concatenate([r[1] for r in res])
         kept = pa.concat_tables([r[2] for r in res])
-        total_docs += kept.num_rows
-        total_tokens += int(pc.sum(kept["dl"]).as_py() or 0)
-        if mask.all():
-            continue  # no doc of this segment dropped: it stays as is
-        new_names[i] = _compacted_name(seg, gen)
+        new_name = _compacted_name(seg, gen)
+        segs[new_name] = {**man["segment_stats"][seg],
+                          **mf.segment_record(kept)}
         for p, r in zip(paths, res):
             if r[1].all():  # untouched docmeta file: copy it over
                 shutil.copy2(p, target(seg, p))
-        os.makedirs(os.path.join(index_dir, new_names[i], "postings"))
+        os.makedirs(os.path.join(index_dir, new_name, "postings"))
         # old ordinal (rank among the segment's ids) → new ordinal, or
         # -1 for a dropped doc; lengths in new-ordinal order
         order = np.argsort(ids)
@@ -384,19 +333,7 @@ def delete_docs(index_dir: str, doc_ids=None, predicate=None) -> dict:
                    for p in _parquet_files(os.path.join(index_dir, seg),
                                            "postings")]
     ray.get(p_futs)
-
-    man.pop("format_version", None)
-    if new_names != names:
-        man["segments"] = new_names
-    man["n_docs"] = total_docs
-    man["total_tokens"] = total_tokens
-    man["avgdl"] = (total_tokens / total_docs) if total_docs else 0.0
-    man["import_counter"] = gen
-    mf.write_manifest(index_dir, man)  # atomic cut-over
-    for old, new in zip(names, new_names):
-        if new != old:
-            _remove_segment(index_dir, old)
-    return man
+    return mf.commit(index_dir, segs, man, import_counter=gen)
 
 
 def force_merge(index_dir: str) -> dict:
@@ -418,11 +355,12 @@ def force_merge(index_dir: str) -> dict:
     contract).
 
     Crash-safe: the new ``merged-<gen>`` directory is built complete,
-    the top manifest re-commit (temp+rename) is the atomic cut-over,
-    and only then are the old segment dirs removed; what a crash left
-    behind is swept at entry (:func:`_sweep_uncommitted`).  n_docs /
-    total_tokens / per-field avgdl are unchanged (no rows added or
-    dropped), ``import_counter`` bumps (M16 generation semantics).
+    the manifest commit (``manifest.commit``, its record derived from
+    the merged doc-length table) is the atomic cut-over, and only then
+    are the old segment dirs removed; what a crash left behind is swept
+    at entry.  n_docs / total_tokens / per-field avgdl are unchanged (no
+    rows added or dropped), ``import_counter`` bumps (M16 generation
+    semantics).
 
     Postings hold segment ordinals: ``repack`` turns them back into doc
     ids through each segment's sorted ids, and the encoder numbers them
@@ -439,8 +377,8 @@ def force_merge(index_dir: str) -> dict:
     from ..stages.tokenize import pack_partials
 
     man = mf.read_checked_manifest(index_dir)
-    _sweep_uncommitted(index_dir, man)
-    segs = _segment_dirs(index_dir)
+    mf.sweep(index_dir, man["segments"])
+    segs = [os.path.join(index_dir, s) for s in man["segments"]]
     if len(segs) <= 1:
         return man  # already one segment — no-op
 
@@ -456,7 +394,7 @@ def force_merge(index_dir: str) -> dict:
     mt = pa.concat_tables(seg_tables)
     mt = mt.take(pc.sort_indices(mt["doc_id"]))
 
-    gen = int(man.get("import_counter", 0)) + 1
+    gen = man["import_counter"] + 1
     new_name = f"merged-{gen:05d}"
     new_dir = os.path.join(index_dir, new_name)
     postings_dir = os.path.join(new_dir, "postings")
@@ -470,8 +408,8 @@ def force_merge(index_dir: str) -> dict:
                 shutil.copy2(os.path.join(sdm, fname),
                              os.path.join(dm_dir, f"s{i:03d}-{fname}"))
 
-    num_doc_shards = int(man.get("num_doc_shards", 1))
-    block_size = int(man.get("block_size", 128))
+    num_doc_shards = man["num_doc_shards"]
+    block_size = man["block_size"]
 
     def repack(t: pa.Table, seg_ids) -> pa.Table:
         ords, tfs, off = _decode_rows_flat(t, block_size)
@@ -490,15 +428,9 @@ def force_merge(index_dir: str) -> dict:
                 rd.read_parquet(pfiles, partitioning=None,
                                 override_num_blocks=len(pfiles)).map_batches(
                     repack, fn_args=(seg_ids_ref,), batch_format="pyarrow"))
+    metrics = {}
     if seg_parts:
-        write_postings(seg_parts[0].union(*seg_parts[1:]), postings_dir,
-                       mt, block_size)
-
-    old_names = man.get("segments") or ["."]
-    man.pop("format_version", None)
-    man["segments"] = [new_name]
-    man["import_counter"] = gen
-    mf.write_manifest(index_dir, man)  # atomic cut-over
-    for seg in old_names:
-        _remove_segment(index_dir, seg)
-    return mf.read_manifest(index_dir)
+        metrics = write_postings(seg_parts[0].union(*seg_parts[1:]),
+                                 postings_dir, mt, block_size)
+    record = {**mf.segment_record(mt), "metrics": metrics}
+    return mf.commit(index_dir, {new_name: record}, man, import_counter=gen)

@@ -474,15 +474,8 @@ class ShardedQueryService:
         from ..functions.analyzer import Analyzer, AnalyzerConfig
         from ..state import manifest as mf
 
-        man = mf.read_manifest(index_dir)
-        if man is None:
-            raise FileNotFoundError(index_dir)
-        segments = man.get("segments")
-        if not segments:
-            raise ValueError(
-                "sharded serving needs a segmented index "
-                "(build_index_partitioned / update_index)"
-            )
+        man = mf.read_checked_manifest(index_dir)
+        segments = man["segments"]
         _check_actors_fit(len(segments))
         self.analyzer = Analyzer(AnalyzerConfig.from_dict(man["analyzer"]))
 

@@ -1,13 +1,23 @@
-"""Index manifest: lifecycle, lineage, metrics, checkpoint/resume.
+"""Index manifest: the one commit point of every index job.
 
-Plays the role of the reference's index DDL + import metadata
-(``esclient/IndexHolder.java:34-67``,
-``imp/addr/AddressesImporter.java:193-212`` region/import counters): a
-JSON file at the index root listing global stats and one lineage record
-per committed partition.  The manifest is written LAST via temp+rename,
-so its presence is the atomic commit point — a partition directory
-without a manifest is garbage and a rerun rebuilds it (SURVEY.md §4
-'Checkpoint / resume').
+An index is a directory of segment directories listed by one JSON file
+at its root (reference analogs: the index DDL + import counters of
+``esclient/IndexHolder.java:34-67`` and
+``imp/addr/AddressesImporter.java:193-212``; Lucene's ``segments_N``)::
+
+    <index>/_manifest.json            settings, global stats, ``segments``
+                                      (names, in order) and
+                                      ``segment_stats`` (name → record)
+    <index>/<segment>/docmeta/*.parquet
+    <index>/<segment>/postings/*.parquet
+
+A job writes its new segment directories first, then calls
+:func:`commit`, which writes the manifest LAST via temp+rename: its
+presence is the atomic commit point.  A directory the manifest does not
+list is garbage from a crashed or superseded job; :func:`sweep` removes
+it (SURVEY.md §4 'Checkpoint / resume').  The global stats are sums over
+the listed segment records, so they follow the live docs through every
+job.
 """
 
 from __future__ import annotations
@@ -18,10 +28,15 @@ import shutil
 import uuid
 
 MANIFEST_NAME = "_manifest.json"
+# v4: the root manifest lists every segment directory, with one stats
+# record per segment; no segment lives at the index root
 # v3: postings "docs" hold segment-local doc ordinals, delta-packed at a
 # 1/2/4-byte width per 128-posting block; block_last_doc is list<int32>
 # ordinals (v2: raw LE int64 doc ids; v1: delta+varbyte doc ids)
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+# index settings that every commit carries over unchanged
+SETTINGS = ("analyzer", "block_size", "num_doc_shards", "extra_fields")
 
 
 def atomic_write_json(path: str, obj: dict) -> None:
@@ -56,9 +71,9 @@ def read_manifest(index_dir: str) -> dict | None:
 
 
 def read_checked_manifest(index_dir: str) -> dict:
-    """The committed manifest, refused unless its postings format is
-    this build's ``FORMAT_VERSION``: readers would misdecode an older
-    payload, and a maintenance job would re-stamp it as current."""
+    """The committed manifest, refused unless its format is this
+    build's ``FORMAT_VERSION``: readers would misread an older layout,
+    and a maintenance job would re-stamp it as current."""
     man = read_manifest(index_dir)
     if man is None:
         raise FileNotFoundError(f"no committed index at {index_dir}")
@@ -76,6 +91,64 @@ def write_manifest(index_dir: str, manifest: dict) -> None:
     atomic_write_json(manifest_path(index_dir), manifest)
 
 
+def segment_record(doc_lengths) -> dict:
+    """The stats of one segment's record, from its doc-length table (one
+    row per doc; ``dl`` and ``dl__<field>`` columns): doc count, token
+    total and per-field token totals.  Writers add its lineage: build
+    ``metrics`` and, where known, ``input_files``."""
+    import pyarrow.compute as pc
+
+    def total(col: str) -> int:
+        return int(pc.sum(doc_lengths[col]).as_py() or 0)
+
+    return {
+        "n_docs": doc_lengths.num_rows,
+        "total_tokens": total("dl"),
+        "fields": {c[4:]: total(c) for c in doc_lengths.column_names
+                   if c.startswith("dl__")},
+    }
+
+
+def commit(index_dir: str, segments: dict, settings: dict,
+           import_counter: int = 0) -> dict:
+    """Commit the index as ``segments`` (name → :func:`segment_record`,
+    in listing order) with ``settings`` (a dict or manifest holding the
+    ``SETTINGS`` keys).  ``n_docs``, ``total_tokens``, ``avgdl`` and the
+    per-field stats are summed over the listed records.  The manifest is
+    written last; then every directory it does not list is removed.
+    Returns the committed manifest."""
+    n_docs = sum(r["n_docs"] for r in segments.values())
+
+    def stats(total: int) -> dict:
+        return {"total_tokens": total,
+                "avgdl": (total / n_docs) if n_docs else 0.0}
+
+    write_manifest(index_dir, {
+        **{k: settings[k] for k in SETTINGS},
+        "n_docs": n_docs,
+        **stats(sum(r["total_tokens"] for r in segments.values())),
+        "fields": {f: stats(sum(r["fields"].get(f, 0)
+                                for r in segments.values()))
+                   for f, _col in settings["extra_fields"]},
+        "import_counter": import_counter,
+        "segments": list(segments),
+        "segment_stats": segments,
+    })
+    sweep(index_dir, segments)
+    return read_manifest(index_dir)
+
+
+def sweep(index_dir: str, keep) -> None:
+    """Remove every directory under the index root not named in
+    ``keep``: segments a commit dropped, and what a crashed job left.
+    A job runs it before it writes, so it never finds a stale file under
+    a name it is about to write."""
+    for name in os.listdir(index_dir):
+        path = os.path.join(index_dir, name)
+        if name not in keep and os.path.isdir(path):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def is_committed(index_dir: str) -> bool:
     return read_manifest(index_dir) is not None
 
@@ -84,11 +157,3 @@ def drop_index(index_dir: str) -> None:
     """Index drop = directory delete (reference: IndexHolder.drop)."""
     if os.path.exists(index_dir):
         shutil.rmtree(index_dir)
-
-
-def clean_uncommitted(index_dir: str) -> None:
-    """Remove temp files left by a crashed run (pre-resume hygiene)."""
-    for root, _dirs, files in os.walk(index_dir):
-        for f in files:
-            if f.startswith(".tmp-") or ".tmp-" in f:
-                os.unlink(os.path.join(root, f))

@@ -78,21 +78,15 @@ class IndexReader:
         self.manifest = man
         self.n_docs = int(man["n_docs"])
         self.avgdl = float(man["avgdl"])
-        self.block_size = int(man.get("block_size", 128))
+        self.block_size = int(man["block_size"])
         self.analyzer = Analyzer(AnalyzerConfig.from_dict(man["analyzer"]))
-        all_segments = man.get("segments")
-        if segments is not None:
-            known = set(all_segments or [])
-            bad = [s for s in segments if s not in known]
-            if bad:
-                raise ValueError(f"unknown segments {bad}; index has {sorted(known)}")
-            seg_dirs = [os.path.join(index_dir, s) for s in segments]
-        else:
-            seg_dirs = (
-                [os.path.join(index_dir, s) for s in all_segments]
-                if all_segments
-                else [index_dir]
-            )
+        if segments is None:
+            segments = man["segments"]
+        bad = [s for s in segments if s not in man["segments"]]
+        if bad:
+            raise ValueError(
+                f"unknown segments {bad}; index has {man['segments']}")
+        seg_dirs = [os.path.join(index_dir, s) for s in segments]
 
         # ---- doc store -------------------------------------------------
         import pyarrow.dataset as pads
@@ -129,7 +123,7 @@ class IndexReader:
             c[4:]: t[c].to_numpy().astype(np.int64) for c in field_cols
         }
         self.field_avgdl: dict[str, float] = {
-            f: float(v["avgdl"]) for f, v in (man.get("fields") or {}).items()
+            f: float(v["avgdl"]) for f, v in man["fields"].items()
         }
         self.columns: dict[str, np.ndarray] = {}
         for c in cols[2 + len(field_cols):]:

@@ -1,5 +1,5 @@
-"""CLI end to end: ``import``, ``import --update``, ``search`` and
-``serve``.
+"""CLI end to end: ``import``, ``import --partitions``, ``import
+--update``, ``search`` and ``serve``.
 
 Each command runs in a subprocess because ``cli.main`` owns its Ray
 session and shuts it down on exit.
@@ -64,6 +64,45 @@ def test_import_update_search(tmp_path):
     hits = _cli("search", "--index", index, "--q", "zebraquokka")
     assert len(hits) == 1
     assert hits[0]["path"] == "src/planted.py"
+
+
+def _files(root: str) -> dict:
+    """Every file under ``root``: its modification time and bytes."""
+    out = {}
+    for p in Path(root).rglob("*"):
+        if p.is_file():
+            out[str(p.relative_to(root))] = (p.stat().st_mtime_ns,
+                                              p.read_bytes())
+    return out
+
+
+def test_partitioned_import_resumes_and_matches_plain(tmp_path):
+    """``import --partitions 2`` run twice rebuilds nothing the second
+    time, and ``search`` over it returns the plain import's hits."""
+    docs = [{"repo": "r", "path": f"src/f{i}.py", "commit": "c0",
+             "lang": "python",
+             "content": f"def handler_{i}(request): return parse_body("
+                        f"{'request, ' * (i % 3)}zebra{i % 4})"}
+            for i in range(10)]
+    src = tmp_path / "src"
+    src.mkdir()
+    for k in range(2):
+        pq.write_table(pa.table({c: [r[c] for r in docs[k::2]]
+                                 for c in CORPUS_COLUMNS}),
+                       src / f"part-{k}.parquet")
+    parts, plain = str(tmp_path / "parts"), str(tmp_path / "plain")
+    args = ("import", "--input", str(src), "--index", parts,
+            "--partitions", "2")
+    (man,) = _cli(*args)
+    assert man["n_docs"] == len(docs)
+    before = _files(parts)
+    assert _cli(*args) == [man]
+    assert _files(parts) == before
+
+    _cli("import", "--input", str(src), "--index", plain)
+    for q in ("request zebra1", "parse_body handler_3"):
+        hits = _cli("search", "--index", parts, "--q", q)
+        assert hits and hits == _cli("search", "--index", plain, "--q", q), q
 
 
 def test_serve_through_pool(tmp_path):

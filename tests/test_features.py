@@ -209,12 +209,14 @@ def test_backfill_column(idx):
     import pyarrow.dataset as pads
 
     from gazetteer_search_ray.pipelines.maintenance import backfill_column
+    from gazetteer_search_ray.state import manifest as mf
 
     r = Searcher(idx).reader
     values = {int(d): int(d) % 7 for d in r.doc_ids.tolist()}
     touched = backfill_column(idx, values, "ref_count")
     assert touched == r.n_docs
-    t = pads.dataset(os.path.join(idx, "docmeta")).to_table(
+    seg = mf.read_manifest(idx)["segments"][0]
+    t = pads.dataset(os.path.join(idx, seg, "docmeta")).to_table(
         columns=["doc_id", "ref_count"]
     )
     for d, v in zip(t["doc_id"].to_pylist(), t["ref_count"].to_pylist()):
@@ -473,7 +475,8 @@ def test_query_scorer_matches_searcher(idx):
 
 def test_sharded_scatter_gather_matches_unsharded(ray_session):
     """ShardedQueryService (one actor per segment, two-phase global-df
-    search) must produce identical hits to the unsharded Searcher."""
+    search) must produce identical hits to the unsharded Searcher, over
+    a three-partition build and over a plain one-segment build."""
     import glob
 
     import ray.data as rd
@@ -484,31 +487,34 @@ def test_sharded_scatter_gather_matches_unsharded(ray_session):
     from gazetteer_search_ray.pipelines.search import ShardedQueryService
     from gazetteer_search_ray.sources.corpus import write_synthetic_corpus
 
-    base = f"{BASE}/idx_shard"
+    base, plain = f"{BASE}/idx_shard", f"{BASE}/idx_shard_plain"
     shutil.rmtree(base, ignore_errors=True)
     files = write_synthetic_corpus(f"{BASE}/corpus_shard", n_docs=300, n_files=4)
+    opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=64)
     build_index_partitioned(
         sorted(glob.glob(f"{BASE}/corpus_shard/*.parquet")),
-        base,
-        BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=64),
-        num_partitions=3,
+        base, opts, num_partitions=3,
     )
-    flat = Searcher(base)
-    svc = ShardedQueryService(base)
-    try:
-        for q, pfx in [("def return", False), ("class", False),
-                       ("qwyzzle", False), ("parse add", True),
-                       ("def import class return", False),
-                       ("zzz_nonexistent", False)]:
-            want = flat.search(q, k=15, prefix=pfx, use_prior=False)
-            got = svc.search(q, k=15, prefix=pfx)
-            assert [h["doc_id"] for h in got] == [h["doc_id"] for h in want], q
-            np.testing.assert_allclose(
-                [h["score"] for h in got], [h["score"] for h in want],
-                rtol=0, atol=0,
-            )  # bit-identical: same global df, n_docs, avgdl
-    finally:
-        svc.shutdown()
+    build_index(read_corpus(files), plain, opts)
+    for index, n_shards in ((base, 3), (plain, 1)):
+        flat = Searcher(index)
+        svc = ShardedQueryService(index)
+        assert len(svc.workers) == n_shards
+        try:
+            for q, pfx in [("def return", False), ("class", False),
+                           ("qwyzzle", False), ("parse add", True),
+                           ("def import class return", False),
+                           ("zzz_nonexistent", False)]:
+                want = flat.search(q, k=15, prefix=pfx, use_prior=False)
+                got = svc.search(q, k=15, prefix=pfx)
+                assert [h["doc_id"] for h in got] == \
+                    [h["doc_id"] for h in want], (index, q)
+                np.testing.assert_allclose(
+                    [h["score"] for h in got], [h["score"] for h in want],
+                    rtol=0, atol=0,
+                )  # bit-identical: same global df, n_docs, avgdl
+        finally:
+            svc.shutdown()
 
 
 # Runs in a fresh interpreter: first with no Ray session, then under a
@@ -738,13 +744,13 @@ def test_force_merge_preserves_results(ray_session):
 
     import gazetteer_search_ray.state.manifest as mf
     pre_man = mf.read_manifest(base)
-    assert len(pre_man["segments"]) == 3  # ".", upd-, upd-
+    assert len(pre_man["segments"]) == 3  # seg-, upd-, upd-
 
     man = force_merge(base)
     assert man["segments"] == [f"merged-{man['import_counter']:05d}"]
     assert man["n_docs"] == pre_man["n_docs"]
     assert man["total_tokens"] == pre_man["total_tokens"]
-    assert not os.path.isdir(os.path.join(base, "postings"))  # old root seg
+    assert not os.path.isdir(os.path.join(base, "seg-00000"))  # old build seg
     assert not any(d.startswith("upd-") for d in os.listdir(base))
 
     s2 = Searcher(base)

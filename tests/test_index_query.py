@@ -14,6 +14,7 @@ import pytest
 
 from gazetteer_search_ray.functions.analyzer import Analyzer, AnalyzerConfig
 from gazetteer_search_ray.pipelines.build_index import (
+    SEGMENT,
     BuildOptions,
     build_index,
     build_index_partitioned,
@@ -25,6 +26,7 @@ from gazetteer_search_ray.sources.corpus import (
     synthetic_corpus,
     write_synthetic_corpus,
 )
+from gazetteer_search_ray.state import manifest as mf
 
 import sys
 sys.path.insert(0, os.path.dirname(__file__))
@@ -80,7 +82,7 @@ def test_manifest_stats_match_oracle(searcher, brute):
 
 
 def test_sha256_invariant(index_dir):
-    t = pads.dataset(f"{index_dir}/docmeta").to_table(
+    t = pads.dataset(f"{index_dir}/{SEGMENT}/docmeta").to_table(
         columns=["doc_id", "sha256"]
     )
     got = dict(zip(t["doc_id"].to_pylist(), t["sha256"].to_pylist()))
@@ -237,7 +239,8 @@ def test_sharded_index_equivalent(corpus_files, searcher):
 
 
 def _sorted_rows(index: str, sub: str, keys: list[str]):
-    t = pads.dataset(os.path.join(index, sub), format="parquet").to_table()
+    (seg,) = mf.read_manifest(index)["segments"]
+    t = pads.dataset(os.path.join(index, seg, sub), format="parquet").to_table()
     return t.sort_by([(k, "ascending") for k in keys])
 
 
@@ -263,8 +266,14 @@ def test_partitioned_build_and_resume(corpus_files, searcher):
     assert man["n_docs"] == N_DOCS
     assert len(man["partitions"]) == 3
 
-    # simulate a crash: wipe one partition, resume must rebuild ONLY it
-    shutil.rmtree(os.path.join(idx, "part-00001"))
+    # simulate a crash while part 1 was written: the manifest does not
+    # list it and its directory is partly written; resume must rebuild
+    # ONLY it
+    man.pop("partitions")
+    man["segments"].remove("part-00001")
+    del man["segment_stats"]["part-00001"]
+    mf.write_manifest(idx, man)
+    shutil.rmtree(os.path.join(idx, "part-00001", "postings"))
     man2 = build_index_partitioned(corpus_files, idx, opts, num_partitions=3)
     statuses = {p["partition_id"]: p["status"] for p in man2["partitions"]}
     assert statuses[1] == "built" and statuses[0] == "skipped" and statuses[2] == "skipped"

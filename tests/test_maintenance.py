@@ -26,8 +26,13 @@ from gazetteer_search_ray.state.reader import IndexReader
 BASE = "/tmp/gsr_maint"
 
 
+def _segment(idx: str, i: int = 0) -> str:
+    """The directory of the index's ``i``-th listed segment."""
+    return os.path.join(idx, mf.read_manifest(idx)["segments"][i])
+
+
 def _two_segment_index(name: str) -> str:
-    """A committed index with a root segment plus one update segment."""
+    """A committed index with a build segment plus one update segment."""
     import ray.data as rd
 
     idx = f"{BASE}/{name}"
@@ -52,8 +57,9 @@ def _snapshot(root: str) -> dict[str, bytes]:
 
 
 def test_v1_manifest_refused_by_readers_and_writers(ray_session):
-    """v1 (delta+varbyte ids) and v2 (raw int64 ids) indexes are both
-    refused, with every file left as it was."""
+    """v1 (delta+varbyte ids), v2 (raw int64 ids) and v3 (a segment at
+    the index root, stats kept by hand) indexes are all refused, with
+    every file left as it was."""
     import ray.data as rd
 
     idx = _two_segment_index("v1")
@@ -66,7 +72,7 @@ def test_v1_manifest_refused_by_readers_and_writers(ray_session):
         "force_merge": lambda: force_merge(idx),
         "backfill_column": lambda: backfill_column(idx, {some_id: 7}, "ref_count"),
     }
-    for version in (1, 2):
+    for version in (1, 2, 3):
         man = mf.read_manifest(idx)
         man["format_version"] = version
         with open(mf.manifest_path(idx), "w") as f:
@@ -81,11 +87,11 @@ def test_v1_manifest_refused_by_readers_and_writers(ray_session):
 def test_force_merge_sweeps_leaked_segment_data(ray_session):
     idx = _two_segment_index("sweep")
     pre = mf.read_manifest(idx)
-    assert pre["segments"][0] == "." and pre["segments"][1].startswith("upd-")
+    assert pre["segments"][0] == "seg-00000" and pre["segments"][1].startswith("upd-")
     # keep copies of the pre-merge segment data: putting them back after
     # the merge reproduces a crash between the manifest cut-over and the
     # removal of the old segments
-    leaked = ["postings", "docmeta", pre["segments"][1]]
+    leaked = pre["segments"]
     for name in leaked:
         shutil.rmtree(f"{BASE}/keep_{name}", ignore_errors=True)
         shutil.copytree(os.path.join(idx, name), f"{BASE}/keep_{name}")
@@ -180,7 +186,7 @@ def test_delete_renumbers_every_postings_file(ray_session):
             + _items([3], lambda i: "zzgone only"))
     shutil.rmtree(idx, ignore_errors=True)
     build_index(rd.from_items(docs).repartition(3), idx, opts)
-    pdir = os.path.join(idx, "postings")
+    pdir = os.path.join(_segment(idx), "postings")
     files = sorted(os.listdir(pdir))
     # doc 3 has ordinal 0; some file holds no posting of it
     without = [f for f in files
@@ -222,7 +228,7 @@ def test_compact_postings_file_rerun_is_idempotent(ray_session):
     build_index(rd.from_items(_items(range(10, 90), _filler)).repartition(3),
                 idx, BuildOptions(analyzer_config=AnalyzerConfig.code(),
                                   batch_size=16))
-    dm = pads.dataset(os.path.join(idx, "docmeta")).to_table()
+    dm = pads.dataset(os.path.join(_segment(idx), "docmeta")).to_table()
     dm = dm.take(np.argsort(dm["doc_id"].to_numpy()))
     ids = dm["doc_id"].to_numpy()
     keep = np.ones(ids.size, bool)
@@ -235,7 +241,7 @@ def test_compact_postings_file_rerun_is_idempotent(ray_session):
         ords, tfs, off = _decode_rows_flat(t, 128)
         return t["term"].to_pylist(), off.tolist(), ords, tfs.tolist()
 
-    pdir = os.path.join(idx, "postings")
+    pdir = os.path.join(_segment(idx), "postings")
     for f in sorted(os.listdir(pdir)):
         src, dst = os.path.join(pdir, f), f"{BASE}/rerun_out/{f}"
         with open(src, "rb") as fh:
@@ -272,7 +278,7 @@ def test_delete_crash_before_commit_leaves_index_unchanged(ray_session,
     import pyarrow.dataset as pads
 
     idx = _two_segment_index("crash")
-    root_id = int(pads.dataset(os.path.join(idx, "docmeta")).to_table()
+    root_id = int(pads.dataset(os.path.join(_segment(idx), "docmeta")).to_table()
                   ["doc_id"][0].as_py())
     victims = {root_id, 50_001}
     before = _snapshot(idx)
@@ -293,7 +299,7 @@ def test_delete_crash_before_commit_leaves_index_unchanged(ray_session,
     man = delete_docs(idx, doc_ids=victims)
     assert sorted(os.listdir(idx)) == sorted(
         [mf.MANIFEST_NAME, *man["segments"]])
-    assert [s.split(".d")[0] for s in man["segments"]] == ["root", "upd-00001"]
+    assert [s.split(".d")[0] for s in man["segments"]] == ["seg-00000", "upd-00001"]
     r = IndexReader(idx)
     assert r.n_docs == n0 - 2 and not victims & set(r.doc_ids.tolist())
     assert _postings_by_term(idx) == _without(postings, victims)
@@ -386,7 +392,7 @@ def test_force_merge_equals_fresh_build(ray_session):
     shutil.rmtree(fresh, ignore_errors=True)
     build_index(rd.from_items(list(live.values())).repartition(3), fresh, opts)
     got = _segment_postings(os.path.join(idx, man["segments"][0]), 16)
-    want = _segment_postings(fresh, 16)
+    want = _segment_postings(_segment(fresh), 16)
     assert got.keys() == want.keys()
     for key, postings in want.items():
         assert got[key] == postings, key
@@ -418,9 +424,9 @@ def test_sort_blocks_follow_partial_rows(ray_session, monkeypatch):
     assert ray.cluster_resources()["CPU"] == 4
     idx = _two_segment_index("blocks")
     man = mf.read_manifest(idx)
-    upd = mf.read_manifest(os.path.join(idx, man["segments"][1]))
+    build, upd = (man["segment_stats"][s] for s in man["segments"])
     assert upd["metrics"]["sort_blocks"] == 4
-    assert man["metrics"]["sort_blocks"] == 4
+    assert build["metrics"]["sort_blocks"] == 4
 
     # one partial row per posting: 1,000 terms × 264 docs
     n_terms, n_docs = 1000, 264
@@ -498,7 +504,7 @@ def test_postings_row_groups_are_capped_through_the_lifecycle(ray_session):
 
     def check(step: str) -> None:
         groups = []
-        for seg in mf.read_manifest(idx).get("segments") or ["."]:
+        for seg in mf.read_manifest(idx)["segments"]:
             pdir = os.path.join(idx, seg, "postings")
             for f in os.listdir(pdir):
                 meta = pq.ParquetFile(os.path.join(pdir, f)).metadata
@@ -553,3 +559,102 @@ def test_force_merge_after_deleting_every_doc(ray_session):
     update_index(idx, rd.from_items(_items([60_000], lambda i: "zzrevived body")))
     hits = Searcher(idx).search("zzrevived", k=10)
     assert [h["doc_id"] for h in hits] == [60_000]
+
+
+def _stats(man: dict) -> dict:
+    return {k: man[k] for k in ("n_docs", "total_tokens", "avgdl", "fields")}
+
+
+def test_manifest_stats_follow_the_live_docs(ray_session, tmp_path):
+    """A one-segment build and a two-partition build, each with an extra
+    field, go through update_index (longer field values), delete_docs
+    and force_merge.  After every step the manifest's n_docs,
+    total_tokens, avgdl and field stats equal a fresh build's of the
+    live docs, a field plan ranks and scores as over that build, and no
+    directory under the index holds a manifest but its root.  The
+    partitioned index's update segment holds field terms."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gazetteer_search_ray.pipelines.build_index import (
+        build_index_partitioned,
+    )
+    from gazetteer_search_ray.pipelines.query import Bool, Term
+    from gazetteer_search_ray.sources.corpus import (
+        CORPUS_COLUMNS,
+        _assign_doc_ids,
+    )
+
+    opts = BuildOptions(analyzer_config=AnalyzerConfig.code(), batch_size=16,
+                        extra_fields=(("src", "repo"),))
+    plan = Bool(should=(Term("def"), Term("repo", field="src"),
+                        Term("very", field="src")))
+    fresh = str(tmp_path / "fresh")
+
+    def check(idx: str, live: dict, step: str) -> None:
+        shutil.rmtree(fresh, ignore_errors=True)
+        want = build_index(rd.from_items(list(live.values())), fresh, opts)
+        assert _stats(mf.read_manifest(idx)) == _stats(want), step
+        assert [d for d, _dirs, files in os.walk(idx)
+                if mf.MANIFEST_NAME in files] == [idx], step
+        got_s, want_s = Searcher(idx), Searcher(fresh)
+        (gd, gs), (wd, ws) = (s.engine.top_k(plan, 20) for s in (got_s, want_s))
+        assert wd.size, step
+        np.testing.assert_array_equal(got_s.reader.doc_ids[gd],
+                                      want_s.reader.doc_ids[wd], err_msg=step)
+        np.testing.assert_allclose(gs, ws, rtol=0, atol=1e-12, err_msg=step)
+
+    def lifecycle(idx: str, live: dict) -> None:
+        check(idx, live, "build")
+        ids = sorted(live)
+        batch = [{"doc_id": d, "content": f"def zzlive {_filler(d)}",
+                  "repo": "repo very long name " * (2 + d % 3)}
+                 for d in ids[:20] + list(range(900, 920))]
+        update_index(idx, rd.from_items(batch))
+        live.update((r["doc_id"], r) for r in batch)
+        check(idx, live, "update")
+        gone = ids[20:22] + [905]
+        delete_docs(idx, doc_ids=gone)
+        for d in gone:
+            del live[d]
+        check(idx, live, "delete")
+        force_merge(idx)
+        check(idx, live, "force_merge")
+
+    def row(i: int) -> dict:
+        return {"content": _filler(i) + (" def" if i % 2 else ""),
+                "repo": f"repo r{i % 3}"}
+
+    idx = str(tmp_path / "one")
+    live = {i: {"doc_id": i, **row(i)} for i in range(1, 60)}
+    build_index(rd.from_items(list(live.values())), idx, opts)
+    lifecycle(idx, live)
+
+    corpus = pa.table({
+        "repo": [row(i)["repo"] for i in range(60)],
+        "path": [f"src/f{i}.py" for i in range(60)],
+        "commit": ["c0"] * 60,
+        "lang": ["python"] * 60,
+        "content": [row(i)["content"] for i in range(60)],
+    }).select(CORPUS_COLUMNS)
+    files = []
+    for k in range(2):
+        files.append(str(tmp_path / f"corpus-{k}.parquet"))
+        pq.write_table(corpus.slice(30 * k, 30), files[-1])
+    idx = str(tmp_path / "parts")
+    man = build_index_partitioned(files, idx, opts, num_partitions=2)
+    assert man["segments"] == ["part-00000", "part-00001"]
+    t = _assign_doc_ids(corpus)
+    live = {r["doc_id"]: r for r in t.select(
+        ["doc_id", "content", "repo"]).to_pylist()}
+    check(idx, live, "partitioned build")
+    ids = sorted(live)
+    batch = [{"doc_id": d, "content": "def zzlive", "repo": "repo very long"}
+             for d in ids[:5]]
+    man = update_index(idx, rd.from_items(batch))
+    live.update((r["doc_id"], r) for r in batch)
+    check(idx, live, "partitioned update")
+    upd = _segment_postings(_segment(idx, -1), 128)
+    assert any(term.startswith("src\x1e") for term, _shard in upd)
+    lifecycle(idx, live)

@@ -70,8 +70,7 @@ def ensure_index() -> None:
     if not os.path.exists(os.path.join(CORPUS, "corpus-0063.parquet")):
         write_synthetic_corpus(CORPUS, n_docs=DOCS, n_files=64)
     build_index(read_corpus(CORPUS), IDX,
-                BuildOptions(analyzer_config=AnalyzerConfig.code()),
-                overwrite=True)
+                BuildOptions(analyzer_config=AnalyzerConfig.code()))
     ray.shutdown()
 
 

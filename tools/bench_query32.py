@@ -57,8 +57,7 @@ def build(corpus: str, index: str) -> None:
     ray.init(address="local", num_cpus=1, include_dashboard=False,
              logging_level="ERROR")
     build_index(read_corpus(corpus), index,
-                BuildOptions(analyzer_config=AnalyzerConfig.code()),
-                overwrite=True)
+                BuildOptions(analyzer_config=AnalyzerConfig.code()))
     ray.shutdown()
 
 

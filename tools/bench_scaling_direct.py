@@ -47,8 +47,7 @@ LEG_SRC = textwrap.dedent(
     n_docs = read_corpus(corpus).count()  # warms page cache, untimed
     t0 = time.monotonic()
     build_index(read_corpus(corpus), sys.argv[3],
-                BuildOptions(analyzer_config=AnalyzerConfig.code()),
-                overwrite=True)
+                BuildOptions(analyzer_config=AnalyzerConfig.code()))
     dt = time.monotonic() - t0
     print(json.dumps({{"ncpu": ncpu, "docs": n_docs, "sec": round(dt, 2),
                        "docs_per_sec": round(n_docs / dt, 1)}}))
