@@ -27,7 +27,6 @@ generation + delete-stale idempotent re-import,
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -68,20 +67,21 @@ def _analyzer_dict(c: AnalyzerConfig) -> dict:
     d["stop_terms"] = sorted(d["stop_terms"])
     d["char_replaces"] = [list(x) for x in d["char_replaces"]]
     d["synonyms"] = [list(x) for x in d["synonyms"]]
+    d["replacer_files"] = list(d["replacer_files"])
     return d
 
 
 def _settings(opts: BuildOptions) -> dict:
-    """The index settings a commit records (``manifest.SETTINGS``), in
-    their JSON form, so that a resume can compare them with a manifest's."""
-    return json.loads(json.dumps({
+    """The index settings a commit records (``manifest.SETTINGS``), as
+    the lists a manifest reads back, so a resume can compare them."""
+    return {
         "analyzer": _analyzer_dict(opts.analyzer_config),
         "block_size": opts.block_size,
         "num_doc_shards": opts.num_doc_shards,
         # (field, source column) pairs so maintenance jobs
         # (update_index) can rebuild segments with the same mapping
-        "extra_fields": opts.extra_fields,
-    }))
+        "extra_fields": [list(p) for p in opts.extra_fields],
+    }
 
 
 def write_segment(ds, seg_dir: str, opts: BuildOptions) -> dict:
@@ -173,17 +173,17 @@ def build_index_partitioned(
     Files go round-robin into ``num_partitions`` groups; group ``i``
     becomes segment ``part-<i>``, committed as soon as it is written,
     with its input files in its record.  With ``resume``, a rerun keeps
-    every segment the committed manifest lists with the same input files
-    and settings, so a killed build rebuilds only what it had not
-    committed.  The query layer (`IndexReader`) merges df and doc stats
+    every group segment the committed manifest lists with the same input
+    files and settings, so a killed build rebuilds only what it had not
+    committed; it drops every other segment (a plain build's, an
+    update's, a merge's), whose docs the groups list again.  No input
+    files commit an empty index.  The query layer (`IndexReader`) merges df and doc stats
     across segments at read time, exactly like ES shards.
 
     Returns the committed manifest plus ``partitions``: per group, its
-    segment and whether this run ``built`` or ``skipped`` it."""
+    number and whether this run ``built`` or ``skipped`` it."""
     from ..sources.corpus import read_corpus
 
-    if not input_files:
-        raise ValueError("build_index_partitioned needs input files")
     opts = opts or BuildOptions()
     settings = _settings(opts)
     groups: dict[str, list[str]] = {}
@@ -194,11 +194,14 @@ def build_index_partitioned(
     segs = {}
     if (man is not None and man.get("format_version") == mf.FORMAT_VERSION
             and all(man[k] == settings[k] for k in mf.SETTINGS)):
+        # only file-group segments are reused: a build's, update's or
+        # merge's segment would list its docs a second time
         segs = {n: r for n, r in man["segment_stats"].items()
-                if r.get("input_files") == groups.get(n)}
+                if n in groups and r.get("input_files") == groups[n]}
     if not segs:
         mf.drop_index(index_dir)
-    elif list(segs) != man["segments"]:
+        man = None
+    if man is None or list(segs) != man["segments"]:
         # unlist stale segments before a group is rewritten under a name
         man = mf.commit(index_dir, segs, settings)
 
@@ -210,6 +213,6 @@ def build_index_partitioned(
                                    os.path.join(index_dir, name), opts)
             segs[name] = {**record, "input_files": files}
             man = mf.commit(index_dir, dict(sorted(segs.items())), settings)
-        partitions.append({"partition_id": pid, "segment": name,
+        partitions.append({"partition_id": pid,
                            "status": "built" if built else "skipped"})
     return {**man, "partitions": partitions}

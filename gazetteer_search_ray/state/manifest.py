@@ -118,6 +118,7 @@ def commit(index_dir: str, segments: dict, settings: dict,
     written last; then every directory it does not list is removed.
     Returns the committed manifest."""
     n_docs = sum(r["n_docs"] for r in segments.values())
+    os.makedirs(index_dir, exist_ok=True)
 
     def stats(total: int) -> dict:
         return {"total_tokens": total,

@@ -19,6 +19,7 @@ from gazetteer_search_ray.pipelines.build_index import (
     build_index,
     build_index_partitioned,
 )
+from gazetteer_search_ray.pipelines.maintenance import update_index
 from gazetteer_search_ray.pipelines.query import Bool, DisMax, Prefix, QueryEngine, Term
 from gazetteer_search_ray.pipelines.search import Searcher, analyze_query
 from gazetteer_search_ray.sources.corpus import (
@@ -286,3 +287,24 @@ def test_partitioned_build_and_resume(corpus_files, searcher):
         d2, sc2 = s2.engine.top_k(Bool(should=tuple(Term(t) for t in terms)), 20)
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_allclose(sc1, sc2, rtol=0, atol=1e-12)
+
+    # a rerun over an index whose segments are not all file groups (a
+    # plain build's, an update's) rebuilds the groups and lists nothing
+    # else: every doc once
+    def assert_each_doc_once(man):
+        files = [f for s in man["segments"]
+                 for f in glob.glob(os.path.join(idx, s, "docmeta", "*.parquet"))]
+        ids = pads.dataset(files).to_table()["doc_id"].to_numpy()
+        assert man["n_docs"] == len(ids) == len(np.unique(ids)) == N_DOCS
+        assert man["segments"] == ["part-00000", "part-00001", "part-00002"]
+
+    build_index(read_corpus(corpus_files), idx, opts)
+    assert_each_doc_once(
+        build_index_partitioned(corpus_files, idx, opts, num_partitions=3))
+    update_index(idx, read_corpus(corpus_files[:1]))
+    assert_each_doc_once(
+        build_index_partitioned(corpus_files, idx, opts, num_partitions=3))
+
+    # no input files: an empty index, as before
+    empty = build_index_partitioned([], f"{BASE}/idx_part_empty", opts)
+    assert empty["n_docs"] == 0 and empty["segments"] == []
